@@ -61,12 +61,9 @@ class RunConfig:
     n: int | None
     group: str
     metric: str
-    budget_exhaustive: int
-    isd_sets: int
     isd_weight: int | None
     seed: int
     format: str
-    cache_dir: str | None
     spec: str | None
     limit: int | None
 
@@ -159,10 +156,6 @@ def _parse_args(argv) -> RunConfig:
                        default=DIHEDRAL)
         p.add_argument("--metric", choices=(da.EUCLIDEAN, da.HERMITIAN),
                        default=da.EUCLIDEAN)
-        p.add_argument("--budget-exhaustive", type=int, default=2 ** 21,
-                       help="projective-message cap for exhaustive scans")
-        p.add_argument("--isd-sets", type=int, default=1,
-                       help="information-set cap for distance enumeration")
         p.add_argument("--isd-weight", type=int, default=None,
                        help="stop distance enumeration after this "
                             "information weight (status degrades to "
@@ -170,17 +163,15 @@ def _parse_args(argv) -> RunConfig:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="json")
-        p.add_argument("--cache-dir", default=None)
         p.add_argument("--spec", default=None,
                        help="file of spec serializations, one per line")
         p.add_argument("--limit", type=int, default=None,
                        help="evaluate at most this many specs")
     ns = parser.parse_args(argv)
     return RunConfig(command=ns.command, q=ns.q, n=ns.n, group=ns.group,
-                     metric=ns.metric, budget_exhaustive=ns.budget_exhaustive,
-                     isd_sets=ns.isd_sets, isd_weight=ns.isd_weight,
-                     seed=ns.seed, format=ns.format, cache_dir=ns.cache_dir,
-                     spec=ns.spec, limit=ns.limit)
+                     metric=ns.metric, isd_weight=ns.isd_weight,
+                     seed=ns.seed, format=ns.format, spec=ns.spec,
+                     limit=ns.limit)
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -191,8 +182,10 @@ def _validate(cfg: RunConfig) -> None:
             split_prime_power(cfg.q)
         except ValueError as e:
             raise CliError(str(e)) from None
-    if cfg.isd_sets < 1:
-        raise CliError("--isd-sets must be at least 1")
+    for flag, value in (("--limit", cfg.limit),
+                        ("--isd-weight", cfg.isd_weight)):
+        if value is not None and value < 0:
+            raise CliError(f"{flag} must not be negative")
     if cfg.group == QUATERNION and cfg.metric == da.HERMITIAN:
         raise CliError(
             "hermitian duality of a quaternion algebra is handled through "
@@ -200,37 +193,14 @@ def _validate(cfg: RunConfig) -> None:
             f"--n {2 * (cfg.n or 0)}")
 
 
-def _cache_path(cfg: RunConfig, p: int, m: int, modulus, n: int):
-    import pathlib
-    key = f"{cfg.group}-p{p}-M{m}-mod{''.join(map(str, modulus))}-n{n}-{cfg.metric}"
-    return pathlib.Path(cfg.cache_dir) / f"{key}.json"
-
-
-def build_system(cfg: RunConfig, warnings: list):
-    """Decomposition for the configured system, via the disk cache if any."""
+def build_system(cfg: RunConfig):
+    """Decomposition for the configured system."""
     if cfg.group == QUATERNION:
         try:
-            dec = qa.build_quaternion_decomposition(cfg.n, cfg.q)
+            return qa.build_quaternion_decomposition(cfg.n, cfg.q)
         except qa.DelegateToDihedral as e:
             raise CliError(str(e)) from None
-    else:
-        dec = da.build_dihedral_decomposition(cfg.n, cfg.q, cfg.metric)
-    if cfg.cache_dir is not None:
-        path = _cache_path(cfg, dec.F.p, dec.F.m, dec.F.modulus, cfg.n)
-        entry = {
-            "p": dec.F.p, "M": dec.F.m, "modulus": list(dec.F.modulus),
-            "n": cfg.n, "group": cfg.group, "metric": cfg.metric,
-            "factors": [list(b.factors[0].coset) for b in dec.blocks],
-            "roots": [getattr(b.slots[0], "root", None) for b in dec.blocks],
-        }
-        if path.exists():
-            cached = json.loads(path.read_text())
-            if cached != entry:
-                warnings.append(f"stale cache entry ignored: {path}")
-        else:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(entry, sort_keys=True))
-    return dec
+    return da.build_dihedral_decomposition(cfg.n, cfg.q, cfg.metric)
 
 
 def _load_specs(cfg: RunConfig, dec) -> list:
@@ -287,7 +257,7 @@ def _selforth_flags(dec, spec, rows) -> dict:
 
 
 def cmd_decompose(cfg: RunConfig, warnings: list) -> list:
-    dec = build_system(cfg, warnings)
+    dec = build_system(cfg)
     blocks = []
     for i, blk in enumerate(dec.blocks):
         entry = {
@@ -325,7 +295,7 @@ def cmd_decompose(cfg: RunConfig, warnings: list) -> list:
 
 
 def cmd_count(cfg: RunConfig, warnings: list) -> list:
-    dec = build_system(cfg, warnings)
+    dec = build_system(cfg)
     return [{
         "ideals": ic.spec_count(dec),
         "self_orthogonal": du.count_selforth(dec),
@@ -346,7 +316,7 @@ def _spec_record(dec, spec) -> tuple:
 
 
 def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
-    dec = build_system(cfg, warnings)
+    dec = build_system(cfg)
     results = []
     # with an explicit --limit the stream stops early, so the safety budget
     # on the total ideal count is unnecessary
@@ -360,7 +330,7 @@ def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
 
 
 def cmd_dual(cfg: RunConfig, warnings: list) -> list:
-    dec = build_system(cfg, warnings)
+    dec = build_system(cfg)
     results = []
     for spec in _load_specs(cfg, dec):
         record, _ = _spec_record(dec, spec)
@@ -373,7 +343,7 @@ def cmd_dual(cfg: RunConfig, warnings: list) -> list:
 
 
 def cmd_classify(cfg: RunConfig, warnings: list) -> list:
-    dec = build_system(cfg, warnings)
+    dec = build_system(cfg)
     results = []
     for spec in _load_specs(cfg, dec):
         record, rows = _spec_record(dec, spec)
@@ -395,7 +365,7 @@ def cmd_css_search(cfg: RunConfig, warnings: list) -> list:
     if cfg.metric != da.HERMITIAN:
         raise CliError("css-search uses the hermitian metric; "
                        "pass --metric hermitian")
-    dec = build_system(cfg, warnings)
+    dec = build_system(cfg)
     if cfg.spec is not None:
         specs = _load_specs(cfg, dec)
     else:
@@ -548,9 +518,6 @@ def main(argv=None) -> int:
     try:
         _validate(cfg)
         results = _COMMANDS[cfg.command](cfg, warnings)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

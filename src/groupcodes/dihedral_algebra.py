@@ -39,8 +39,8 @@ import numpy as np
 
 from . import linalg
 from .embeddings import PowerBasis
-from .fields import (DEFAULT_FIELD_BUDGET, ZERO, FieldTable, Subfield,
-                     build_field, mult_order, split_prime_power)
+from .fields import (ZERO, FieldTable, Subfield, build_field, mult_order,
+                     split_prime_power)
 from .polyfactor import (BOTH_FIXED, CONJ_FIXED, CROSS_FIXED, FREE,
                          MINUS_ONE, ONE, RECIP_FIXED, RECIPROCAL_PAIR,
                          SELF_RECIPROCAL, Factor, classify_euclidean,
@@ -247,10 +247,13 @@ def _pair_slot(F: FieldTable, basis: PowerBasis, alpha: int) -> Slot:
     return Slot(MAT_SLOT, basis, gen_a, gen_b, root=alpha)
 
 
-def _resolve_root(F: FieldTable, factors: tuple[Factor, ...], default: int,
-                  override: int | None) -> int:
+def _resolve_root(F: FieldTable, factors: tuple[Factor, ...],
+                  root_choices: dict | None) -> int:
+    """Root for a factor family: the one pinned in ``root_choices`` under the
+    first factor's coset, else the first factor's own root."""
+    override = (root_choices or {}).get(factors[0].coset)
     if override is None:
-        return default
+        return factors[0].root
     for f in factors:
         if poly_eval(F, f.coeffs, override) == ZERO:
             return override
@@ -367,7 +370,6 @@ def _euclid_blocks(F: FieldTable, alphabet: Subfield, classes,
     unit_basis = PowerBasis(alphabet, alphabet)
     rank = {ONE: 0, MINUS_ONE: 1, SELF_RECIPROCAL: 2, RECIPROCAL_PAIR: 3}
     ordered = sorted(classes, key=lambda c: (rank[c.kind], c.f.coset))
-    overrides = root_choices or {}
     blocks = []
     for cls in ordered:
         if cls.kind == ONE:
@@ -379,15 +381,13 @@ def _euclid_blocks(F: FieldTable, alphabet: Subfield, classes,
             blocks.append(_field_pair_block(F, unit_basis, cls.f, F.minus_one))
         elif cls.kind == SELF_RECIPROCAL:
             family = (cls.f,)
-            alpha = _resolve_root(F, family, cls.f.root,
-                                  overrides.get(cls.f.coset))
+            alpha = _resolve_root(F, family, root_choices)
             basis = PowerBasis(F.subfield(Q**(cls.degree // 2)), alphabet)
             slot, data = _selfrec_slot(F, basis, alpha)
             blocks.append(Block(SELFREC, (slot,), family, data))
         else:
             family = (cls.f, cls.partner)
-            alpha = _resolve_root(F, family, cls.f.root,
-                                  overrides.get(cls.f.coset))
+            alpha = _resolve_root(F, family, root_choices)
             basis = PowerBasis(F.subfield(Q**cls.degree), alphabet)
             slot = _pair_slot(F, basis, alpha)
             blocks.append(Block(RECIP_PAIR, (slot,), family))
@@ -399,7 +399,6 @@ def _hermitian_blocks(F: FieldTable, alphabet: Subfield, q: int, classes,
     unit_basis = PowerBasis(alphabet, alphabet)
     rank = {BOTH_FIXED: 0, RECIP_FIXED: 1, CONJ_FIXED: 2, CROSS_FIXED: 3, FREE: 4}
     ordered = sorted(classes, key=lambda c: (rank[c.kind], c.f.coset))
-    overrides = root_choices or {}
     blocks = []
     for cls in ordered:
         r = cls.degree
@@ -410,8 +409,7 @@ def _hermitian_blocks(F: FieldTable, alphabet: Subfield, q: int, classes,
             else:
                 blocks.append(_field_pair_block(F, unit_basis, cls.f, sign))
             continue
-        alpha = _resolve_root(F, cls.members, cls.f.root,
-                              overrides.get(cls.f.coset))
+        alpha = _resolve_root(F, cls.members, root_choices)
         if cls.kind == RECIP_FIXED:
             basis = PowerBasis(F.subfield(q**r), alphabet)
             slot1, d1 = _selfrec_slot(F, basis, alpha)
@@ -432,7 +430,6 @@ def _hermitian_blocks(F: FieldTable, alphabet: Subfield, q: int, classes,
 
 
 def build_dihedral_decomposition(n: int, Q: int, mode: str = EUCLIDEAN, *,
-                                 budget: int = DEFAULT_FIELD_BUDGET,
                                  root_choices: dict | None = None,
                                  master: FieldTable | None = None) -> Decomposition:
     """Decompose GF(Q)[D_n].
@@ -460,7 +457,7 @@ def build_dihedral_decomposition(n: int, Q: int, mode: str = EUCLIDEAN, *,
             raise ValueError("supplied master field does not cover the block fields")
         F = master
     else:
-        F = build_field(p, m, budget)
+        F = build_field(p, m)
     alphabet = F.subfield(Q)
     factors = factor_x_pow_n_minus_1(F, Q, n)
     if mode == EUCLIDEAN:

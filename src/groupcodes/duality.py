@@ -12,19 +12,11 @@ from __future__ import annotations
 import itertools
 import math
 
-from .fields import (
-    DEFAULT_FIELD_BUDGET,
-    ZERO,
-    FieldTable,
-    build_field,
-    split_prime_power,
-)
+from .fields import ZERO, FieldTable, build_field, split_prime_power
 from .polyfactor import CONJ_FIXED, CROSS_FIXED, FREE, RECIP_FIXED
 from .dihedral_algebra import (
     C2_BLOCK,
-    EUCLIDEAN,
     FIELD_PAIR,
-    HERMITIAN,
     RECIP_PAIR,
     SELFREC,
     Block,
@@ -34,11 +26,12 @@ from .quaternion_algebra import (
     B_PAIR,
     B_SELFREC_SKEW,
     B_SELFREC_SPLIT,
+    B_SIDE_KINDS,
     B_UNIT,
 )
 from .ideals_codes import slot_ideal_options, spec_contains
 
-_C2_DUAL = {"zero": "full", "mid": "mid", "full": "zero"}
+_ZERO_FULL = {"zero": "full", "full": "zero"}
 
 
 class NotSelfOrthogonalError(ValueError):
@@ -48,151 +41,59 @@ class NotSelfOrthogonalError(ValueError):
 def _line(F: FieldTable, v0: int, v1: int):
     """Ideal label of the rank-one ideal with row direction (v0, v1)."""
     if v0 == ZERO:
-        assert v1 != ZERO, "a line needs a nonzero direction"
+        if v1 == ZERO:
+            raise AssertionError("a line needs a nonzero direction")
         return "e01"
     return ("row", F.div(v1, v0))
-
-
-def _row_lam(ideal):
-    return ideal[1]
 
 
 # ---------------------------------------------------------------------------
 # per-block dual maps
 
 
-def _dual_field_pair(ideals):
-    return tuple("full" if x == "zero" else "zero" for x in ideals)
+def _dual_proper(dec: Decomposition, block: Block, j: int, x):
+    """Dual label, in slot j, of a proper ideal "mid", "e01" or ("row", lam).
 
-
-def _dual_selfrec_euclid(F: FieldTable, t: int, x):
-    if x == "zero":
-        return "full"
-    if x == "full":
-        return "zero"
-    two = F.from_prime_scalar(2)
-    if x == "e01":
-        return _line(F, two, F.neg(t))
-    lam = _row_lam(x)
-    v0 = F.add(t, F.mul(two, lam))
-    v1 = F.neg(F.add(two, F.mul(t, lam)))
+    A line with row direction (v0, v1) dualises to the line whose direction
+    is M (v0^e, v1^e): a Frobenius power e of the direction followed by a
+    fixed 2x2 matrix M.  For the two-slot kinds the input comes from the
+    other slot of the block.
+    """
+    kind = block.kind
+    if x == "mid" or kind in B_SIDE_KINDS:
+        return x
+    F, q, r = dec.F, dec.q, block.data.get("r")
+    if kind in (SELFREC, RECIP_PAIR):
+        e = 1
+    elif kind in (CONJ_FIXED, CROSS_FIXED):
+        e = q ** r
+    elif kind == RECIP_FIXED:
+        e = q if j else q ** (r - 1)
+    elif kind == FREE:
+        e = q if j else q ** (2 * r - 1)
+    else:
+        raise ValueError(f"unknown block kind {kind!r}")
+    v0, v1 = (ZERO, F.one) if x == "e01" else (F.one, F.pow(x[1], e))
+    if kind in (SELFREC, RECIP_FIXED):
+        # M = [[t, 2], [-2, -t]]; the conjugated slot uses t^q
+        t = block.data["t_conj" if j else "t"]
+        two = F.from_prime_scalar(2)
+        v0, v1 = (F.add(F.mul(t, v0), F.mul(two, v1)),
+                  F.neg(F.add(F.mul(two, v0), F.mul(t, v1))))
+    elif kind == CROSS_FIXED:
+        v0, v1 = F.neg(v1), v0            # M = [[0, -1], [1, 0]]
+    else:
+        v1 = F.neg(v1)                    # M = diag(1, -1)
     return _line(F, v0, v1)
-
-
-def _dual_recip_pair_euclid(F: FieldTable, x):
-    if x == "zero":
-        return "full"
-    if x == "full":
-        return "zero"
-    if x == "e01":
-        return "e01"
-    return ("row", F.neg(_row_lam(x)))
-
-
-def _dual_recip_fixed(F: FieldTable, q: int, r: int, t: int, ideals):
-    x, y = ideals
-
-    def to_second(v):       # lands in the conjugated slot
-        if v == "zero":
-            return "full"
-        if v == "full":
-            return "zero"
-        two = F.from_prime_scalar(2)
-        if v == "e01":
-            return _line(F, two, F.neg(F.pow(t, q)))
-        lam = _row_lam(v)
-        v0 = F.add(F.mul(two, lam), t)
-        v1 = F.neg(F.add(two, F.mul(t, lam)))
-        return _line(F, F.pow(v0, q), F.pow(v1, q))
-
-    def to_first(v):        # comes back from the conjugated slot
-        if v == "zero":
-            return "full"
-        if v == "full":
-            return "zero"
-        two = F.from_prime_scalar(2)
-        if v == "e01":
-            return _line(F, two, F.neg(t))
-        lam = F.pow(_row_lam(v), q ** (r - 1))
-        v0 = F.add(F.mul(two, lam), t)
-        v1 = F.neg(F.add(two, F.mul(t, lam)))
-        return _line(F, v0, v1)
-
-    return (to_first(y), to_second(x))
-
-
-def _dual_conj_fixed(F: FieldTable, q: int, r: int, x):
-    if x == "zero":
-        return "full"
-    if x == "full":
-        return "zero"
-    if x == "e01":
-        return "e01"
-    return ("row", F.neg(F.pow(_row_lam(x), q ** r)))
-
-
-def _dual_cross_fixed(F: FieldTable, q: int, r: int, x):
-    if x == "zero":
-        return "full"
-    if x == "full":
-        return "zero"
-    if x == "e01":
-        return ("row", ZERO)
-    lam = _row_lam(x)
-    if lam == ZERO:
-        return "e01"
-    return _line(F, F.neg(F.pow(lam, q ** r)), F.one)
-
-
-def _dual_free(F: FieldTable, q: int, r: int, ideals):
-    x, y = ideals
-
-    def flip(v, e):
-        if v == "zero":
-            return "full"
-        if v == "full":
-            return "zero"
-        if v == "e01":
-            return "e01"
-        return ("row", F.neg(F.pow(_row_lam(v), e)))
-
-    return (flip(y, q ** (2 * r - 1)), flip(x, q))
-
-
-def _dual_b_side(x):
-    if x == "zero":
-        return "full"
-    if x == "full":
-        return "zero"
-    return x
 
 
 def dual_block(dec: Decomposition, block: Block, ideals: tuple) -> tuple:
     """Dual of one block's slot-ideal tuple under the algebra's pairing."""
-    F = dec.F
-    kind = block.kind
-    if kind == FIELD_PAIR:
-        return _dual_field_pair(ideals)
-    if kind == C2_BLOCK:
-        return (_C2_DUAL[ideals[0]],)
-    if kind == B_UNIT:
-        return _dual_field_pair(ideals)
-    if kind in (B_SELFREC_SPLIT, B_SELFREC_SKEW, B_PAIR):
-        return (_dual_b_side(ideals[0]),)
-    if kind == SELFREC:
-        return (_dual_selfrec_euclid(F, block.data["t"], ideals[0]),)
-    if kind == RECIP_PAIR:
-        return (_dual_recip_pair_euclid(F, ideals[0]),)
-    q, r = dec.q, block.data.get("r")
-    if kind == RECIP_FIXED:
-        return _dual_recip_fixed(F, q, r, block.data["t"], ideals)
-    if kind == CONJ_FIXED:
-        return (_dual_conj_fixed(F, q, r, ideals[0]),)
-    if kind == CROSS_FIXED:
-        return (_dual_cross_fixed(F, q, r, ideals[0]),)
-    if kind == FREE:
-        return _dual_free(F, q, r, ideals)
-    raise ValueError(f"unknown block kind {kind!r}")
+    if block.kind in (RECIP_FIXED, FREE):
+        ideals = ideals[::-1]
+    return tuple(_ZERO_FULL[x] if x in _ZERO_FULL
+                 else _dual_proper(dec, block, j, x)
+                 for j, x in enumerate(ideals))
 
 
 def _block_ideals(dec: Decomposition, spec):
@@ -279,8 +180,7 @@ def count_selforth(dec: Decomposition) -> int:
 LAMBDA_KINDS = ("neg_conj", "neg_inv_conj", "inv_conj")
 
 
-def lambda_solution_set(kind: str, q: int, r: int, *,
-                        budget: int = DEFAULT_FIELD_BUDGET):
+def lambda_solution_set(kind: str, q: int, r: int):
     """Solutions x in GF(q^{2r}) of one of the three conjugation equations.
 
     neg_conj       x + x^{q^r} = 0        (odd characteristic, q^r many)
@@ -298,7 +198,7 @@ def lambda_solution_set(kind: str, q: int, r: int, *,
             raise ValueError("inv_conj is the characteristic-two equation")
     elif p == 2:
         raise ValueError(f"{kind} needs odd characteristic")
-    F = build_field(p, 2 * r * e, budget=budget)
+    F = build_field(p, 2 * r * e)
     K = F.subfield(q ** (2 * r))
     qr = q ** r
     sols = []
@@ -312,5 +212,6 @@ def lambda_solution_set(kind: str, q: int, r: int, *,
         if ok:
             sols.append(x)
     expected = qr if kind == "neg_conj" else qr + 1
-    assert len(sols) == expected, "solution census disagrees with the count"
+    if len(sols) != expected:
+        raise AssertionError("solution census disagrees with the count")
     return K, sols

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .fields import ZERO, FieldBudgetError, Subfield
 
 # largest block field we are willing to tabulate coordinate vectors for
@@ -65,14 +63,3 @@ class PowerBasis:
             x = F.add(x, F.mul(self.alphabet.element(int(c)), b))
         return x
 
-    def elements(self):
-        """All block-field elements as master ints, zero first then by dlog."""
-        return self.block.elements()
-
-
-def flatten_row(basis: PowerBasis, values) -> np.ndarray:
-    """Concatenated coordinates of several block-field values."""
-    out = []
-    for v in values:
-        out.extend(basis.flatten(v))
-    return np.array(out, dtype=np.int32)

@@ -23,7 +23,6 @@ discrete logs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -249,9 +248,6 @@ class FieldTable:
             return self.one if e == 0 else ZERO
         return (a * e) % self.mult_order
 
-    def equal(self, a: int, b: int) -> bool:
-        return a == b
-
     # -- structure ----------------------------------------------------------
 
     def element_from_packed(self, packed: int) -> int:
@@ -334,11 +330,6 @@ def _build_exp_table(p: int, m: int, modulus: tuple[int, ...]) -> np.ndarray:
     return exp
 
 
-# Optional precomputed exp tables keyed by (p, m), seeded by the CLI disk
-# cache before build_field runs.  Values are (modulus, exp array).
-_EXP_SEEDS: dict[tuple[int, int], tuple[tuple[int, ...], np.ndarray]] = {}
-
-
 @lru_cache(maxsize=None)
 def build_field(p: int, m: int, budget: int = DEFAULT_FIELD_BUDGET) -> FieldTable:
     """Construct (and cache) the GF(p^m) tables."""
@@ -352,11 +343,7 @@ def build_field(p: int, m: int, budget: int = DEFAULT_FIELD_BUDGET) -> FieldTabl
             f"GF({p}^{m}) has {order} elements, over the table budget {budget}")
 
     modulus = smallest_primitive_modulus(p, m)
-    seed = _EXP_SEEDS.get((p, m))
-    if seed is not None and seed[0] == modulus and seed[1].shape == (order - 1,):
-        exp = seed[1].astype(np.int64, copy=False)
-    else:
-        exp = _build_exp_table(p, m, modulus)
+    exp = _build_exp_table(p, m, modulus)
 
     log = np.full(order, ZERO, dtype=np.int64)
     log[exp] = np.arange(order - 1, dtype=np.int64)
@@ -431,10 +418,6 @@ class Subfield:
             return None
         return self.index(a) - 1
 
-    def frobenius(self, a: int) -> int:
-        """a -> a^q (identity on this subfield, used on extension elements)."""
-        return self.master.pow(a, self.q)
-
     # -- numpy tables --------------------------------------------------------
 
     def _build_tables(self):
@@ -457,12 +440,6 @@ class Subfield:
         self.mul_t = mul_t
         self.neg_t = neg_t
         self.inv_t = inv_t
-
-    def to_indices(self, row) -> np.ndarray:
-        return np.array([self.index(a) for a in row], dtype=self.add_t.dtype)
-
-    def to_elements(self, idx_row) -> list[int]:
-        return [self.element(int(i)) for i in idx_row]
 
 
 # ---------------------------------------------------------------------------

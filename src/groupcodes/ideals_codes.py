@@ -162,7 +162,8 @@ def ideal_to_code(dec: Decomposition, spec) -> np.ndarray:
     if not rows:
         return np.zeros((0, dec.length), dtype=np.int32)
     R, pivots = linalg.rref(dec.alphabet, np.array(rows, dtype=np.int32))
-    assert len(pivots) == want, "ideal basis unexpectedly degenerate"
+    if len(pivots) != want:
+        raise AssertionError("ideal basis unexpectedly degenerate")
     return R
 
 

@@ -13,19 +13,6 @@ import numpy as np
 from .fields import Subfield
 
 
-def idx_matrix(sub: Subfield, rows) -> np.ndarray:
-    """Convert rows of master-field ints to an index matrix."""
-    rows = list(rows)
-    if not rows:
-        return np.zeros((0, 0), dtype=sub.add_t.dtype)
-    return np.array([[sub.index(a) for a in r] for r in rows], dtype=sub.add_t.dtype)
-
-
-def master_rows(sub: Subfield, A: np.ndarray) -> list[list[int]]:
-    """Inverse of :func:`idx_matrix`."""
-    return [[sub.element(int(i)) for i in row] for row in A]
-
-
 def matmul(sub: Subfield, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")

@@ -206,8 +206,6 @@ CONJ_FIXED = "conj_fixed"    # f = fbar != f*         class {f, f*}, odd degree
 CROSS_FIXED = "cross_fixed"  # f* = fbar != f         class {f, f*}
 FREE = "free"                # all four distinct      class {f, f*, fbar, (f*)bar}
 
-HERMITIAN_KINDS = (BOTH_FIXED, RECIP_FIXED, CONJ_FIXED, CROSS_FIXED, FREE)
-
 
 @dataclass(frozen=True)
 class HermitianClass:

@@ -25,13 +25,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np  # noqa: F401  (re-exported type in signatures)
-
 from .dihedral_algebra import (Block, Decomposition, PowerBasis, Slot,
                                _assemble, _euclid_blocks, _resolve_root,
                                m2_antidiag, m2_diag, transport, FIELD_SLOT,
                                MAT_SLOT, EUCLIDEAN)
-from .fields import (DEFAULT_FIELD_BUDGET, ZERO, FieldTable, Subfield,
+from .fields import (ZERO, FieldTable, Subfield,
                      build_field, mult_order, solve_sum_of_squares,
                      split_prime_power, sqrt_minus_one)
 from .polyfactor import (MINUS_ONE, RECIPROCAL_PAIR, SELF_RECIPROCAL,
@@ -102,8 +100,7 @@ def _b_unit_block(F: FieldTable, alphabet: Subfield, factor, q: int) -> Block:
 
 def _b_selfrec_block(F: FieldTable, alphabet: Subfield, cls, q: int,
                      root_choices: dict | None) -> Block:
-    overrides = root_choices or {}
-    beta = _resolve_root(F, (cls.f,), cls.f.root, overrides.get(cls.f.coset))
+    beta = _resolve_root(F, (cls.f,), root_choices)
     s = cls.degree // 2
     half = F.subfield(q**s)
     basis = PowerBasis(half, alphabet)
@@ -141,9 +138,8 @@ def _b_selfrec_block(F: FieldTable, alphabet: Subfield, cls, q: int,
 
 def _b_pair_block(F: FieldTable, alphabet: Subfield, cls, q: int,
                   root_choices: dict | None) -> Block:
-    overrides = root_choices or {}
     family = (cls.f, cls.partner)
-    beta = _resolve_root(F, family, cls.f.root, overrides.get(cls.f.coset))
+    beta = _resolve_root(F, family, root_choices)
     basis = PowerBasis(F.subfield(q**cls.degree), alphabet)
     gen_a = m2_diag(beta, F.inv(beta))
     gen_b = (ZERO, F.minus_one, F.one, ZERO)
@@ -152,7 +148,6 @@ def _b_pair_block(F: FieldTable, alphabet: Subfield, cls, q: int,
 
 
 def build_quaternion_decomposition(n: int, q: int, *,
-                                   budget: int = DEFAULT_FIELD_BUDGET,
                                    root_choices: dict | None = None,
                                    master: FieldTable | None = None
                                    ) -> Decomposition:
@@ -172,7 +167,7 @@ def build_quaternion_decomposition(n: int, q: int, *,
             raise ValueError("supplied master field does not cover the block fields")
         F = master
     else:
-        F = build_field(p, m, budget)
+        F = build_field(p, m)
     alphabet = F.subfield(q)
 
     minus_factors = factor_x_pow_n_minus_1(F, q, n)

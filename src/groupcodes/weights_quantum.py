@@ -24,9 +24,10 @@ from . import linalg, oracle
 from .dihedral_algebra import HERMITIAN, Decomposition
 from .duality import NotSelfOrthogonalError, dual_spec, is_self_orthogonal
 from .fields import Subfield
-from .ideals_codes import ideal_dimension, ideal_to_code
+from .ideals_codes import ideal_to_code
 
 DEFAULT_WORK = 2 * 10 ** 8
+EXHAUSTIVE_BATCH = 4096    # projective messages per product in the exhaustive scan
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
 
@@ -62,8 +63,7 @@ def _mixed_radix(start: int, stop: int, digits: int, q: int) -> np.ndarray:
 
 
 def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
-                            budget: int = 2 ** 21,
-                            batch: int = 4096) -> DistanceResult:
+                            budget: int = 2 ** 21) -> DistanceResult:
     """Scan one codeword per projective message; small codes only."""
     G = linalg.row_basis(sub, np.asarray(G))
     k, q = G.shape[0], sub.q
@@ -75,8 +75,8 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
     best, witness = None, None
     for lead in range(k):
         free = k - 1 - lead
-        for start in range(0, q ** free, batch):
-            stop = min(start + batch, q ** free)
+        for start in range(0, q ** free, EXHAUSTIVE_BATCH):
+            stop = min(start + EXHAUSTIVE_BATCH, q ** free)
             msgs = np.zeros((stop - start, k), dtype=G.dtype)
             msgs[:, lead] = 1
             if free:
@@ -133,7 +133,8 @@ def _info_set(sub: Subfield, G: np.ndarray, order: list[int]) -> list[int]:
         trial = chosen + [col]
         if linalg.rank(sub, G[:, trial].copy()) == len(trial):
             chosen = trial
-    assert len(chosen) == k, "generator matrix is not full rank"
+    if len(chosen) != k:
+        raise AssertionError("generator matrix is not full rank")
     return chosen
 
 
@@ -171,7 +172,8 @@ class _Search:
         info = _info_set(sub, G, order)
         perm_cols = info + [j for j in range(self.n) if j not in info]
         R, piv = linalg.rref(sub, G[:, perm_cols])
-        assert piv == tuple(range(self.k))
+        if piv != tuple(range(self.k)):
+            raise AssertionError("information set is not independent")
         self.Gs = np.empty_like(G)
         self.Gs[:, perm_cols] = R
         self.info = info

@@ -227,7 +227,7 @@ def test_verify_default_matrix(capsys):
 
 
 # ---------------------------------------------------------------------------
-# determinism, caching, rendering, errors
+# determinism, rendering, errors
 
 
 def test_byte_identical_json(capsys):
@@ -236,23 +236,6 @@ def test_byte_identical_json(capsys):
     _, out2 = run(capsys, "css-search", "--q", "4", "--n", "7",
                   "--metric", "hermitian")
     assert out1 == out2
-
-
-def test_cache_roundtrip_and_stale_warning(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    doc1 = run_json(capsys, "count", "--q", "4", "--n", "7",
-                    "--metric", "hermitian", "--cache-dir", str(cache))
-    files = list(cache.iterdir())
-    assert len(files) == 1
-    doc2 = run_json(capsys, "count", "--q", "4", "--n", "7",
-                    "--metric", "hermitian", "--cache-dir", str(cache))
-    assert doc1["results"] == doc2["results"]
-    assert not doc2["warnings"]
-    files[0].write_text("{}")
-    doc3 = run_json(capsys, "count", "--q", "4", "--n", "7",
-                    "--metric", "hermitian", "--cache-dir", str(cache))
-    assert any("stale" in w for w in doc3["warnings"])
-    assert doc3["results"] == doc1["results"]
 
 
 def test_csv_render(capsys):
@@ -283,6 +266,13 @@ def test_text_render(capsys):
     ("dual", "--q", "4", "--n", "7", "--metric", "hermitian",
      "--spec", "/nonexistent-spec-file.txt"),
     ("count", "--q", "9", "--n", "6"),
+    ("verify", "--limit", "-1"),
+    ("css-search", "--q", "4", "--n", "7", "--metric", "hermitian",
+     "--limit", "-1"),
+    ("css-search", "--q", "4", "--n", "7", "--metric", "hermitian",
+     "--isd-weight", "-1"),
+    ("count", "--q", "4", "--n", "7", "--cache-dir", "x"),
+    ("count", "--q", "4", "--n", "7", "--budget-exhaustive", "8"),
 ])
 def test_error_exits(capsys, argv):
     code, _ = run(capsys, *argv)

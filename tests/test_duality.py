@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,22 @@ def test_dual_is_an_involution(idx):
         assert du.dual_spec(dec, dual) == spec
         assert ic.ideal_dimension(dec, spec) + ic.ideal_dimension(dec, dual) \
             == dec.length
+
+
+def test_dual_block_on_every_label_tuple():
+    """Every block's map is an involution that swaps zero and full and
+    pairs each ideal with one of complementary dimension."""
+    for dec in all_decs():
+        for block in dec.blocks:
+            options = [ic.slot_ideal_options(s) for s in block.slots]
+            for ideals in itertools.product(*options):
+                dual = du.dual_block(dec, block, ideals)
+                assert du.dual_block(dec, block, dual) == ideals
+                dims = sum(ic._slot_ideal_dim(s, x) for s, x
+                           in zip(block.slots * 2, ideals + dual))
+                assert dims == block.width
+                assert dual.count("full") == ideals.count("zero")
+                assert dual.count("zero") == ideals.count("full")
 
 
 def test_dual_on_every_d7_ideal():
