@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import linalg, oracle
 from .embeddings import PowerBasis
 from .fields import (ZERO, FieldTable, Subfield, build_field, mult_order,
                      split_prime_power)
@@ -292,6 +293,15 @@ class Decomposition:
 
     def group_index(self, i: int, j: int) -> int:
         return (j % 2) * self.a_order + (i % self.a_order)
+
+    @cached_property
+    def mul_table(self) -> np.ndarray:
+        """Read-only ``table[g, h]`` = index of gh, built on first use."""
+        build = (oracle.quaternion_mul_table if self.group == "quaternion"
+                 else oracle.dihedral_mul_table)
+        table = build(self.n)
+        table.flags.writeable = False
+        return table
 
     # -- element <-> block coordinates --------------------------------------
 

@@ -361,6 +361,7 @@ def build_field(p: int, m: int, budget: int = DEFAULT_FIELD_BUDGET) -> FieldTabl
 
 
 MAX_TABLE_ORDER = 4096
+_TABLES = ("add_t", "mul_t", "neg_t", "inv_t")
 
 
 class Subfield:
@@ -369,6 +370,8 @@ class Subfield:
     Elements get compact indices 0..q-1: index 0 is zero and index i >= 1 is
     gen^(i-1) where gen = xi^step is the canonical subfield generator.
     numpy tables (add_t, mul_t, neg_t, inv_t) operate on these indices.
+    They are built on first access, so block fields, which only need
+    ``elements`` / ``dlog`` / ``contains``, never pay for them.
     """
 
     def __init__(self, master: FieldTable, q: int):
@@ -382,9 +385,6 @@ class Subfield:
         self.degree = e  # over the prime field
         self.step = master.mult_order // (q - 1)
         self.gen = self.step if q > 2 else 0  # gen of GF(2) is 1 itself
-        if q > MAX_TABLE_ORDER:
-            raise FieldBudgetError(f"subfield GF({q}) too large for dense index tables")
-        self._build_tables()
 
     def __repr__(self):
         return f"Subfield(GF({self.q}) of GF({self.p}^{self.master.m}))"
@@ -420,8 +420,17 @@ class Subfield:
 
     # -- numpy tables --------------------------------------------------------
 
+    def __getattr__(self, name):
+        # only reached while the tables are missing: build all four at once
+        if name not in _TABLES:
+            raise AttributeError(name)
+        self._build_tables()
+        return getattr(self, name)
+
     def _build_tables(self):
         q = self.q
+        if q > MAX_TABLE_ORDER:
+            raise FieldBudgetError(f"subfield GF({q}) too large for dense index tables")
         F = self.master
         elems = list(self.elements())
         dt = np.int16 if q <= 2**14 else np.int32

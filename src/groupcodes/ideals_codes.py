@@ -13,6 +13,11 @@ row-space constraint.  We describe that choice with a flat per-slot tuple
 `lam` is an element of the slot's coefficient field (a master-field
 element, fields.ZERO for zero).  Field slots admit only "zero"/"full",
 local slots "zero"/"mid"/"full".
+
+Every such ideal is the left ideal generated by one element: per slot 0,
+1, 1 + b, [[0, 0], [0, 1]] or [[1, lam], [0, 0]].  ``ideal_to_code`` pulls
+that element back with one ``rho_inv``, stacks its |G| left translates and
+row-reduces them once.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .dihedral_algebra import (
     MAT_SLOT,
     Decomposition,
     Slot,
+    slot_one,
     slot_zero,
 )
 
@@ -116,55 +122,33 @@ def spec_contains(spec_a, spec_b) -> bool:
 # spec -> code
 
 
-def _slot_ideal_basis(slot: Slot, ideal) -> list:
-    """Slot values spanning the ideal over the code alphabet."""
+def _slot_generator(slot: Slot, ideal):
+    """Slot value whose left multiples are exactly the slot's ideal."""
     F = slot.basis.block.master
-    taus = slot.basis.basis
     if ideal == "zero":
-        return []
-    if slot.kind == FIELD_SLOT:
-        return list(taus)
-    if slot.kind == C2_SLOT:
-        if ideal == "mid":
-            return [(t, t) for t in taus]
-        return [(t, ZERO) for t in taus] + [(ZERO, t) for t in taus]
+        return slot_zero(slot)
     if ideal == "full":
-        out = []
-        for pos in range(4):
-            for t in taus:
-                val = [ZERO] * 4
-                val[pos] = t
-                out.append(tuple(val))
-        return out
+        return slot_one(slot)
+    if ideal == "mid":
+        return (F.one, F.one)              # 1 + b
     if ideal == "e01":
-        v0, v1 = ZERO, None
-    else:
-        v0, v1 = None, ideal[1]
-    out = []
-    for t in taus:
-        r0 = t if v0 is None else (ZERO if v0 == ZERO else F.mul(t, v0))
-        r1 = t if v1 is None else (ZERO if v1 == ZERO else F.mul(t, v1))
-        out.append((r0, r1, ZERO, ZERO))
-        out.append((ZERO, ZERO, r0, r1))
-    return out
+        return (ZERO, ZERO, ZERO, F.one)   # [[0, 0], [0, 1]]
+    return (F.one, ideal[1], ZERO, ZERO)   # [[1, lam], [0, 0]]
 
 
 def ideal_to_code(dec: Decomposition, spec) -> np.ndarray:
-    """Reduced row-echelon basis of the group code cut out by `spec`."""
-    slots = dec.slots()
-    rows = []
-    for j, (slot, ideal) in enumerate(zip(slots, spec)):
-        for val in _slot_ideal_basis(slot, ideal):
-            values = [slot_zero(s) for s in slots]
-            values[j] = val
-            rows.append(dec.rho_inv(values))
-    want = ideal_dimension(dec, spec)
-    if not rows:
-        return np.zeros((0, dec.length), dtype=np.int32)
-    R, pivots = linalg.rref(dec.alphabet, np.array(rows, dtype=np.int32))
-    if len(pivots) != want:
+    """Reduced row-echelon basis of the group code cut out by `spec`.
+
+    The ideal is the left ideal generated by one element e, so its code is
+    the row space of the |G| left translates g*e.
+    """
+    e = dec.rho_inv([_slot_generator(s, i) for s, i in zip(dec.slots(), spec)])
+    translates = np.zeros((dec.length, dec.length), dtype=np.int32)
+    translates[np.arange(dec.length)[:, None], dec.mul_table] = e
+    code = linalg.row_basis(dec.alphabet, translates)
+    if code.shape[0] != ideal_dimension(dec, spec):
         raise AssertionError("ideal basis unexpectedly degenerate")
-    return R
+    return code
 
 
 # ---------------------------------------------------------------------------

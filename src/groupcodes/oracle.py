@@ -6,6 +6,9 @@ multiplication table, duals come from nullspaces of inner-product matrices,
 and ideal membership is checked by closing a row space under left
 translation.  None of it knows about block decompositions, which is the
 point — agreement with the closed-form modules is evidence, not tautology.
+The one piece a decomposition reuses is the multiplication table:
+``Decomposition.mul_table`` builds it here on first use, and spec -> code
+and the distance search's automorphism read it from there.
 
 Coordinate convention (shared contract with the structured modules): the
 element a^i b^j of a dihedral group of rotation order n sits at index

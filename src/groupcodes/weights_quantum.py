@@ -95,11 +95,7 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
 
 def code_automorphism(dec: Decomposition) -> np.ndarray:
     """Coordinate permutation from left translation by the rotation."""
-    if dec.group == "quaternion":
-        table = oracle.quaternion_mul_table(dec.n)
-    else:
-        table = oracle.dihedral_mul_table(dec.n)
-    return oracle.left_translation(table, dec.group_index(1, 0))
+    return oracle.left_translation(dec.mul_table, dec.group_index(1, 0))
 
 
 def _permutation_cycles(perm: np.ndarray) -> list[list[int]]:
@@ -121,21 +117,7 @@ def _check_invariant(sub: Subfield, G: np.ndarray, perm: np.ndarray) -> None:
     moved = np.empty_like(G)
     moved[:, perm] = G
     if not linalg.row_space_equal(sub, G, moved):
-        raise ValueError("permutation does not preserve the code")
-
-
-def _info_set(sub: Subfield, G: np.ndarray, order: list[int]) -> list[int]:
-    k = G.shape[0]
-    chosen: list[int] = []
-    for col in order:
-        if len(chosen) == k:
-            break
-        trial = chosen + [col]
-        if linalg.rank(sub, G[:, trial].copy()) == len(trial):
-            chosen = trial
-    if len(chosen) != k:
-        raise AssertionError("generator matrix is not full rank")
-    return chosen
+        raise AssertionError("permutation does not preserve the code")
 
 
 class _Search:
@@ -169,13 +151,12 @@ class _Search:
         else:
             order = list(range(self.n))
 
-        info = _info_set(sub, G, order)
-        perm_cols = info + [j for j in range(self.n) if j not in info]
-        R, piv = linalg.rref(sub, G[:, perm_cols])
-        if piv != tuple(range(self.k)):
-            raise AssertionError("information set is not independent")
+        # the pivots of the RREF in `order` are the first independent
+        # columns in that order; scattered back, R is the identity there
+        R, piv = linalg.rref(sub, G[:, order])
+        info = [order[c] for c in piv]
         self.Gs = np.empty_like(G)
-        self.Gs[:, perm_cols] = R
+        self.Gs[:, order] = R
         self.info = info
 
         if self.cycles is not None:
@@ -290,15 +271,26 @@ def css_hermitian(dec: Decomposition, spec, *,
     big = ideal_to_code(dec, dual_spec(dec, spec))
     n, k = dec.length, small.shape[0]
     pi = code_automorphism(dec)
-    if n - 2 * k == 0:
+    if k == 0 or n == 2 * k:
+        # no subcode to exclude (k = 0), or nothing outside it (self-dual)
         floor = min_distance_isd(dec.alphabet, big, automorphism=pi,
                                  max_work=max_work, max_weight=max_weight)
-        return QuantumRecord(n, 0, dec.q, floor, floor, True)
-    if k == 0:
-        floor = min_distance_isd(dec.alphabet, big, automorphism=pi,
-                                 max_work=max_work, max_weight=max_weight)
-        return QuantumRecord(n, n, dec.q, floor, floor, False)
-    floor, outside = min_distance_isd_excluding(
-        dec.alphabet, big, small, automorphism=pi, max_work=max_work,
-        max_weight=max_weight)
-    return QuantumRecord(n, n - 2 * k, dec.q, outside, floor, False)
+        outside = floor
+    else:
+        floor, outside = min_distance_isd_excluding(
+            dec.alphabet, big, small, automorphism=pi, max_work=max_work,
+            max_weight=max_weight)
+    _check_witness(dec.alphabet, big, outside)
+    return QuantumRecord(n, n - 2 * k, dec.q, outside, floor, n == 2 * k)
+
+
+def _check_witness(sub: Subfield, rows: np.ndarray,
+                   result: DistanceResult) -> None:
+    """Re-weigh the witness and test its membership in the row space."""
+    if result.value is None or result.witness is None:
+        return
+    wit = np.array(result.witness, dtype=np.int32)
+    if int(np.count_nonzero(wit)) != result.value:
+        raise AssertionError("distance witness has the wrong weight")
+    if not linalg.row_space_contains(sub, rows, wit[None, :]):
+        raise AssertionError("distance witness is not a codeword")

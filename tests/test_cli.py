@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from groupcodes import cli
+from groupcodes import cli, linalg
+from groupcodes import ideals_codes as ic
+from groupcodes import weights_quantum as wq
 
 
 def run(capsys, *argv):
@@ -182,6 +184,24 @@ def test_css_search_small_system(capsys):
         assert (r["length"] - r["logical_dim"]) % 2 == 0
 
 
+def test_css_search_builds_each_code_once(capsys, monkeypatch):
+    # one ideal_to_code for the spec and one for its dual, per record; the
+    # witness re-check reuses the dual code built for the distance search
+    calls = []
+    original = ic.ideal_to_code
+
+    def counting(dec, spec):
+        calls.append(spec)
+        return original(dec, spec)
+
+    monkeypatch.setattr(ic, "ideal_to_code", counting)
+    monkeypatch.setattr(wq, "ideal_to_code", counting)
+    doc = run_json(capsys, "css-search", "--q", "4", "--n", "7",
+                   "--metric", "hermitian")
+    assert len(doc["results"]) == 20
+    assert len(calls) == 2 * len(doc["results"])
+
+
 def test_css_search_requires_hermitian(capsys):
     code, _ = run(capsys, "css-search", "--q", "4", "--n", "7")
     assert code == 2
@@ -218,6 +238,15 @@ def test_verify_single_system(capsys):
     assert res["checks"]["dual_vs_oracle"] == 0
     assert res["checks"]["rho_multiplicative"] == 0
     assert res["checks"]["census_formula_vs_enumeration"] == 0
+
+
+def test_verify_block_field_beyond_dense_tables(capsys):
+    # GF(4)[D_43] has a GF(16384) block field, too large for dense index
+    # tables; only the alphabet's tables are ever read
+    doc = run_json(capsys, "verify", "--q", "4", "--n", "43",
+                   "--metric", "hermitian", "--limit", "2")
+    (res,) = doc["results"]
+    assert res["ok"]
 
 
 def test_verify_default_matrix(capsys):
@@ -273,10 +302,24 @@ def test_text_render(capsys):
      "--isd-weight", "-1"),
     ("count", "--q", "4", "--n", "7", "--cache-dir", "x"),
     ("count", "--q", "4", "--n", "7", "--budget-exhaustive", "8"),
+    ("verify", "--limit", "0"),
 ])
 def test_error_exits(capsys, argv):
     code, _ = run(capsys, *argv)
     assert code == 2
+
+
+def test_internal_error_exit(capsys, monkeypatch):
+    # a broken invariant is neither an input error (2) nor a verify
+    # mismatch (1): one stderr line, no output
+    monkeypatch.setattr(linalg, "row_space_equal", lambda sub, a, b: False)
+    code = cli.main(["css-search", "--q", "4", "--n", "7",
+                     "--metric", "hermitian", "--limit", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: permutation does not preserve the code"]
 
 
 def test_bad_spec_token_reports_error(capsys, tmp_path):

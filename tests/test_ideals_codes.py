@@ -76,15 +76,20 @@ def test_enumerate_matches_count():
 
 
 def test_every_d7_ideal_really_is_one():
-    dec = dihedral(7, 4, da.HERMITIAN)
-    table = group_table(dec)
-    dims = []
-    for spec in ic.enumerate_specs(dec):
-        code = ic.ideal_to_code(dec, spec)
-        assert code.shape[0] == ic.ideal_dimension(dec, spec)
-        dims.append(code.shape[0])
-        assert oracle.is_left_ideal(dec.alphabet, table, code)
-    assert min(dims) == 0 and max(dims) == 14
+    # code_to_ideal classifies rows through rho, not through the group table
+    # that ideal_to_code translates with, so the round trip is independent
+    for mode in (da.HERMITIAN, da.EUCLIDEAN):
+        dec = dihedral(7, 4, mode)
+        table = group_table(dec)
+        dims = []
+        for spec in ic.enumerate_specs(dec):
+            code = ic.ideal_to_code(dec, spec)
+            assert code.shape[0] == ic.ideal_dimension(dec, spec)
+            dims.append(code.shape[0])
+            assert oracle.is_left_ideal(dec.alphabet, table, code)
+            assert ic.code_to_ideal(dec, code) == spec
+        assert len(dims) == 201
+        assert min(dims) == 0 and max(dims) == 14
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -119,8 +121,34 @@ def test_rejects_foreign_permutation():
     spec = small_ideals(dec, rng, 1, 10)[0]
     code = ic.ideal_to_code(dec, spec)
     bad = np.roll(np.arange(dec.length), 1)   # not the group translation
-    with pytest.raises(ValueError, match="preserve"):
+    with pytest.raises(AssertionError, match="preserve"):
         wq.min_distance_isd(dec.alphabet, code, automorphism=bad)
+
+
+@pytest.mark.parametrize("system", [("d", 10, 9, da.HERMITIAN),
+                                    ("d", 7, 4, da.EUCLIDEAN),
+                                    ("q", 3, 11, None)])
+def test_information_set_is_first_independent_columns(system):
+    dec = dihedral(*system[1:]) if system[0] == "d" else quaternion(*system[1:3])
+    sub = dec.alphabet
+    pi = wq.code_automorphism(dec)
+    rng = np.random.default_rng(dec.length)
+    for spec in small_ideals(dec, rng, 4, dec.length):
+        G = ic.ideal_to_code(dec, spec)
+        search = wq._Search(sub, G, None, pi, wq.DEFAULT_WORK)
+        # reference: walk the rotation cycles in lockstep, keep each column
+        # that raises the rank
+        cycles = wq._permutation_cycles(pi)
+        order = [c for step in itertools.zip_longest(*cycles)
+                 for c in step if c is not None]
+        want: list[int] = []
+        for col in order:
+            if linalg.rank(sub, G[:, want + [col]]) == len(want) + 1:
+                want.append(col)
+        assert search.info == want
+        k = G.shape[0]
+        assert (search.Gs[:, want] == np.eye(k, dtype=search.Gs.dtype)).all()
+        assert linalg.row_space_equal(sub, search.Gs, G)
 
 
 # ---------------------------------------------------------------------------
