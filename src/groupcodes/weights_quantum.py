@@ -10,6 +10,17 @@ information-set restriction has weight <= w then yields the lower bound
 where L is the permutation order and mu the largest weighted overlap of
 the information set with a single cycle.  The search stops once the bound
 meets the best codeword found, which certifies exactness.
+
+The exhaustive reference scans one codeword per projective message of a
+row-reduced basis: a leading 1 at each position in turn, then every choice
+of the trailing digits.  It splits the trailing rows in two.  The low part,
+the last l rows with q^l <= EXHAUSTIVE_BATCH, is tabulated once as a table
+L of all q^l combinations.  The high part is walked in steps, each giving
+a block H of words (the leading row plus a high combination).  Coordinate
+j of H[a] + L[b] vanishes exactly when L[b, j] = -H[a, j], so the weights
+of a whole step come from one comparison per coordinate, and only the
+lightest word is ever added up.  The first lightest word in message order
+is the witness.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from .fields import Subfield
 from .ideals_codes import ideal_to_code
 
 DEFAULT_WORK = 2 * 10 ** 8
-EXHAUSTIVE_BATCH = 4096    # projective messages per product in the exhaustive scan
+EXHAUSTIVE_BATCH = 4096    # projective messages per step of the exhaustive scan
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
 
@@ -66,7 +77,8 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
                             budget: int = 2 ** 21) -> DistanceResult:
     """Scan one codeword per projective message; small codes only."""
     G = linalg.row_basis(sub, np.asarray(G))
-    k, q = G.shape[0], sub.q
+    k, n = G.shape
+    q = sub.q
     if k == 0:
         raise ValueError("the zero code has no minimum distance")
     total = (q ** k - 1) // (q - 1)
@@ -75,17 +87,32 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
     best, witness = None, None
     for lead in range(k):
         free = k - 1 - lead
-        for start in range(0, q ** free, EXHAUSTIVE_BATCH):
-            stop = min(start + EXHAUSTIVE_BATCH, q ** free)
-            msgs = np.zeros((stop - start, k), dtype=G.dtype)
-            msgs[:, lead] = 1
-            if free:
-                msgs[:, lead + 1:] = _mixed_radix(start, stop, free, q)
-            words = linalg.matmul(sub, msgs, G)
-            weights = np.count_nonzero(words, axis=1)
-            i = int(weights.argmin())
-            if best is None or weights[i] < best:
-                best, witness = int(weights[i]), tuple(int(x) for x in words[i])
+        low = 0
+        while low < free and q ** (low + 1) <= EXHAUSTIVE_BATCH:
+            low += 1
+        high = free - low
+        # all q^low combinations of the last `low` rows, first row most
+        # significant
+        L = np.zeros((1, n), dtype=G.dtype)
+        for row in G[k - low:]:
+            scaled = sub.mul_t[np.arange(q)[:, None], row[None, :]]
+            L = sub.add_t[L[:, None, :], scaled[None, :, :]].reshape(-1, n)
+        step = EXHAUSTIVE_BATCH // len(L)
+        for start in range(0, q ** high, step):
+            stop = min(start + step, q ** high)
+            msgs = np.zeros((stop - start, 1 + high), dtype=G.dtype)
+            msgs[:, 0] = 1
+            msgs[:, 1:] = _mixed_radix(start, stop, high, q)
+            H = linalg.matmul(sub, msgs, G[lead:k - low])
+            # H[a] + L[b] vanishes at j exactly where L[b, j] = -H[a, j]
+            zeros = np.count_nonzero(
+                sub.neg_t[H][:, None, :] == L[None, :, :], axis=2)
+            i = int(zeros.argmax())
+            weight = n - int(zeros.flat[i])
+            if best is None or weight < best:
+                a, b = divmod(i, len(L))
+                best = weight
+                witness = tuple(int(x) for x in sub.add_t[H[a], L[b]])
     return DistanceResult(best, EXACT, witness)
 
 
@@ -113,11 +140,19 @@ def _permutation_cycles(perm: np.ndarray) -> list[list[int]]:
     return cycles
 
 
-def _check_invariant(sub: Subfield, G: np.ndarray, perm: np.ndarray) -> None:
-    moved = np.empty_like(G)
-    moved[:, perm] = G
-    if not linalg.row_space_equal(sub, G, moved):
+def _check_invariant(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],
+                     perm: np.ndarray) -> None:
+    """The permuted rows of the RREF (R, pivots) stay in its row space."""
+    moved = np.empty_like(R)
+    moved[:, perm] = R
+    if not linalg.in_row_space(sub, R, pivots, moved):
         raise AssertionError("permutation does not preserve the code")
+
+
+def _reduced(sub: Subfield, A) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(R, pivots) of A with the zero rows of its RREF dropped."""
+    R, piv = linalg.rref(sub, np.asarray(A))
+    return R[:len(piv)], piv
 
 
 class _Search:
@@ -125,8 +160,8 @@ class _Search:
 
     def __init__(self, sub, G, exclude, automorphism, max_work,
                  max_weight=None):
-        G = linalg.row_basis(sub, np.asarray(G))
-        if G.shape[0] == 0:
+        G, piv = _reduced(sub, G)
+        if not piv:
             raise ValueError("the zero code has no minimum distance")
         self.sub, self.G = sub, G
         self.k, self.n = G.shape
@@ -136,15 +171,14 @@ class _Search:
 
         self.exclude = None
         if exclude is not None:
-            E = linalg.row_basis(sub, np.asarray(exclude))
-            self.exclude = linalg.rref(sub, E)
+            self.exclude = _reduced(sub, exclude)
 
         self.cycles = None
         if automorphism is not None:
             perm = np.asarray(automorphism)
-            _check_invariant(sub, G, perm)
+            _check_invariant(sub, G, piv, perm)
             if self.exclude is not None:
-                _check_invariant(sub, self.exclude[0], perm)
+                _check_invariant(sub, *self.exclude, perm)
             self.cycles = _permutation_cycles(perm)
             order = [c for cs in itertools.zip_longest(*self.cycles)
                      for c in cs if c is not None]

@@ -202,6 +202,30 @@ def test_css_search_builds_each_code_once(capsys, monkeypatch):
     assert len(calls) == 2 * len(doc["results"])
 
 
+@pytest.mark.parametrize("command,records,rrefs", [
+    # five per record (its two codes, the search's code, its information
+    # set, the witness), one per excluded subcode (10 records), one for
+    # the decomposition
+    ("css-search", 20, 111),
+    # one per record (its code), three per nonzero self-orthogonal record
+    # (19, the witness), one for the decomposition
+    ("enumerate", 201, 259),
+])
+def test_rref_calls_per_run(capsys, monkeypatch, command, records, rrefs):
+    calls = []
+    original = linalg.rref
+
+    def counting(sub, A):
+        calls.append(A.shape)
+        return original(sub, A)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    doc = run_json(capsys, command, "--q", "4", "--n", "7",
+                   "--metric", "hermitian")
+    assert len(doc["results"]) == records
+    assert len(calls) == rrefs
+
+
 def test_css_search_requires_hermitian(capsys):
     code, _ = run(capsys, "css-search", "--q", "4", "--n", "7")
     assert code == 2
@@ -312,7 +336,7 @@ def test_error_exits(capsys, argv):
 def test_internal_error_exit(capsys, monkeypatch):
     # a broken invariant is neither an input error (2) nor a verify
     # mismatch (1): one stderr line, no output
-    monkeypatch.setattr(linalg, "row_space_equal", lambda sub, a, b: False)
+    monkeypatch.setattr(linalg, "in_row_space", lambda sub, r, piv, v: False)
     code = cli.main(["css-search", "--q", "4", "--n", "7",
                      "--metric", "hermitian", "--limit", "1"])
     captured = capsys.readouterr()

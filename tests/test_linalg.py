@@ -118,6 +118,13 @@ def test_membership_and_equality():
     extra = full[len(piv)]
     if extra.any():
         assert not linalg.in_row_space(S, R, piv, extra)
+        # a block is in the row space only if every one of its rows is
+        block = linalg.matmul(S, random_idx(rng, S, (5, 3)), A)
+        assert linalg.in_row_space(S, R, piv, block)
+        for j in range(len(block)):
+            mixed = block.copy()
+            mixed[j] = S.add_t[mixed[j], extra]
+            assert not linalg.in_row_space(S, R, piv, mixed)
 
 
 def test_entrywise_pow_is_frobenius():
@@ -148,3 +155,70 @@ def test_double_nullspace_dimension(seed):
     # kernel of the kernel recovers the row-space dimension
     assert NN.shape[0] == linalg.rank(S, A)
     assert linalg.row_space_contains(S, NN.astype(A.dtype), linalg.row_basis(S, A))
+
+
+# ---------------------------------------------------------------------------
+# the table paths against scalar arithmetic in the master field
+
+# (p, m) of the master field each alphabet sits in; GF(4) in GF(16) and
+# GF(9) in GF(81) exercise a subfield generator other than xi itself
+_MASTERS = {2: (2, 1), 4: (2, 4), 9: (3, 4), 11: (11, 1), 25: (5, 2),
+            81: (3, 4)}
+
+
+def scalar_matmul(S, A, B):
+    F = S.master
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=A.dtype)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = ZERO
+            for t in range(A.shape[1]):
+                acc = F.add(acc, F.mul(S.element(int(A[i, t])),
+                                       S.element(int(B[t, j]))))
+            out[i, j] = S.index(acc)
+    return out
+
+
+def scalar_rref(S, A):
+    F = S.master
+    M = [[S.element(int(x)) for x in row] for row in A]
+    pivots = []
+    for c in range(A.shape[1]):
+        r = len(pivots)
+        hit = [i for i in range(r, len(M)) if M[i][c] != ZERO]
+        if not hit:
+            continue
+        M[r], M[hit[0]] = M[hit[0]], M[r]
+        scale = F.inv(M[r][c])
+        M[r] = [F.mul(scale, x) for x in M[r]]
+        for i in range(len(M)):
+            if i != r and M[i][c] != ZERO:
+                f = M[i][c]
+                M[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+    R = np.array([[S.index(x) for x in row] for row in M], dtype=A.dtype)
+    return R.reshape(A.shape), tuple(pivots)
+
+
+def sparse_idx(rng, S, shape, zeros):
+    A = random_idx(rng, S, shape)
+    A[rng.random(shape) < zeros] = 0
+    return A
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.sampled_from(sorted(_MASTERS)), rows=st.integers(1, 5),
+       inner=st.integers(1, 6), cols=st.integers(1, 7),
+       zeros=st.sampled_from([0.0, 0.5, 0.8]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_matmul_and_rref_match_scalar_arithmetic(q, rows, inner, cols,
+                                                 zeros, seed):
+    S = build_field(*_MASTERS[q]).subfield(q)
+    rng = np.random.default_rng(seed)
+    A = sparse_idx(rng, S, (rows, inner), zeros)
+    B = sparse_idx(rng, S, (inner, cols), zeros)
+    assert (linalg.matmul(S, A, B) == scalar_matmul(S, A, B)).all()
+    R, pivots = linalg.rref(S, A)
+    R_want, pivots_want = scalar_rref(S, A)
+    assert pivots == pivots_want
+    assert (R == R_want).all()

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcodes import dihedral_algebra as da
 from groupcodes import quaternion_algebra as qa
@@ -13,7 +16,7 @@ from groupcodes import duality as du
 from groupcodes import ideals_codes as ic
 from groupcodes import linalg
 from groupcodes import weights_quantum as wq
-from groupcodes.fields import ZERO
+from groupcodes.fields import ZERO, build_field
 
 _cache: dict = {}
 
@@ -44,6 +47,51 @@ def small_ideals(dec, rng, count, max_dim):
 
 # ---------------------------------------------------------------------------
 # exhaustive scan against the information-set search
+
+
+def reference_exhaustive(sub, G):
+    """The scan before the low/high split: every batch of 4,096 projective
+    messages is one table matmul, and the first lightest word wins."""
+    G = linalg.row_basis(sub, np.asarray(G))
+    k, q = G.shape[0], sub.q
+    best, witness = None, None
+    for lead in range(k):
+        free = k - 1 - lead
+        for start in range(0, q ** free, 4096):
+            stop = min(start + 4096, q ** free)
+            msgs = np.zeros((stop - start, k), dtype=G.dtype)
+            msgs[:, lead] = 1
+            if free:
+                msgs[:, lead + 1:] = wq._mixed_radix(start, stop, free, q)
+            words = linalg.matmul(sub, msgs, G)
+            weights = np.count_nonzero(words, axis=1)
+            i = int(weights.argmin())
+            if best is None or weights[i] < best:
+                best, witness = int(weights[i]), tuple(int(x) for x in words[i])
+    return wq.DistanceResult(best, wq.EXACT, witness)
+
+
+_FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2), 25: (5, 2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from(sorted(_FIELDS)), k=st.integers(1, 5),
+       extra=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1),
+       batch=st.sampled_from([wq.EXHAUSTIVE_BATCH, 2, 5, 16, 100]))
+def test_exhaustive_matches_reference_scan(q, k, extra, seed, batch):
+    # a smaller step size moves the low/high split, so that small codes
+    # also get a high part of several digits (batch 2 over GF(2)) or no low
+    # part at all (batch 2 or 5 over GF(9))
+    if q == 25:
+        k = min(k, 4)   # 406,901 messages at k = 5: about 1 s per example
+    sub = build_field(*_FIELDS[q]).subfield(q)
+    rng = np.random.default_rng(seed)
+    G = rng.integers(0, q, size=(k, k + extra)).astype(np.int32)
+    G[0, int(rng.integers(k + extra))] = 1   # never the zero code
+    want = reference_exhaustive(sub, G)
+    with mock.patch.object(wq, "EXHAUSTIVE_BATCH", batch):
+        got = wq.min_distance_exhaustive(sub, G)
+    assert got == want
 
 
 @pytest.mark.parametrize("system,max_dim", [
