@@ -221,11 +221,6 @@ def _load_specs(cfg: RunConfig, dec) -> list:
 # emission-time re-validation
 
 
-def _revalidate_code(dec, spec, rows) -> None:
-    if rows.shape[0] != ic.ideal_dimension(dec, spec):
-        raise AssertionError("generator rank disagrees with the spec dimension")
-
-
 def _selforth_flags(dec, spec, rows) -> dict:
     ok, _ = du.is_self_orthogonal(dec, spec)
     flags = {"self_orthogonal": ok}
@@ -296,7 +291,6 @@ def cmd_count(cfg: RunConfig, warnings: list) -> list:
 
 def _spec_record(dec, spec) -> tuple:
     rows = ic.ideal_to_code(dec, spec)
-    _revalidate_code(dec, spec, rows)
     record = {
         "spec": ic.format_spec(dec, spec),
         "length": dec.length,

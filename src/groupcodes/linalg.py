@@ -77,30 +77,18 @@ def nullspace(sub: Subfield, A: np.ndarray) -> np.ndarray:
 
 
 def in_row_space(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> bool:
-    """Membership test against a precomputed RREF (R, pivots).
-
-    `v` is one vector, or a block of rows that must all lie in the row
-    space; a block costs one table update per pivot, not one per row.
-    """
-    w = v
-    if w.ndim == 1:
-        # scalar lookups: about twice as fast as a block of one row, and the
-        # information-set search tests its candidate words one at a time
-        for i, c in enumerate(pivots):
-            if w[c]:
-                w = sub.add_t[w, sub.mul_t[sub.neg_t[w[c]], R[i]]]
-        return not w.any()
+    """Membership test against a precomputed RREF (R, pivots)."""
+    w = v.copy()
     for i, c in enumerate(pivots):
-        f = sub.neg_t[w[:, c]]
-        if f.any():
-            w = sub.add_t[w, sub.mul_t[f[:, None], R[i][None, :]]]
+        if w[c]:
+            w = sub.add_t[w, sub.mul_t[sub.neg_t[w[c]], R[i]]]
     return not w.any()
 
 
 def row_space_contains(sub: Subfield, A: np.ndarray, B: np.ndarray) -> bool:
     """True iff every row of B lies in the row space of A."""
     R, pivots = rref(sub, A)
-    return in_row_space(sub, R, pivots, B)
+    return all(in_row_space(sub, R, pivots, b) for b in B)
 
 
 def row_space_equal(sub: Subfield, A: np.ndarray, B: np.ndarray) -> bool:

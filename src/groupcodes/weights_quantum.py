@@ -145,14 +145,8 @@ def _check_invariant(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],
     """The permuted rows of the RREF (R, pivots) stay in its row space."""
     moved = np.empty_like(R)
     moved[:, perm] = R
-    if not linalg.in_row_space(sub, R, pivots, moved):
+    if not all(linalg.in_row_space(sub, R, pivots, m) for m in moved):
         raise AssertionError("permutation does not preserve the code")
-
-
-def _reduced(sub: Subfield, A) -> tuple[np.ndarray, tuple[int, ...]]:
-    """(R, pivots) of A with the zero rows of its RREF dropped."""
-    R, piv = linalg.rref(sub, np.asarray(A))
-    return R[:len(piv)], piv
 
 
 class _Search:
@@ -160,7 +154,8 @@ class _Search:
 
     def __init__(self, sub, G, exclude, automorphism, max_work,
                  max_weight=None):
-        G, piv = _reduced(sub, G)
+        R, piv = linalg.rref(sub, np.asarray(G))
+        G = R[:len(piv)]
         if not piv:
             raise ValueError("the zero code has no minimum distance")
         self.sub, self.G = sub, G
@@ -171,7 +166,7 @@ class _Search:
 
         self.exclude = None
         if exclude is not None:
-            self.exclude = _reduced(sub, exclude)
+            self.exclude = linalg.rref(sub, np.asarray(exclude))
 
         self.cycles = None
         if automorphism is not None:
