@@ -61,11 +61,6 @@ def quaternion_mul_table(n: int) -> np.ndarray:
     return table
 
 
-def left_translation(table: np.ndarray, g: int) -> np.ndarray:
-    """Permutation p with p[h] = index of g*h (left ideals are closed under it)."""
-    return table[g]
-
-
 # ---------------------------------------------------------------------------
 # algebra operations by convolution
 

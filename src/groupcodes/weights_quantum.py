@@ -1,15 +1,17 @@
 """Minimum weights of group codes and the stabilizer codes they induce.
 
-Distances come from information-set enumeration.  Group codes are closed
-under translation by the rotation generator, whose permutation action on
-coordinates splits into two long cycles; enumerating all codewords whose
-information-set restriction has weight <= w then yields the lower bound
+Distances come from information-set enumeration.  A group code is a left
+ideal of F[G]: every translation c -> gc fixes it, and G acts regularly on
+the n = |G| coordinates.  So for a codeword c of weight d and an
+information set I of size k, the sum over g of |supp(gc) & I| is d k, and
+some translate of c, also of weight d, has information weight <= d k / n.
+Once every word of information weight <= w is enumerated, any word not met
+yet, in the code or off a subcode that G also fixes, has
 
-    d >= max(w + 1, ceil(L (w + 1) / mu))
+    d >= ceil(n (w + 1) / k)
 
-where L is the permutation order and mu the largest weighted overlap of
-the information set with a single cycle.  The search stops once the bound
-meets the best codeword found, which certifies exactness.
+for any information set.  Only transitivity is used, and the search checks
+it.  It stops once the bound meets the best word found: then d is exact.
 
 The exhaustive reference scans one codeword per projective message of a
 row-reduced basis: a leading 1 at each position in turn, then every choice
@@ -26,12 +28,11 @@ is the witness.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, oracle
+from . import linalg
 from .dihedral_algebra import HERMITIAN, Decomposition
 from .duality import NotSelfOrthogonalError, dual_spec, is_self_orthogonal
 from .fields import Subfield
@@ -121,23 +122,21 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
 
 
 def code_automorphism(dec: Decomposition) -> np.ndarray:
-    """Coordinate permutation from left translation by the rotation."""
-    return oracle.left_translation(dec.mul_table, dec.group_index(1, 0))
+    """Left translations by the generators a and b, one permutation per row.
+
+    The row of g sends coordinate h to the index of g h.  Together the
+    rows generate the left-regular action, which fixes every left ideal.
+    """
+    return dec.mul_table[[dec.group_index(1, 0), dec.group_index(0, 1)]]
 
 
-def _permutation_cycles(perm: np.ndarray) -> list[list[int]]:
-    seen = np.zeros(len(perm), dtype=bool)
-    cycles = []
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        cyc, x = [], s
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x)
-            x = int(perm[x])
-        cycles.append(cyc)
-    return cycles
+def _is_transitive(perms: np.ndarray) -> bool:
+    """Whether the permutations (rows) move coordinate 0 to every other."""
+    orbit, size = {0}, 0
+    while len(orbit) > size:
+        size = len(orbit)
+        orbit.update(perms[:, list(orbit)].flat)
+    return len(orbit) == perms.shape[1]
 
 
 def _check_invariant(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],
@@ -155,53 +154,38 @@ class _Search:
     def __init__(self, sub, G, exclude, automorphism, max_work,
                  max_weight=None):
         R, piv = linalg.rref(sub, np.asarray(G))
-        G = R[:len(piv)]
         if not piv:
             raise ValueError("the zero code has no minimum distance")
-        self.sub, self.G = sub, G
-        self.k, self.n = G.shape
+        # the pivots are an information set, and Gs is the identity there
+        self.sub, self.Gs, self.info = sub, R[:len(piv)], piv
+        self.k, self.n = self.Gs.shape
         self.max_work = max_work
         self.max_weight = max_weight
         self.work = 0
 
-        self.exclude = None
-        if exclude is not None:
-            self.exclude = linalg.rref(sub, np.asarray(exclude))
+        self.exclude = (None if exclude is None
+                        else linalg.rref(sub, np.asarray(exclude)))
 
-        self.cycles = None
+        self.orbit_bound = automorphism is not None
         if automorphism is not None:
-            perm = np.asarray(automorphism)
-            _check_invariant(sub, G, piv, perm)
-            if self.exclude is not None:
-                _check_invariant(sub, *self.exclude, perm)
-            self.cycles = _permutation_cycles(perm)
-            order = [c for cs in itertools.zip_longest(*self.cycles)
-                     for c in cs if c is not None]
-        else:
-            order = list(range(self.n))
-
-        # the pivots of the RREF in `order` are the first independent
-        # columns in that order; scattered back, R is the identity there
-        R, piv = linalg.rref(sub, G[:, order])
-        info = [order[c] for c in piv]
-        self.Gs = np.empty_like(G)
-        self.Gs[:, order] = R
-        self.info = info
-
-        if self.cycles is not None:
-            self.L = math.lcm(*(len(c) for c in self.cycles))
-            self.mu = max((self.L // len(c)) * len(set(info) & set(c))
-                          for c in self.cycles)
+            perms = np.atleast_2d(automorphism)
+            if not _is_transitive(perms):
+                raise ValueError("the automorphisms do not act transitively "
+                                 "on the coordinates")
+            for perm in perms:
+                _check_invariant(sub, self.Gs, piv, perm)
+                if self.exclude is not None:
+                    _check_invariant(sub, *self.exclude, perm)
 
         self.best_any: int | None = None
         self.best_out: int | None = None
         self.wit_any = self.wit_out = None
 
     def _bound(self, w_done: int) -> int:
-        lb = w_done + 1
-        if self.cycles is not None and self.mu:
-            lb = max(lb, -(-self.L * (w_done + 1) // self.mu))
-        return lb
+        if not self.orbit_bound:
+            return w_done + 1
+        # never below w_done + 1, since n >= k
+        return -(-self.n * (w_done + 1) // self.k)
 
     def _take(self, words: np.ndarray, weights: np.ndarray) -> None:
         i = int(weights.argmin())
@@ -257,11 +241,25 @@ class _Search:
         else:
             if w_stop == self.k:
                 status = EXACT   # every information pattern was visited
-        floor = DistanceResult(self.best_any, status, self.wit_any)
+        floor = self._checked(self.best_any, status, self.wit_any)
         if self.exclude is None:
             return floor, None
-        outside = DistanceResult(self.best_out, status, self.wit_out)
-        return floor, outside
+        return floor, self._checked(self.best_out, status, self.wit_out,
+                                    outside=True)
+
+    def _checked(self, value, status, witness, outside=False):
+        """Re-weigh the witness and test that it is a codeword (and, for
+        the outside result, that it is not in the excluded subcode)."""
+        if witness is not None:
+            wit = np.array(witness, dtype=self.Gs.dtype)
+            if int(np.count_nonzero(wit)) != value:
+                raise AssertionError("distance witness has the wrong weight")
+            if not linalg.in_row_space(self.sub, self.Gs, self.info, wit):
+                raise AssertionError("distance witness is not a codeword")
+            if outside and linalg.in_row_space(self.sub, *self.exclude, wit):
+                raise AssertionError(
+                    "distance witness lies in the excluded subcode")
+        return DistanceResult(value, status, witness)
 
 
 def min_distance_isd(sub: Subfield, G: np.ndarray, *,
@@ -273,13 +271,15 @@ def min_distance_isd(sub: Subfield, G: np.ndarray, *,
 
 
 def min_distance_isd_excluding(sub: Subfield, G: np.ndarray,
-                               exclude: np.ndarray, *,
+                               exclude: np.ndarray | None, *,
                                automorphism: np.ndarray | None = None,
                                max_work: int = DEFAULT_WORK,
                                max_weight: int | None = None):
-    """(floor, outside): minimum weights in the code and off the subcode."""
-    search = _Search(sub, G, exclude, automorphism, max_work, max_weight)
-    return search.run()
+    """(floor, outside): minimum weights in the code and off the subcode.
+
+    With no subcode to exclude, outside is None.
+    """
+    return _Search(sub, G, exclude, automorphism, max_work, max_weight).run()
 
 
 # ---------------------------------------------------------------------------
@@ -299,27 +299,11 @@ def css_hermitian(dec: Decomposition, spec, *,
     small = ideal_to_code(dec, spec)
     big = ideal_to_code(dec, dual_spec(dec, spec))
     n, k = dec.length, small.shape[0]
-    pi = code_automorphism(dec)
-    if k == 0 or n == 2 * k:
-        # no subcode to exclude (k = 0), or nothing outside it (self-dual)
-        floor = min_distance_isd(dec.alphabet, big, automorphism=pi,
-                                 max_work=max_work, max_weight=max_weight)
-        outside = floor
-    else:
-        floor, outside = min_distance_isd_excluding(
-            dec.alphabet, big, small, automorphism=pi, max_work=max_work,
-            max_weight=max_weight)
-    _check_witness(dec.alphabet, big, outside)
-    return QuantumRecord(n, n - 2 * k, dec.q, outside, floor, n == 2 * k)
-
-
-def _check_witness(sub: Subfield, rows: np.ndarray,
-                   result: DistanceResult) -> None:
-    """Re-weigh the witness and test its membership in the row space."""
-    if result.value is None or result.witness is None:
-        return
-    wit = np.array(result.witness, dtype=np.int32)
-    if int(np.count_nonzero(wit)) != result.value:
-        raise AssertionError("distance witness has the wrong weight")
-    if not linalg.row_space_contains(sub, rows, wit[None, :]):
-        raise AssertionError("distance witness is not a codeword")
+    self_dual = n == 2 * k
+    # nothing lies outside a self-dual subcode: the distance is the floor
+    floor, outside = min_distance_isd_excluding(
+        dec.alphabet, big, None if self_dual else small,
+        automorphism=code_automorphism(dec), max_work=max_work,
+        max_weight=max_weight)
+    return QuantumRecord(n, n - 2 * k, dec.q, outside or floor, floor,
+                         self_dual)

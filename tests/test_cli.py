@@ -203,10 +203,10 @@ def test_css_search_builds_each_code_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command,records,rrefs", [
-    # five per record (its two codes, the search's code, its information
-    # set, the witness), one per excluded subcode (10 records), one for
+    # three per record (its two codes, the search's code), one per
+    # excluded subcode (the 11 records that are not self-dual), one for
     # the decomposition
-    ("css-search", 20, 111),
+    ("css-search", 20, 72),
     # one per record (its code), three per nonzero self-orthogonal record
     # (19, the witness), one for the decomposition
     ("enumerate", 201, 259),
@@ -344,6 +344,24 @@ def test_internal_error_exit(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "internal error: permutation does not preserve the code"]
+
+
+def test_bad_witness_exit(capsys, monkeypatch):
+    # a distance witness that fails its re-check is an internal error too
+    take = wq._Search._take
+
+    def bad_take(search, words, weights):
+        take(search, words, weights)
+        search.wit_any = (1,) * search.n
+
+    monkeypatch.setattr(wq._Search, "_take", bad_take)
+    code = cli.main(["css-search", "--q", "4", "--n", "7",
+                     "--metric", "hermitian", "--limit", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: distance witness has the wrong weight"]
 
 
 def test_bad_spec_token_reports_error(capsys, tmp_path):

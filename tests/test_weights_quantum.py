@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from unittest import mock
 
 import numpy as np
@@ -100,26 +99,38 @@ def test_exhaustive_matches_reference_scan(q, k, extra, seed, batch):
     (("d", 5, 9, da.HERMITIAN), 4),
     (("q", 3, 11, None), 5),
 ])
-def test_isd_matches_exhaustive(system, max_dim):
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_isd_matches_exhaustive(system, max_dim, seed):
     if system[0] == "d":
         dec = dihedral(*system[1:])
     else:
         dec = quaternion(*system[1:3])
-    rng = np.random.default_rng(max_dim * dec.length)
+    rng = np.random.default_rng(seed)
+    spec = small_ideals(dec, rng, 1, max_dim)[0]
+    code = ic.ideal_to_code(dec, spec)
     pi = wq.code_automorphism(dec)
-    for spec in small_ideals(dec, rng, 8, max_dim):
-        code = ic.ideal_to_code(dec, spec)
-        want = wq.min_distance_exhaustive(dec.alphabet, code)
-        with_orbit = wq.min_distance_isd(dec.alphabet, code, automorphism=pi)
-        plain = wq.min_distance_isd(dec.alphabet, code)
-        assert with_orbit.value == want.value
-        assert plain.value == want.value
-        assert with_orbit.status == wq.EXACT
-        # witnesses really are codewords of the stated weight
-        w = np.array(with_orbit.witness, dtype=code.dtype)
-        assert np.count_nonzero(w) == want.value
-        R, piv = linalg.rref(dec.alphabet, code)
-        assert linalg.in_row_space(dec.alphabet, R, piv, w)
+    want = wq.min_distance_exhaustive(dec.alphabet, code)
+    with_orbit = wq.min_distance_isd(dec.alphabet, code, automorphism=pi)
+    plain = wq.min_distance_isd(dec.alphabet, code)
+    assert (with_orbit.value, with_orbit.status) == (want.value, wq.EXACT)
+    assert plain.value == want.value
+    # witnesses really are codewords of the stated weight
+    w = np.array(with_orbit.witness, dtype=code.dtype)
+    assert np.count_nonzero(w) == want.value
+    R, piv = linalg.rref(dec.alphabet, code)
+    assert linalg.in_row_space(dec.alphabet, R, piv, w)
+    if dec.mode != da.HERMITIAN:
+        return
+    # off a subideal: keep each slot of the spec or zero it, from the seed
+    sub_spec = tuple(x if rng.integers(2) else "zero" for x in spec)
+    assert ic.spec_contains(spec, sub_spec)
+    small = ic.ideal_to_code(dec, sub_spec)
+    floor, outside = wq.min_distance_isd_excluding(
+        dec.alphabet, code, small, automorphism=pi)
+    assert floor.status == outside.status == wq.EXACT
+    assert (floor.value, outside.value) == brute_floor_and_outside(
+        dec, code, small)
 
 
 def test_repetition_ideal_distance():
@@ -173,6 +184,16 @@ def test_rejects_foreign_permutation():
         wq.min_distance_isd(dec.alphabet, code, automorphism=bad)
 
 
+def test_rotation_alone_is_refused():
+    # the rotation's two cycles do not carry the orbit bound
+    dec = dihedral(7, 4, da.EUCLIDEAN)
+    rng = np.random.default_rng(0)
+    code = ic.ideal_to_code(dec, small_ideals(dec, rng, 1, 10)[0])
+    with pytest.raises(ValueError, match="transitively"):
+        wq.min_distance_isd(dec.alphabet, code,
+                            automorphism=wq.code_automorphism(dec)[:1])
+
+
 @pytest.mark.parametrize("system", [("d", 10, 9, da.HERMITIAN),
                                     ("d", 7, 4, da.EUCLIDEAN),
                                     ("q", 3, 11, None)])
@@ -184,16 +205,13 @@ def test_information_set_is_first_independent_columns(system):
     for spec in small_ideals(dec, rng, 4, dec.length):
         G = ic.ideal_to_code(dec, spec)
         search = wq._Search(sub, G, None, pi, wq.DEFAULT_WORK)
-        # reference: walk the rotation cycles in lockstep, keep each column
-        # that raises the rank
-        cycles = wq._permutation_cycles(pi)
-        order = [c for step in itertools.zip_longest(*cycles)
-                 for c in step if c is not None]
+        # reference: walk the columns left to right, keep each column that
+        # raises the rank
         want: list[int] = []
-        for col in order:
+        for col in range(G.shape[1]):
             if linalg.rank(sub, G[:, want + [col]]) == len(want) + 1:
                 want.append(col)
-        assert search.info == want
+        assert list(search.info) == want
         k = G.shape[0]
         assert (search.Gs[:, want] == np.eye(k, dtype=search.Gs.dtype)).all()
         assert linalg.row_space_equal(sub, search.Gs, G)
@@ -228,8 +246,8 @@ def brute_floor_and_outside(dec, big, small):
     return best_any, best_out
 
 
-def test_excluding_subcode_matches_brute_force():
-    dec = dihedral(7, 4, da.HERMITIAN)
+def d7_css_pair(dec):
+    """A [14, 6] hermitian self-orthogonal ideal and its [14, 8] dual."""
     rows = [o for o in du.selforth_block_options(dec, dec.blocks[1])
             if isinstance(o[0], tuple)]
     spec = ("zero", rows[-1][0])
@@ -237,6 +255,12 @@ def test_excluding_subcode_matches_brute_force():
     small = ic.ideal_to_code(dec, spec)
     big = ic.ideal_to_code(dec, du.dual_spec(dec, spec))
     assert (small.shape[0], big.shape[0]) == (6, 8)
+    return small, big
+
+
+def test_excluding_subcode_matches_brute_force():
+    dec = dihedral(7, 4, da.HERMITIAN)
+    small, big = d7_css_pair(dec)
     floor, outside = wq.min_distance_isd_excluding(
         dec.alphabet, big, small, automorphism=wq.code_automorphism(dec))
     want_any, want_out = brute_floor_and_outside(dec, big, small)
@@ -249,6 +273,41 @@ def test_excluding_subcode_matches_brute_force():
     Rs, ps = linalg.rref(dec.alphabet, small)
     assert linalg.in_row_space(dec.alphabet, Rb, pb, w)
     assert not linalg.in_row_space(dec.alphabet, Rs, ps, w)
+
+
+def _wrong_weight(search):
+    search.wit_any = (1,) * search.n
+
+
+def _not_a_codeword(search):
+    search.best_any, search.wit_any = 1, (1,) + (0,) * (search.n - 1)
+
+
+def _in_subcode(search):
+    row = search.exclude[0][0]
+    search.best_out = int(np.count_nonzero(row))
+    search.wit_out = tuple(int(x) for x in row)
+
+
+@pytest.mark.parametrize("corrupt,match", [
+    (_wrong_weight, "wrong weight"),
+    (_not_a_codeword, "not a codeword"),
+    (_in_subcode, "excluded subcode"),
+], ids=["weight", "codeword", "subcode"])
+def test_bad_witness_is_caught(corrupt, match):
+    dec = dihedral(7, 4, da.HERMITIAN)
+    small, big = d7_css_pair(dec)
+    take = wq._Search._take
+
+    def bad_take(search, words, weights):
+        take(search, words, weights)
+        corrupt(search)
+
+    with mock.patch.object(wq._Search, "_take", bad_take):
+        with pytest.raises(AssertionError, match=match):
+            wq.min_distance_isd_excluding(
+                dec.alphabet, big, small,
+                automorphism=wq.code_automorphism(dec))
 
 
 def test_excluding_everything_runs_to_exhaustion():
