@@ -195,14 +195,11 @@ def _validate(cfg: RunConfig) -> None:
             f"--n {2 * (cfg.n or 0)}")
 
 
-def build_system(cfg: RunConfig):
-    """Decomposition for the configured system."""
-    if cfg.group == QUATERNION:
-        try:
-            return qa.build_quaternion_decomposition(cfg.n, cfg.q)
-        except qa.DelegateToDihedral as e:
-            raise CliError(str(e)) from None
-    return da.build_dihedral_decomposition(cfg.n, cfg.q, cfg.metric)
+def build_system(group: str, n: int, q: int, metric: str):
+    """Decomposition of GF(q)[D_n] or GF(q)[Q_n]."""
+    if group == QUATERNION:
+        return qa.build_quaternion_decomposition(n, q)
+    return da.build_dihedral_decomposition(n, q, metric)
 
 
 def _load_specs(cfg: RunConfig, dec) -> list:
@@ -243,7 +240,7 @@ def _selforth_flags(dec, spec, rows) -> dict:
 
 
 def cmd_decompose(cfg: RunConfig, warnings: list) -> list:
-    dec = build_system(cfg)
+    dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     blocks = []
     for i, blk in enumerate(dec.blocks):
         entry = {
@@ -281,7 +278,7 @@ def cmd_decompose(cfg: RunConfig, warnings: list) -> list:
 
 
 def cmd_count(cfg: RunConfig, warnings: list) -> list:
-    dec = build_system(cfg)
+    dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     return [{
         "ideals": ic.spec_count(dec),
         "self_orthogonal": du.count_selforth(dec),
@@ -301,7 +298,7 @@ def _spec_record(dec, spec) -> tuple:
 
 
 def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
-    dec = build_system(cfg)
+    dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
     # with an explicit --limit the stream stops early, so the safety budget
     # on the total ideal count is unnecessary
@@ -315,7 +312,7 @@ def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
 
 
 def cmd_dual(cfg: RunConfig, warnings: list) -> list:
-    dec = build_system(cfg)
+    dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
     for spec in _load_specs(cfg, dec):
         record, _ = _spec_record(dec, spec)
@@ -328,7 +325,7 @@ def cmd_dual(cfg: RunConfig, warnings: list) -> list:
 
 
 def cmd_classify(cfg: RunConfig, warnings: list) -> list:
-    dec = build_system(cfg)
+    dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
     for spec in _load_specs(cfg, dec):
         record, rows = _spec_record(dec, spec)
@@ -350,7 +347,7 @@ def cmd_css_search(cfg: RunConfig, warnings: list) -> list:
     if cfg.metric != da.HERMITIAN:
         raise CliError("css-search uses the hermitian metric; "
                        "pass --metric hermitian")
-    dec = build_system(cfg)
+    dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     if cfg.spec is not None:
         specs = _load_specs(cfg, dec)
     else:
@@ -389,10 +386,7 @@ def cmd_css_search(cfg: RunConfig, warnings: list) -> list:
 
 
 def _verify_system(group, n, Q, metric, rng, count, warnings) -> dict:
-    if group == QUATERNION:
-        dec = qa.build_quaternion_decomposition(n, Q)
-    else:
-        dec = da.build_dihedral_decomposition(n, Q, metric)
+    dec = build_system(group, n, Q, metric)
     checks = {}
 
     mismatch = 0

@@ -428,27 +428,28 @@ class Subfield:
         return getattr(self, name)
 
     def _build_tables(self):
+        """Exponent arithmetic on indices: gen^i gen^j = gen^(i+j), and
+        gen^i + gen^j = gen^i (1 + gen^(j-i)) through the Zech logarithms."""
         q = self.q
         if q > MAX_TABLE_ORDER:
             raise FieldBudgetError(f"subfield GF({q}) too large for dense index tables")
-        F = self.master
-        elems = list(self.elements())
-        dt = np.int16 if q <= 2**14 else np.int32
-        add_t = np.empty((q, q), dtype=dt)
-        mul_t = np.empty((q, q), dtype=dt)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                add_t[i, j] = self.index(F.add(a, b))
-                mul_t[i, j] = self.index(F.mul(a, b))
-        neg_t = np.array([self.index(F.neg(a)) for a in elems], dtype=dt)
-        inv_t = np.zeros(q, dtype=dt)
-        for i, a in enumerate(elems):
-            if i:
-                inv_t[i] = self.index(F.inv(a))
-        self.add_t = add_t
-        self.mul_t = mul_t
-        self.neg_t = neg_t
-        self.inv_t = inv_t
+        m = q - 1
+        e = np.arange(m, dtype=np.int16)  # index 1 + i stands for gen^i
+        # zech[d] = log_gen(1 + gen^d); ZERO // step stays -1
+        zech = (self.master.zech[::self.step] // self.step).astype(np.int16)
+        self.mul_t = np.zeros((q, q), dtype=np.int16)
+        self.mul_t[1:, 1:] = (e[:, None] + e) % m + 1
+        z = zech[(e - e[:, None]) % m]
+        self.add_t = np.zeros((q, q), dtype=np.int16)
+        self.add_t[0] = self.add_t[:, 0] = np.arange(q)
+        body = self.add_t[1:, 1:]
+        np.add(e[:, None], z, out=body)
+        body %= m
+        body += 1
+        body[z < 0] = 0
+        self.neg_t = self.mul_t[self.index(self.master.minus_one)].copy()
+        self.inv_t = np.zeros(q, dtype=np.int16)
+        self.inv_t[1:] = (-e) % m + 1
 
 
 # ---------------------------------------------------------------------------

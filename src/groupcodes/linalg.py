@@ -67,28 +67,26 @@ def nullspace(sub: Subfield, A: np.ndarray) -> np.ndarray:
     if A.shape[0] == 0:
         return np.eye(ncols, dtype=sub.add_t.dtype)
     R, pivots = rref(sub, A)
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    free = [c for c in range(ncols) if c not in pivots]
     out = np.zeros((len(free), ncols), dtype=A.dtype)
-    for k, f in enumerate(free):
-        out[k, f] = 1  # index of the element 1
-        for i, pc in enumerate(pivots):
-            out[k, pc] = sub.neg_t[R[i, f]]
+    out[np.arange(len(free)), free] = 1  # index of the element 1
+    out[:, list(pivots)] = sub.neg_t[R[:len(pivots), free]].T
     return out
 
 
-def in_row_space(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...], v: np.ndarray) -> bool:
-    """Membership test against a precomputed RREF (R, pivots)."""
-    w = v.copy()
+def in_row_space(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],
+                 V: np.ndarray) -> np.ndarray:
+    """Which rows of V lie in the row space of the RREF (R, pivots)."""
+    W = V
     for i, c in enumerate(pivots):
-        if w[c]:
-            w = sub.add_t[w, sub.mul_t[sub.neg_t[w[c]], R[i]]]
-    return not w.any()
+        W = sub.add_t[W, sub.mul_t[sub.neg_t[W[:, c]][:, None], R[i][None, :]]]
+    return ~W.any(axis=1)
 
 
 def row_space_contains(sub: Subfield, A: np.ndarray, B: np.ndarray) -> bool:
     """True iff every row of B lies in the row space of A."""
     R, pivots = rref(sub, A)
-    return all(in_row_space(sub, R, pivots, b) for b in B)
+    return bool(in_row_space(sub, R, pivots, B).all())
 
 
 def row_space_equal(sub: Subfield, A: np.ndarray, B: np.ndarray) -> bool:
@@ -111,19 +109,8 @@ def inverse(sub: Subfield, A: np.ndarray) -> np.ndarray:
 
 
 def entrywise_pow(sub: Subfield, A: np.ndarray, e: int) -> np.ndarray:
-    """Apply x -> x^e to every entry (e >= 1)."""
-    table = _pow_table(sub, e)
+    """Apply x -> x^e to every entry (e >= 1): gen^i -> gen^(i e)."""
+    m = sub.q - 1
+    table = np.zeros(sub.q, dtype=sub.add_t.dtype)
+    table[1:] = 1 + np.arange(m) * (e % m) % m
     return table[A]
-
-
-def _pow_table(sub: Subfield, e: int) -> np.ndarray:
-    cache = getattr(sub, "_pow_tables", None)
-    if cache is None:
-        cache = sub._pow_tables = {}
-    t = cache.get(e)
-    if t is None:
-        F = sub.master
-        t = np.array([sub.index(F.pow(a, e)) for a in sub.elements()],
-                     dtype=sub.add_t.dtype)
-        cache[e] = t
-    return t

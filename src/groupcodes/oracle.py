@@ -86,11 +86,10 @@ def group_mul(sub: Subfield, table: np.ndarray, u: np.ndarray, v: np.ndarray) ->
 
 
 def translate_vector(table: np.ndarray, g: int, u: np.ndarray) -> np.ndarray:
-    """Coefficient vector of g*u for a basis group element g."""
+    """Coefficient vector of g*u for a basis group element g (each row of a
+    matrix u)."""
     out = np.empty_like(u)
-    perm = table[g]
-    for h in range(len(u)):
-        out[perm[h]] = u[h]
+    out[..., table[g]] = u
     return out
 
 
@@ -104,11 +103,9 @@ def is_left_ideal(sub: Subfield, table: np.ndarray, basis: np.ndarray) -> bool:
     size = table.shape[0]
     gens = (1, size // 2)
     R, piv = linalg.rref(sub, basis)
-    for g in gens:
-        for row in basis:
-            if not linalg.in_row_space(sub, R, piv, translate_vector(table, g, row)):
-                return False
-    return True
+    return all(linalg.in_row_space(sub, R, piv,
+                                   translate_vector(table, g, basis)).all()
+               for g in gens)
 
 
 # ---------------------------------------------------------------------------

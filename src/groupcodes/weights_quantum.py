@@ -144,7 +144,7 @@ def _check_invariant(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],
     """The permuted rows of the RREF (R, pivots) stay in its row space."""
     moved = np.empty_like(R)
     moved[:, perm] = R
-    if not all(linalg.in_row_space(sub, R, pivots, m) for m in moved):
+    if not linalg.in_row_space(sub, R, pivots, moved).all():
         raise AssertionError("permutation does not preserve the code")
 
 
@@ -194,15 +194,15 @@ class _Search:
             self.wit_any = tuple(int(x) for x in words[i])
         if self.exclude is None:
             return
-        R, piv = self.exclude
-        cap = self.best_out
-        for j in np.nonzero(weights < (cap if cap is not None else self.n + 1))[0]:
-            if cap is not None and weights[j] >= cap:
-                continue
-            if not linalg.in_row_space(self.sub, R, piv, words[j]):
-                cap = int(weights[j])
-                self.best_out = cap
-                self.wit_out = tuple(int(x) for x in words[j])
+        cap = self.best_out if self.best_out is not None else self.n + 1
+        cand = np.nonzero(weights < cap)[0]
+        if cand.size == 0:
+            return
+        out = cand[~linalg.in_row_space(self.sub, *self.exclude, words[cand])]
+        if out.size:
+            j = out[weights[out].argmin()]   # the first lightest
+            self.best_out = int(weights[j])
+            self.wit_out = tuple(int(x) for x in words[j])
 
     def _enumerate_weight(self, w: int) -> bool:
         """All codewords of information weight w; False when out of budget."""
@@ -251,12 +251,12 @@ class _Search:
         """Re-weigh the witness and test that it is a codeword (and, for
         the outside result, that it is not in the excluded subcode)."""
         if witness is not None:
-            wit = np.array(witness, dtype=self.Gs.dtype)
+            wit = np.array(witness, dtype=self.Gs.dtype)[None]
             if int(np.count_nonzero(wit)) != value:
                 raise AssertionError("distance witness has the wrong weight")
-            if not linalg.in_row_space(self.sub, self.Gs, self.info, wit):
+            if not linalg.in_row_space(self.sub, self.Gs, self.info, wit)[0]:
                 raise AssertionError("distance witness is not a codeword")
-            if outside and linalg.in_row_space(self.sub, *self.exclude, wit):
+            if outside and linalg.in_row_space(self.sub, *self.exclude, wit)[0]:
                 raise AssertionError(
                     "distance witness lies in the excluded subcode")
         return DistanceResult(value, status, witness)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from groupcodes import cli, linalg
@@ -226,6 +227,31 @@ def test_rref_calls_per_run(capsys, monkeypatch, command, records, rrefs):
     assert len(calls) == rrefs
 
 
+@pytest.mark.parametrize("command,records,tests", [
+    # 62 invariance checks (two automorphisms, on each of the 20 codes and
+    # 11 excluded subcodes), 42 witness re-checks (20 floor witnesses,
+    # two for each of the 11 outside witnesses), 12 batches of candidates
+    # lighter than the best outside word
+    ("css-search", 20, 116),
+    # one batch per nonzero self-orthogonal record (19, the witness)
+    ("enumerate", 201, 19),
+])
+def test_in_row_space_calls_per_run(capsys, monkeypatch, command, records,
+                                    tests):
+    calls = []
+    original = linalg.in_row_space
+
+    def counting(sub, R, pivots, V):
+        calls.append(V.shape)
+        return original(sub, R, pivots, V)
+
+    monkeypatch.setattr(linalg, "in_row_space", counting)
+    doc = run_json(capsys, command, "--q", "4", "--n", "7",
+                   "--metric", "hermitian")
+    assert len(doc["results"]) == records
+    assert len(calls) == tests
+
+
 def test_css_search_requires_hermitian(capsys):
     code, _ = run(capsys, "css-search", "--q", "4", "--n", "7")
     assert code == 2
@@ -327,6 +353,10 @@ def test_text_render(capsys):
     ("count", "--q", "4", "--n", "7", "--cache-dir", "x"),
     ("count", "--q", "4", "--n", "7", "--budget-exhaustive", "8"),
     ("verify", "--limit", "0"),
+    # GF(5)[Q_3] only splits through D_6: the builder's refusal is an
+    # input error
+    ("count", "--q", "5", "--n", "3", "--group", "quaternion"),
+    ("verify", "--q", "5", "--n", "3", "--group", "quaternion"),
 ])
 def test_error_exits(capsys, argv):
     code, _ = run(capsys, *argv)
@@ -336,7 +366,8 @@ def test_error_exits(capsys, argv):
 def test_internal_error_exit(capsys, monkeypatch):
     # a broken invariant is neither an input error (2) nor a verify
     # mismatch (1): one stderr line, no output
-    monkeypatch.setattr(linalg, "in_row_space", lambda sub, r, piv, v: False)
+    monkeypatch.setattr(linalg, "in_row_space",
+                        lambda sub, r, piv, V: np.zeros(len(V), dtype=bool))
     code = cli.main(["css-search", "--q", "4", "--n", "7",
                      "--metric", "hermitian", "--limit", "1"])
     captured = capsys.readouterr()

@@ -129,15 +129,32 @@ def test_subfield_gf9_in_gf81():
     for a in elems:
         assert F.pow(a, 9) == a
     assert any(F.pow(a, 3) != a for a in elems)
-    # index tables agree with scalar ops
+
+
+@pytest.mark.parametrize("p,m,q", [
+    (2, 4, 2), (2, 4, 4), (2, 4, 16), (3, 4, 3), (3, 4, 9), (3, 4, 81),
+    (5, 2, 5), (5, 2, 25), (11, 3, 11), (11, 3, 1331)])
+def test_tables_match_scalar_ops(p, m, q):
+    F = build_field(p, m)
+    S = F.subfield(q)
+    elems = list(S.elements())
     for i, a in enumerate(elems):
         assert S.index(a) == i
-        for j, b in enumerate(elems):
-            assert S.element(int(S.add_t[i, j])) == F.add(a, b)
-            assert S.element(int(S.mul_t[i, j])) == F.mul(a, b)
         assert S.element(int(S.neg_t[i])) == F.neg(a)
         if i:
             assert S.element(int(S.inv_t[i])) == F.inv(a)
+    # every pair up to GF(81), a seeded sample above
+    if q <= 81:
+        pairs = [(i, j) for i in range(q) for j in range(q)]
+    else:
+        pairs = np.random.default_rng(q).integers(0, q, (5000, 2)).tolist()
+        pairs += [(0, 0), (0, q - 1), (q - 1, 0), (1, 1 + (q - 1) // 2)]
+    for i, j in pairs:
+        a, b = elems[i], elems[j]
+        assert S.element(int(S.add_t[i, j])) == F.add(a, b), (i, j)
+        assert S.element(int(S.mul_t[i, j])) == F.mul(a, b), (i, j)
+    for t in (S.add_t, S.mul_t, S.neg_t, S.inv_t):
+        assert t.dtype == np.int16
 
 
 def test_missing_subfield():

@@ -109,15 +109,33 @@ def test_membership_and_equality():
     # every random combination of rows of A is in the row space
     for _ in range(20):
         coeff = random_idx(rng, S, (1, 3))
-        v = linalg.matmul(S, coeff, A)[0]
-        assert linalg.in_row_space(S, R, piv, v)
+        v = linalg.matmul(S, coeff, A)
+        assert linalg.in_row_space(S, R, piv, v)[0]
     assert linalg.row_space_contains(S, A, A)
     # a vector outside (extend rank) is rejected
     B = np.vstack([A, random_idx(rng, S, (4, 7))])
     full, fpiv = linalg.rref(S, B)
     extra = full[len(piv)]
     if extra.any():
-        assert not linalg.in_row_space(S, R, piv, extra)
+        assert not linalg.in_row_space(S, R, piv, extra[None])[0]
+    # one batch mixing rows inside and outside gets one answer per row;
+    # a nonzero word that vanishes on the pivots is outside
+    assert piv == (0, 1, 2)
+    inside = linalg.matmul(S, random_idx(rng, S, (3, 3)), A)
+    units = np.eye(7, dtype=A.dtype)[3:5]    # index 1 is the element 1
+    V = np.vstack([inside[:2], units, inside[2:],
+                   np.zeros((1, 7), dtype=A.dtype)])
+    want = [True, True, False, False, True, True]
+    assert linalg.in_row_space(S, R, piv, V).tolist() == want
+    assert not linalg.row_space_contains(S, A, V)
+    empty = linalg.in_row_space(S, R, piv, np.zeros((0, 7), dtype=A.dtype))
+    assert empty.shape == (0,)
+    assert linalg.row_space_contains(S, A, np.zeros((0, 7), dtype=A.dtype))
+
+
+# alphabets in characteristic 2, 3, 5 and 11, some of them proper subfields
+POW_FIELDS = [(2, 4, 2), (2, 4, 4), (2, 4, 16), (3, 4, 3), (3, 4, 9),
+              (3, 4, 81), (5, 2, 5), (5, 2, 25), (11, 3, 11), (11, 3, 1331)]
 
 
 def test_entrywise_pow_is_frobenius():
@@ -135,6 +153,15 @@ def test_entrywise_pow_is_frobenius():
     lhs = linalg.entrywise_pow(S, S.add_t[X, Y], 3)
     rhs = S.add_t[linalg.entrywise_pow(S, X, 3), linalg.entrywise_pow(S, Y, 3)]
     assert (lhs == rhs).all()
+    # every element, exponents past q - 1, against the scalar power
+    for p, m, q in POW_FIELDS:
+        S = build_field(p, m).subfield(q)
+        x = np.arange(q, dtype=S.add_t.dtype)
+        for e in (q - 1, q, 2 * q + 1):
+            got = linalg.entrywise_pow(S, x, e)
+            assert got.dtype == S.add_t.dtype
+            assert [S.element(int(i)) for i in got] == \
+                [S.master.pow(a, e) for a in S.elements()], (q, e)
 
 
 @settings(max_examples=60, deadline=None)

@@ -119,7 +119,7 @@ def test_isd_matches_exhaustive(system, max_dim, seed):
     w = np.array(with_orbit.witness, dtype=code.dtype)
     assert np.count_nonzero(w) == want.value
     R, piv = linalg.rref(dec.alphabet, code)
-    assert linalg.in_row_space(dec.alphabet, R, piv, w)
+    assert linalg.in_row_space(dec.alphabet, R, piv, w[None])[0]
     if dec.mode != da.HERMITIAN:
         return
     # off a subideal: keep each slot of the spec or zero it, from the seed
@@ -241,7 +241,7 @@ def brute_floor_and_outside(dec, big, small):
             for j in range(len(words)):
                 if best_out is not None and weights[j] >= best_out:
                     continue
-                if not linalg.in_row_space(sub, R, piv, words[j]):
+                if not linalg.in_row_space(sub, R, piv, words[j][None])[0]:
                     best_out = int(weights[j])
     return best_any, best_out
 
@@ -271,8 +271,8 @@ def test_excluding_subcode_matches_brute_force():
     w = np.array(outside.witness, dtype=big.dtype)
     Rb, pb = linalg.rref(dec.alphabet, big)
     Rs, ps = linalg.rref(dec.alphabet, small)
-    assert linalg.in_row_space(dec.alphabet, Rb, pb, w)
-    assert not linalg.in_row_space(dec.alphabet, Rs, ps, w)
+    assert linalg.in_row_space(dec.alphabet, Rb, pb, w[None])[0]
+    assert not linalg.in_row_space(dec.alphabet, Rs, ps, w[None])[0]
 
 
 def _wrong_weight(search):
