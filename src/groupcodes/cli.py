@@ -88,14 +88,10 @@ def _fmt_slot_value(slot, value) -> list:
 
 def _generator_images(dec) -> dict:
     """Slotwise images of the group generators a and b."""
-    out = {}
-    for name, idx in (("a", 1), ("b", dec.a_order)):
-        vec = np.zeros(dec.length, dtype=np.int32)
-        vec[idx] = 1  # alphabet index of one
-        values = dec.rho(vec)
-        out[name] = [_fmt_slot_value(s, v)
-                     for s, v in zip(dec.slots(), values)]
-    return out
+    gens = np.zeros((2, dec.length), dtype=np.int32)
+    gens[[0, 1], [1, dec.a_order]] = 1  # alphabet index of one
+    return {name: [_fmt_slot_value(s, v) for s, v in zip(dec.slots(), values)]
+            for name, values in zip("ab", dec.rho(gens))}
 
 
 _J_CLASS = {da.FIELD_PAIR: "J0", da.C2_BLOCK: "J0", da.RECIP_FIXED: "J1",
@@ -177,6 +173,8 @@ def _parse_args(argv) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.command != "verify" and (cfg.q is None or cfg.n is None):
         raise CliError(f"{cfg.command} needs --q and --n")
+    if (cfg.q is None) != (cfg.n is None):
+        raise CliError("verify needs both --q and --n, or neither")
     if cfg.q is not None:
         try:
             split_prime_power(cfg.q)
@@ -189,10 +187,11 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command == "verify" and cfg.limit == 0:
         raise CliError("verify --limit 0 would check no spec")
     if cfg.group == QUATERNION and cfg.metric == da.HERMITIAN:
+        n_hint = "" if cfg.n is None else f" --n {2 * cfg.n}"
         raise CliError(
             "hermitian duality of a quaternion algebra is handled through "
-            f"the isomorphic dihedral algebra: rerun with --group dihedral "
-            f"--n {2 * (cfg.n or 0)}")
+            f"the isomorphic dihedral algebra: rerun with --group dihedral"
+            f"{n_hint}")
 
 
 def build_system(group: str, n: int, q: int, metric: str):
@@ -402,16 +401,14 @@ def _verify_system(group, n, Q, metric, rng, count, warnings) -> dict:
             mismatch += 1
     checks["dual_vs_oracle"] = mismatch
 
-    bad = 0
-    for _ in range(count):
-        u = rng.integers(0, dec.Q, dec.length).astype(np.int32)
-        v = rng.integers(0, dec.Q, dec.length).astype(np.int32)
-        lhs = dec.rho(oracle.group_mul(dec.alphabet, dec.mul_table, u, v))
-        rhs = [da.slot_mul(s, x, y) for s, x, y
-               in zip(dec.slots(), dec.rho(u), dec.rho(v))]
-        if lhs != rhs:
-            bad += 1
-    checks["rho_multiplicative"] = bad
+    pairs = rng.integers(0, dec.Q, (count, 2, dec.length))
+    U, V = pairs[:, 0], pairs[:, 1]
+    W = [oracle.group_mul(dec.alphabet, dec.mul_table, u, v)
+         for u, v in zip(U, V)]
+    slots = dec.slots()
+    checks["rho_multiplicative"] = sum(
+        lhs != [da.slot_mul(s, x, y) for s, x, y in zip(slots, ru, rv)]
+        for lhs, ru, rv in zip(dec.rho(W), dec.rho(U), dec.rho(V)))
 
     census = du.count_selforth(dec)
     if census <= 200_000:
@@ -432,7 +429,7 @@ def _verify_system(group, n, Q, metric, rng, count, warnings) -> dict:
 def cmd_verify(cfg: RunConfig, warnings: list) -> list:
     rng = np.random.default_rng(cfg.seed)
     count = cfg.limit if cfg.limit is not None else DEFAULT_VERIFY_SPECS
-    if cfg.q is not None and cfg.n is not None:
+    if cfg.q is not None:
         matrix = [(cfg.group, cfg.n, cfg.q, cfg.metric)]
     else:
         matrix = list(VERIFY_MATRIX)

@@ -130,26 +130,18 @@ def slot_pow(slot: Slot, x, e: int):
     return out
 
 
-def slot_components(slot: Slot, x) -> tuple:
-    return (x,) if slot.kind == FIELD_SLOT else tuple(x)
-
-
-def slot_from_components(slot: Slot, comps):
-    return comps[0] if slot.kind == FIELD_SLOT else tuple(comps)
-
-
 def slot_flatten(slot: Slot, x) -> list[int]:
-    out: list[int] = []
-    for c in slot_components(slot, x):
-        out.extend(slot.basis.flatten(c))
-    return out
+    """Alphabet coordinates of a slot value, component by component."""
+    comps = (x,) if slot.kind == FIELD_SLOT else x
+    return [c for comp in comps for c in slot.basis.flatten(comp)]
 
 
 def slot_unflatten(slot: Slot, coords):
+    """Slot value with the given alphabet coordinates."""
     d = slot.basis.d
-    comps = [slot.basis.unflatten(coords[j * d:(j + 1) * d])
-             for j in range(slot.ncomp)]
-    return slot_from_components(slot, comps)
+    comps = tuple(slot.basis.unflatten(coords[j * d:(j + 1) * d])
+                  for j in range(slot.ncomp))
+    return comps[0] if slot.kind == FIELD_SLOT else comps
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +263,8 @@ class Decomposition:
 
     ``mat`` is the (length x length) alphabet matrix whose row g is the
     flattened block image of the group element with index g; ``mat_inv`` is
-    its inverse.  For an element vector u the flattened image is u @ mat.
+    its inverse.  For a matrix U of element rows the flattened images are
+    the rows of U @ mat.
     """
 
     group: str
@@ -305,34 +298,23 @@ class Decomposition:
 
     # -- element <-> block coordinates --------------------------------------
 
-    def to_flat(self, u: np.ndarray) -> np.ndarray:
-        return linalg.matmul(self.alphabet, np.asarray(u, dtype=np.int32)[None, :],
-                             self.mat)[0]
-
-    def from_flat(self, coords: np.ndarray) -> np.ndarray:
-        return linalg.matmul(self.alphabet, np.asarray(coords, dtype=np.int32)[None, :],
-                             self.mat_inv)[0]
-
-    def unflatten(self, coords: np.ndarray) -> list:
-        vals = []
-        for s in self.slots():
-            window = [int(c) for c in coords[s.offset:s.offset + s.width]]
-            vals.append(slot_unflatten(s, window))
-        return vals
-
-    def flatten(self, values) -> np.ndarray:
-        out = np.zeros(self.length, dtype=np.int32)
-        for s, v in zip(self.slots(), values):
-            out[s.offset:s.offset + s.width] = slot_flatten(s, v)
-        return out
-
-    def rho(self, u: np.ndarray) -> list:
-        """Per-slot block values of the element with coefficient vector u."""
-        return self.unflatten(self.to_flat(u))
+    def rho(self, U: np.ndarray) -> list[list]:
+        """Per-slot block values of each element whose coefficient vector
+        is a row of U."""
+        coords = linalg.matmul(self.alphabet, np.asarray(U, dtype=np.int32),
+                               self.mat)
+        slots = self.slots()
+        return [[slot_unflatten(s, row[s.offset:s.offset + s.width].tolist())
+                 for s in slots] for row in coords]
 
     def rho_inv(self, values) -> np.ndarray:
-        """Coefficient vector of the element with the given block values."""
-        return self.from_flat(self.flatten(values))
+        """Coefficient vectors, one row per element, of the elements with
+        the given per-slot block values."""
+        slots = self.slots()
+        coords = np.array([[c for s, v in zip(slots, vals)
+                            for c in slot_flatten(s, v)] for vals in values],
+                          dtype=np.int32)
+        return linalg.matmul(self.alphabet, coords, self.mat_inv)
 
 
 def _assemble(group: str, n: int, mode: str, Q: int, q: int | None,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .fields import ZERO, FieldTable, build_field, split_prime_power
+from .fields import ZERO, build_field, split_prime_power
 from .polyfactor import CONJ_FIXED, CROSS_FIXED, FREE, RECIP_FIXED
 from .dihedral_algebra import (
     C2_BLOCK,
@@ -29,22 +29,13 @@ from .quaternion_algebra import (
     B_SIDE_KINDS,
     B_UNIT,
 )
-from .ideals_codes import slot_ideal_options, spec_contains
+from .ideals_codes import _line, slot_ideal_options, spec_contains
 
 _ZERO_FULL = {"zero": "full", "full": "zero"}
 
 
 class NotSelfOrthogonalError(ValueError):
     """The chosen ideal is not contained in its dual."""
-
-
-def _line(F: FieldTable, v0: int, v1: int):
-    """Ideal label of the rank-one ideal with row direction (v0, v1)."""
-    if v0 == ZERO:
-        if v1 == ZERO:
-            raise AssertionError("a line needs a nonzero direction")
-        return "e01"
-    return ("row", F.div(v1, v0))
 
 
 # ---------------------------------------------------------------------------

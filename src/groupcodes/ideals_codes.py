@@ -27,7 +27,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .fields import ZERO, FieldTable, Subfield
+from .fields import ZERO, FieldTable
 from .dihedral_algebra import (
     C2_SLOT,
     FIELD_SLOT,
@@ -49,12 +49,15 @@ class NotAnIdealError(ValueError):
 # specs
 
 
+# the keyword ideals of each slot kind; 2x2 slots also have every ("row", lam)
+_KEYWORDS = {FIELD_SLOT: ("zero", "full"), C2_SLOT: ("zero", "mid", "full"),
+             MAT_SLOT: ("zero", "e01", "full")}
+
+
 def slot_ideal_options(slot: Slot) -> list:
     """Every left ideal of a single slot, zero first, full last."""
-    if slot.kind == FIELD_SLOT:
-        return ["zero", "full"]
-    if slot.kind == C2_SLOT:
-        return ["zero", "mid", "full"]
+    if slot.kind != MAT_SLOT:
+        return list(_KEYWORDS[slot.kind])
     rows = [("row", lam) for lam in slot.field.elements()]
     return ["zero", "e01", *rows, "full"]
 
@@ -142,7 +145,8 @@ def ideal_to_code(dec: Decomposition, spec) -> np.ndarray:
     The ideal is the left ideal generated by one element e, so its code is
     the row space of the |G| left translates g*e.
     """
-    e = dec.rho_inv([_slot_generator(s, i) for s, i in zip(dec.slots(), spec)])
+    e = dec.rho_inv([[_slot_generator(s, i)
+                      for s, i in zip(dec.slots(), spec)]])[0]
     translates = np.zeros((dec.length, dec.length), dtype=np.int32)
     translates[np.arange(dec.length)[:, None], dec.mul_table] = e
     code = linalg.row_basis(dec.alphabet, translates)
@@ -155,55 +159,39 @@ def ideal_to_code(dec: Decomposition, spec) -> np.ndarray:
 # code -> spec
 
 
-def _k_line_basis(F: FieldTable, K: Subfield, vectors) -> list:
-    """Gaussian elimination over K for length-2 rows, normalized leading 1."""
-    basis: list[tuple[int, int]] = []
-    for v in vectors:
-        v = list(v)
-        for b in basis:
-            lead = 0 if b[0] != ZERO else 1
-            c = v[lead]
-            if c != ZERO:
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, b)]
-        if all(x == ZERO for x in v):
-            continue
-        lead = 0 if v[0] != ZERO else 1
-        scale = F.inv(v[lead])
-        v = tuple(ZERO if x == ZERO else F.mul(scale, x) for x in v)
-        basis.append(v)
-        basis.sort(key=lambda b: 0 if b[0] != ZERO else 1)
-        if len(basis) == 2:
-            break
-    return basis
+def _line(F: FieldTable, v0: int, v1: int):
+    """Ideal label of the rank-one ideal with row direction (v0, v1)."""
+    if v0 == ZERO:
+        if v1 == ZERO:
+            raise AssertionError("a line needs a nonzero direction")
+        return "e01"
+    return ("row", F.div(v1, v0))
 
 
 def _classify_slot(F: FieldTable, slot: Slot, values):
+    """Ideal of one slot spanned by the block values of a code's rows.
+
+    The row vectors are the C2 pairs, or the two rows of each 2x2 value:
+    none nonzero is "zero", all proportional to the first nonzero one is a
+    line, anything else is "full".
+    """
     if slot.kind == FIELD_SLOT:
-        if all(v == ZERO for v in values):
-            return "zero"
+        return "full" if any(v != ZERO for v in values) else "zero"
+    if slot.kind == C2_SLOT:
+        vectors = values
+    else:
+        vectors = [r for v in values for r in ((v[0], v[1]), (v[2], v[3]))]
+    nonzero = [w for w in vectors if w != (ZERO, ZERO)]
+    if not nonzero:
+        return "zero"
+    v0, v1 = nonzero[0]
+    if any(F.mul(v0, w1) != F.mul(v1, w0) for w0, w1 in nonzero):
         return "full"
     if slot.kind == C2_SLOT:
-        basis = _k_line_basis(F, slot.field, values)
-        if not basis:
-            return "zero"
-        if len(basis) == 2:
-            return "full"
-        if basis[0] != (F.one, F.one):
+        if v0 != v1:
             raise NotAnIdealError("local slot holds a non-invariant line")
         return "mid"
-    rows = []
-    for v in values:
-        rows.append((v[0], v[1]))
-        rows.append((v[2], v[3]))
-    basis = _k_line_basis(F, slot.field, rows)
-    if not basis:
-        return "zero"
-    if len(basis) == 2:
-        return "full"
-    (v0, v1), = basis
-    if v0 == ZERO:
-        return "e01"
-    return ("row", v1)
+    return _line(F, v0, v1)
 
 
 def code_to_ideal(dec: Decomposition, basis: np.ndarray) -> tuple:
@@ -216,13 +204,9 @@ def code_to_ideal(dec: Decomposition, basis: np.ndarray) -> tuple:
     if basis.ndim != 2 or basis.shape[1] != dec.length:
         raise ValueError("basis must be a matrix with one row per generator")
     R = linalg.row_basis(dec.alphabet, basis)
-    slots = dec.slots()
-    per_slot = [[] for _ in slots]
-    for row in R:
-        for vals, bucket in zip(dec.rho(row), per_slot):
-            bucket.append(vals)
-    spec = tuple(_classify_slot(dec.F, s, vs)
-                 for s, vs in zip(slots, per_slot))
+    images = dec.rho(R)
+    spec = tuple(_classify_slot(dec.F, s, [vals[i] for vals in images])
+                 for i, s in enumerate(dec.slots()))
     if ideal_dimension(dec, spec) != len(R):
         raise NotAnIdealError("row space is smaller than the ideal it spans")
     if len(R) and not linalg.row_space_equal(dec.alphabet, R, ideal_to_code(dec, spec)):
@@ -256,11 +240,11 @@ def format_spec(dec: Decomposition, spec) -> str:
 
 def _parse_token(slot: Slot, tok: str):
     tok = tok.strip()
-    if tok in ("zero", "mid", "e01", "full"):
-        if tok not in slot_ideal_options(slot) and not (
-                tok == "e01" and slot.kind == MAT_SLOT):
-            raise ValueError(f"token {tok!r} not valid for a {slot.kind} slot")
+    if tok in _KEYWORDS[slot.kind]:
         return tok
+    if tok in ("zero", "mid", "e01", "full") or (
+            tok.startswith("row(") and slot.kind != MAT_SLOT):
+        raise ValueError(f"token {tok!r} not valid for a {slot.kind} slot")
     if tok == "row(0)":
         return ("row", ZERO)
     if tok.startswith("row(g^") and tok.endswith(")"):

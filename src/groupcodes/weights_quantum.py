@@ -38,7 +38,7 @@ from .duality import NotSelfOrthogonalError, dual_spec, is_self_orthogonal
 from .fields import Subfield
 from .ideals_codes import ideal_to_code
 
-DEFAULT_WORK = 2 * 10 ** 8
+DEFAULT_WORK = 2 * 10 ** 8  # codewords one search may enumerate
 EXHAUSTIVE_BATCH = 4096    # projective messages per step of the exhaustive scan
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
@@ -151,15 +151,13 @@ def _check_invariant(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],
 class _Search:
     """Shared state of one enumeration run."""
 
-    def __init__(self, sub, G, exclude, automorphism, max_work,
-                 max_weight=None):
+    def __init__(self, sub, G, exclude, automorphism, max_weight=None):
         R, piv = linalg.rref(sub, np.asarray(G))
         if not piv:
             raise ValueError("the zero code has no minimum distance")
         # the pivots are an information set, and Gs is the identity there
         self.sub, self.Gs, self.info = sub, R[:len(piv)], piv
         self.k, self.n = self.Gs.shape
-        self.max_work = max_work
         self.max_weight = max_weight
         self.work = 0
 
@@ -210,7 +208,7 @@ class _Search:
         units = np.arange(1, q, dtype=self.Gs.dtype)
         for support in itertools.combinations(range(self.k), w):
             cost = (q - 1) ** (w - 1)
-            if self.work + cost > self.max_work:
+            if self.work + cost > DEFAULT_WORK:
                 return False
             self.work += cost
             words = self.Gs[support[0]][None, :]
@@ -264,22 +262,20 @@ class _Search:
 
 def min_distance_isd(sub: Subfield, G: np.ndarray, *,
                      automorphism: np.ndarray | None = None,
-                     max_work: int = DEFAULT_WORK,
                      max_weight: int | None = None) -> DistanceResult:
-    floor, _ = _Search(sub, G, None, automorphism, max_work, max_weight).run()
+    floor, _ = _Search(sub, G, None, automorphism, max_weight).run()
     return floor
 
 
 def min_distance_isd_excluding(sub: Subfield, G: np.ndarray,
                                exclude: np.ndarray | None, *,
                                automorphism: np.ndarray | None = None,
-                               max_work: int = DEFAULT_WORK,
                                max_weight: int | None = None):
     """(floor, outside): minimum weights in the code and off the subcode.
 
     With no subcode to exclude, outside is None.
     """
-    return _Search(sub, G, exclude, automorphism, max_work, max_weight).run()
+    return _Search(sub, G, exclude, automorphism, max_weight).run()
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +283,6 @@ def min_distance_isd_excluding(sub: Subfield, G: np.ndarray,
 
 
 def css_hermitian(dec: Decomposition, spec, *,
-                  max_work: int = DEFAULT_WORK,
                   max_weight: int | None = None) -> QuantumRecord:
     """Quantum parameters of a hermitian self-orthogonal ideal spec."""
     if dec.mode != HERMITIAN:
@@ -303,7 +298,6 @@ def css_hermitian(dec: Decomposition, spec, *,
     # nothing lies outside a self-dual subcode: the distance is the floor
     floor, outside = min_distance_isd_excluding(
         dec.alphabet, big, None if self_dual else small,
-        automorphism=code_automorphism(dec), max_work=max_work,
-        max_weight=max_weight)
+        automorphism=code_automorphism(dec), max_weight=max_weight)
     return QuantumRecord(n, n - 2 * k, dec.q, outside or floor, floor,
                          self_dual)

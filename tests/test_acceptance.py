@@ -307,27 +307,20 @@ def test_criterion_05_isomorphism_properties():
     for group, n, Q, mode in matrix_systems():
         dec = get_dec(group, n, Q, mode)
         table = get_table(group, n)
-        for _ in range(500):
-            u = rng.integers(0, dec.Q, dec.length).astype(np.int32)
-            v = rng.integers(0, dec.Q, dec.length).astype(np.int32)
-            lhs = dec.rho(oracle.group_mul(dec.alphabet, table, u, v))
-            rhs = [da.slot_mul(s, x, y) for s, x, y
-                   in zip(dec.slots(), dec.rho(u), dec.rho(v))]
-            assert lhs == rhs, f"multiplicativity failed for {group} {n} {Q}"
-            back = dec.rho_inv(dec.rho(u))
-            assert np.array_equal(np.asarray(back, dtype=np.int32), u), \
-                "round trip failed"
-        # generator relations, checked slotwise on the images
-        e_ident = np.zeros(dec.length, dtype=np.int32)
-        e_ident[0] = 1
-        e_a = np.zeros(dec.length, dtype=np.int32)
-        e_a[1] = 1
-        e_b = np.zeros(dec.length, dtype=np.int32)
-        e_b[dec.a_order] = 1
-        ident = dec.rho(e_ident)
-        A = dec.rho(e_a)
-        B = dec.rho(e_b)
+        # 500 pairs (u, v), drawn in one batch
+        pairs = rng.integers(0, dec.Q, (500, 2, dec.length)).astype(np.int32)
+        U, V = pairs[:, 0], pairs[:, 1]
+        W = [oracle.group_mul(dec.alphabet, table, u, v) for u, v in zip(U, V)]
         slots = dec.slots()
+        images_u = dec.rho(U)
+        for lhs, ru, rv in zip(dec.rho(W), images_u, dec.rho(V)):
+            rhs = [da.slot_mul(s, x, y) for s, x, y in zip(slots, ru, rv)]
+            assert lhs == rhs, f"multiplicativity failed for {group} {n} {Q}"
+        assert np.array_equal(dec.rho_inv(images_u), U), "round trip failed"
+        # generator relations, checked slotwise on the images of 1, a and b
+        gens = np.zeros((3, dec.length), dtype=np.int32)
+        gens[[0, 1, 2], [0, 1, dec.a_order]] = 1
+        ident, A, B = dec.rho(gens)
         a_pow = [da.slot_pow(s, x, dec.a_order) for s, x in zip(slots, A)]
         assert a_pow == ident, "a^order != 1"
         b_sq = [da.slot_mul(s, x, x) for s, x in zip(slots, B)]

@@ -227,6 +227,23 @@ def test_rref_calls_per_run(capsys, monkeypatch, command, records, rrefs):
     assert len(calls) == rrefs
 
 
+def test_matmul_calls_per_run(capsys, monkeypatch):
+    # one rho_inv per code (5 specs, each with its dual), and one batched
+    # rho for each of u, v and uv over the 5 multiplicativity pairs
+    calls = []
+    original = linalg.matmul
+
+    def counting(sub, A, B):
+        calls.append(A.shape)
+        return original(sub, A, B)
+
+    monkeypatch.setattr(linalg, "matmul", counting)
+    doc = run_json(capsys, "verify", "--q", "4", "--n", "7",
+                   "--metric", "hermitian", "--limit", "5")
+    assert doc["results"][0]["ok"]
+    assert calls == [(1, 14)] * 10 + [(5, 14)] * 3
+
+
 @pytest.mark.parametrize("command,records,tests", [
     # 62 invariance checks (two automorphisms, on each of the 20 codes and
     # 11 excluded subcodes), 42 witness re-checks (20 floor witnesses,
@@ -357,6 +374,9 @@ def test_text_render(capsys):
     # input error
     ("count", "--q", "5", "--n", "3", "--group", "quaternion"),
     ("verify", "--q", "5", "--n", "3", "--group", "quaternion"),
+    # verify checks one system (both --q and --n) or the default matrix
+    ("verify", "--q", "9", "--limit", "1"),
+    ("verify", "--n", "7", "--limit", "1"),
 ])
 def test_error_exits(capsys, argv):
     code, _ = run(capsys, *argv)
@@ -401,3 +421,15 @@ def test_bad_spec_token_reports_error(capsys, tmp_path):
     code, _ = run(capsys, "dual", "--q", "4", "--n", "7",
                   "--metric", "hermitian", "--spec", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,hint", [
+    (("verify", "--group", "quaternion", "--metric", "hermitian"),
+     "rerun with --group dihedral"),
+    (("count", "--q", "9", "--n", "7", "--group", "quaternion",
+      "--metric", "hermitian"), "rerun with --group dihedral --n 14"),
+])
+def test_quaternion_hermitian_hint(capsys, argv, hint):
+    # the dihedral order is named only when --n was given
+    assert cli.main(list(argv)) == 2
+    assert capsys.readouterr().err.rstrip().endswith(hint)

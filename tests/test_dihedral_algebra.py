@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from groupcodes import dihedral_algebra as da
-from groupcodes import oracle
+from groupcodes import linalg, oracle
 from groupcodes.fields import ZERO
 
 SYSTEMS = [(16, 9), (7, 4), (3, 25), (10, 9), (5, 9)]
@@ -105,8 +105,7 @@ def test_rho_is_multiplicative(n, Q, mode):
     for _ in range(8):
         u, v = random_vec(dec, rng), random_vec(dec, rng)
         w = oracle.group_mul(dec.alphabet, table, u, v)
-        lhs = dec.rho(w)
-        ru, rv = dec.rho(u), dec.rho(v)
+        lhs, ru, rv = dec.rho(np.stack([w, u, v]))
         rhs = [da.slot_mul(s, x, y) for s, x, y in zip(dec.slots(), ru, rv)]
         assert lhs == rhs
 
@@ -116,18 +115,18 @@ def test_rho_is_multiplicative(n, Q, mode):
 def test_round_trip(n, Q, mode):
     dec = dec_for(n, Q, mode)
     rng = np.random.default_rng(17 * n + Q)
-    for _ in range(5):
-        u = random_vec(dec, rng)
-        assert np.array_equal(dec.rho_inv(dec.rho(u)), u)
-        coords = rng.integers(0, Q, dec.length).astype(np.int32)
-        assert np.array_equal(dec.to_flat(dec.from_flat(coords)), coords)
+    U = np.array([random_vec(dec, rng) for _ in range(5)])
+    assert np.array_equal(dec.rho_inv(dec.rho(U)), U)
+    ident = np.eye(dec.length, dtype=np.int32)  # index 1 is the element one
+    assert np.array_equal(linalg.matmul(dec.alphabet, dec.mat_inv, dec.mat), ident)
+    assert np.array_equal(linalg.matmul(dec.alphabet, dec.mat, dec.mat_inv), ident)
 
 
 def test_identity_element_maps_to_all_ones():
     dec = dec_for(16, 9, da.HERMITIAN)
     e = np.zeros(32, dtype=np.int32)
     e[0] = 1  # the group identity with coefficient 1
-    vals = dec.rho(e)
+    vals, = dec.rho(e[None])
     assert vals == [da.slot_one(s) for s in dec.slots()]
 
 

@@ -141,16 +141,14 @@ def test_rejects_non_ideals():
     j = next(i for i, s in enumerate(slots) if s.kind == da.MAT_SLOT)
     values = [da.slot_zero(s) for s in slots]
     values[j] = (dec.F.one, ZERO, ZERO, ZERO)
-    row = dec.rho_inv(values)
     with pytest.raises(ic.NotAnIdealError):
-        ic.code_to_ideal(dec, row.reshape(1, -1))
+        ic.code_to_ideal(dec, dec.rho_inv([values]))
 
     dec2 = dihedral(7, 4, da.EUCLIDEAN)
     values = [da.slot_zero(s) for s in dec2.slots()]
     values[0] = (dec2.F.one, ZERO)  # wrong line inside the local slot
-    row = dec2.rho_inv(values)
     with pytest.raises(ic.NotAnIdealError, match="line"):
-        ic.code_to_ideal(dec2, row.reshape(1, -1))
+        ic.code_to_ideal(dec2, dec2.rho_inv([values]))
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +198,11 @@ def test_parse_rejects_malformed():
         ic.parse_spec(dec, "b0:e01; b1:zero")
     with pytest.raises(ValueError):
         ic.parse_spec(dec, "b0:mid; b1:row(x)")
+    with pytest.raises(ValueError, match="not valid for a mat slot"):
+        ic.parse_spec(dec, "b0:zero; b1:mid")
+    with pytest.raises(ValueError, match="not valid for a c2 slot"):
+        ic.parse_spec(dec, "b0:row(0); b1:zero")
+    field_dec = dihedral(10, 9, da.HERMITIAN)   # b0 holds two field slots
+    text = ic.format_spec(field_dec, ic.zero_spec(field_dec))
+    with pytest.raises(ValueError, match="not valid for a field slot"):
+        ic.parse_spec(field_dec, text.replace("zero", "e01", 1))

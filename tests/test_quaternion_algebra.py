@@ -100,8 +100,7 @@ def test_psi_is_multiplicative(n, q):
         u = rng.integers(0, q, dec.length).astype(np.int32)
         v = rng.integers(0, q, dec.length).astype(np.int32)
         w = oracle.group_mul(dec.alphabet, table, u, v)
-        lhs = dec.rho(w)
-        ru, rv = dec.rho(u), dec.rho(v)
+        lhs, ru, rv = dec.rho(np.stack([w, u, v]))
         rhs = [da.slot_mul(s, x, y) for s, x, y in zip(dec.slots(), ru, rv)]
         assert lhs == rhs
 
@@ -110,9 +109,8 @@ def test_psi_is_multiplicative(n, q):
 def test_round_trip(n, q):
     dec = dec_for(n, q)
     rng = np.random.default_rng(3 * n + q)
-    for _ in range(5):
-        u = rng.integers(0, q, dec.length).astype(np.int32)
-        assert np.array_equal(dec.rho_inv(dec.rho(u)), u)
+    U = rng.integers(0, q, (5, dec.length)).astype(np.int32)
+    assert np.array_equal(dec.rho_inv(dec.rho(U)), U)
 
 
 # ---------------------------------------------------------------------------

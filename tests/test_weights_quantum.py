@@ -161,12 +161,14 @@ def test_exhaustive_budget_guard():
         wq.min_distance_exhaustive(dec.alphabet, code, budget=1000)
 
 
-def test_tiny_work_cap_reports_upper_bound():
+def test_tiny_work_cap_reports_upper_bound(monkeypatch):
     dec = dihedral(10, 9, da.HERMITIAN)
     rng = np.random.default_rng(4)
     spec = small_ideals(dec, rng, 1, 8)[0]
     code = ic.ideal_to_code(dec, spec)
-    res = wq.min_distance_isd(dec.alphabet, code, max_work=2)
+    monkeypatch.setattr(wq, "DEFAULT_WORK", 2)
+    res = wq.min_distance_isd(dec.alphabet, code)
+    monkeypatch.undo()
     assert res.status == wq.UPPER_BOUND
     exact = wq.min_distance_isd(dec.alphabet, code,
                                 automorphism=wq.code_automorphism(dec))
@@ -204,7 +206,7 @@ def test_information_set_is_first_independent_columns(system):
     rng = np.random.default_rng(dec.length)
     for spec in small_ideals(dec, rng, 4, dec.length):
         G = ic.ideal_to_code(dec, spec)
-        search = wq._Search(sub, G, None, pi, wq.DEFAULT_WORK)
+        search = wq._Search(sub, G, None, pi)
         # reference: walk the columns left to right, keep each column that
         # raises the rank
         want: list[int] = []
