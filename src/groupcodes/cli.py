@@ -133,7 +133,7 @@ def _factor_str(dec, factor) -> str:
 # configuration and system construction
 
 
-def _parse_args(argv) -> RunConfig:
+def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="groupcodes",
         description="group-algebra codes: decomposition, duality, CSS search")
@@ -148,14 +148,16 @@ def _parse_args(argv) -> RunConfig:
         p.add_argument("--n", type=int, default=None,
                        help="rotation order (dihedral D_n) or half-order "
                             "(quaternion Q_n)")
+        # None until given, so that verify can refuse one it would ignore
         p.add_argument("--group", choices=(DIHEDRAL, QUATERNION),
-                       default=DIHEDRAL)
+                       default=None, help=f"default {DIHEDRAL}")
         p.add_argument("--metric", choices=(da.EUCLIDEAN, da.HERMITIAN),
-                       default=da.EUCLIDEAN)
+                       default=None, help=f"default {da.EUCLIDEAN}")
         p.add_argument("--isd-weight", type=int, default=None,
                        help="stop distance enumeration after this "
-                            "information weight (status degrades to "
-                            "upper_bound when the bound is not closed)")
+                            "information weight, at least 1 (status "
+                            "degrades to upper_bound when the bound is not "
+                            "closed)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="json")
@@ -163,35 +165,47 @@ def _parse_args(argv) -> RunConfig:
                        help="file of spec serializations, one per line")
         p.add_argument("--limit", type=int, default=None,
                        help="evaluate at most this many specs")
-    ns = parser.parse_args(argv)
-    return RunConfig(command=ns.command, q=ns.q, n=ns.n, group=ns.group,
-                     metric=ns.metric, isd_weight=ns.isd_weight,
-                     seed=ns.seed, format=ns.format, spec=ns.spec,
-                     limit=ns.limit)
+    return parser.parse_args(argv)
 
 
-def _validate(cfg: RunConfig) -> None:
-    if cfg.command != "verify" and (cfg.q is None or cfg.n is None):
-        raise CliError(f"{cfg.command} needs --q and --n")
-    if (cfg.q is None) != (cfg.n is None):
+def _config(ns: argparse.Namespace) -> RunConfig:
+    """The run configuration, with the defaults of --group and --metric."""
+    return RunConfig(command=ns.command, q=ns.q, n=ns.n,
+                     group=ns.group or DIHEDRAL,
+                     metric=ns.metric or da.EUCLIDEAN,
+                     isd_weight=ns.isd_weight, seed=ns.seed, format=ns.format,
+                     spec=ns.spec, limit=ns.limit)
+
+
+def _validate(ns: argparse.Namespace) -> None:
+    """Input errors in the parsed arguments, before defaults fill them in."""
+    if ns.command != "verify" and (ns.q is None or ns.n is None):
+        raise CliError(f"{ns.command} needs --q and --n")
+    if (ns.q is None) != (ns.n is None):
         raise CliError("verify needs both --q and --n, or neither")
-    if cfg.q is not None:
+    if ns.q is not None:
         try:
-            split_prime_power(cfg.q)
+            split_prime_power(ns.q)
         except ValueError as e:
             raise CliError(str(e)) from None
-    for flag, value in (("--limit", cfg.limit),
-                        ("--isd-weight", cfg.isd_weight)):
-        if value is not None and value < 0:
-            raise CliError(f"{flag} must not be negative")
-    if cfg.command == "verify" and cfg.limit == 0:
+    if ns.limit is not None and ns.limit < 0:
+        raise CliError("--limit must not be negative")
+    if ns.isd_weight is not None and ns.isd_weight < 1:
+        # information weight 0 enumerates no codeword: no bound at all
+        raise CliError("--isd-weight must be at least 1")
+    if ns.command == "verify" and ns.limit == 0:
         raise CliError("verify --limit 0 would check no spec")
-    if cfg.group == QUATERNION and cfg.metric == da.HERMITIAN:
-        n_hint = "" if cfg.n is None else f" --n {2 * cfg.n}"
+    if ns.group == QUATERNION and ns.metric == da.HERMITIAN:
+        n_hint = "" if ns.n is None else f" --n {2 * ns.n}"
         raise CliError(
             "hermitian duality of a quaternion algebra is handled through "
             f"the isomorphic dihedral algebra: rerun with --group dihedral"
             f"{n_hint}")
+    if ns.q is None:
+        # the default verify matrix fixes each system's group and metric
+        for flag, value in (("--group", ns.group), ("--metric", ns.metric)):
+            if value is not None:
+                raise CliError(f"verify {flag} needs --q and --n")
 
 
 def build_system(group: str, n: int, q: int, metric: str):
@@ -483,12 +497,13 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        cfg = _parse_args(argv)
+        ns = _parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     warnings: list = []
     try:
-        _validate(cfg)
+        _validate(ns)
+        cfg = _config(ns)
         results = _COMMANDS[cfg.command](cfg, warnings)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

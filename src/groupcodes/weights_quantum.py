@@ -13,16 +13,26 @@ yet, in the code or off a subcode that G also fixes, has
 for any information set.  Only transitivity is used, and the search checks
 it.  It stops once the bound meets the best word found: then d is exact.
 
+Both scans weigh words by comparison: coordinate j of H + L vanishes
+exactly when L[j] = -H[j], so the weights of all sums H[a] + L[b] of two
+blocks of words take one comparison per coordinate (`_zero_counts`), and
+only a word that may be the lightest is ever added up.
+
+The enumeration walks the weight-w supports in combinations order, in
+chunks of about BATCH words.  From a table of every unit multiple of every
+row, the prefixes of a chunk (the leading row, then unit multiples of the
+rows up to the last) take one gather per support position, and the last
+row's negated multiples are compared against them.  Words come in support
+order, then unit tuples with the first scalar most significant; the first
+lightest word is the witness.
+
 The exhaustive reference scans one codeword per projective message of a
 row-reduced basis: a leading 1 at each position in turn, then every choice
 of the trailing digits.  It splits the trailing rows in two.  The low part,
-the last l rows with q^l <= EXHAUSTIVE_BATCH, is tabulated once as a table
-L of all q^l combinations.  The high part is walked in steps, each giving
-a block H of words (the leading row plus a high combination).  Coordinate
-j of H[a] + L[b] vanishes exactly when L[b, j] = -H[a, j], so the weights
-of a whole step come from one comparison per coordinate, and only the
-lightest word is ever added up.  The first lightest word in message order
-is the witness.
+the last l rows with q^l <= BATCH, is tabulated once as a table L of all
+q^l combinations.  The high part is walked in steps, each giving a block H
+of words (the leading row plus a high combination), weighed against L by
+comparison.  The first lightest word in message order is the witness.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from .fields import Subfield
 from .ideals_codes import ideal_to_code
 
 DEFAULT_WORK = 2 * 10 ** 8  # codewords one search may enumerate
-EXHAUSTIVE_BATCH = 4096    # projective messages per step of the exhaustive scan
+BATCH = 4096               # words weighed per step of either scan
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
 
@@ -59,6 +69,16 @@ class QuantumRecord:
     distance: DistanceResult     # lightest codeword outside the stabilizer
     floor: DistanceResult        # plain minimum distance of the big code
     self_dual: bool
+
+
+def _zero_counts(neg: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """zeros[..., a, b]: coordinates where neg[..., a, :] == L[..., b, :].
+
+    With neg = -H that is the number of zeros of H[a] + L[b].  The count
+    is int16, which holds any length below 2^15.
+    """
+    return np.add.reduce(neg[..., :, None, :] == L[..., None, :, :],
+                         axis=-1, dtype=np.int16)
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +109,7 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
     for lead in range(k):
         free = k - 1 - lead
         low = 0
-        while low < free and q ** (low + 1) <= EXHAUSTIVE_BATCH:
+        while low < free and q ** (low + 1) <= BATCH:
             low += 1
         high = free - low
         # all q^low combinations of the last `low` rows, first row most
@@ -98,16 +118,14 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
         for row in G[k - low:]:
             scaled = sub.mul_t[np.arange(q)[:, None], row[None, :]]
             L = sub.add_t[L[:, None, :], scaled[None, :, :]].reshape(-1, n)
-        step = EXHAUSTIVE_BATCH // len(L)
+        step = BATCH // len(L)
         for start in range(0, q ** high, step):
             stop = min(start + step, q ** high)
             msgs = np.zeros((stop - start, 1 + high), dtype=G.dtype)
             msgs[:, 0] = 1
             msgs[:, 1:] = _mixed_radix(start, stop, high, q)
             H = linalg.matmul(sub, msgs, G[lead:k - low])
-            # H[a] + L[b] vanishes at j exactly where L[b, j] = -H[a, j]
-            zeros = np.count_nonzero(
-                sub.neg_t[H][:, None, :] == L[None, :, :], axis=2)
+            zeros = _zero_counts(sub.neg_t[H], L)
             i = int(zeros.argmax())
             weight = n - int(zeros.flat[i])
             if best is None or weight < best:
@@ -158,6 +176,10 @@ class _Search:
         # the pivots are an information set, and Gs is the identity there
         self.sub, self.Gs, self.info = sub, R[:len(piv)], piv
         self.k, self.n = self.Gs.shape
+        # scaled[r, u - 1] = u Gs[r] for every unit u, and its negative
+        units = np.arange(1, sub.q, dtype=self.Gs.dtype)
+        self.scaled = sub.mul_t[units[None, :, None], self.Gs[:, None, :]]
+        self.neg_scaled = sub.neg_t[self.scaled]
         self.max_weight = max_weight
         self.work = 0
 
@@ -204,20 +226,38 @@ class _Search:
 
     def _enumerate_weight(self, w: int) -> bool:
         """All codewords of information weight w; False when out of budget."""
-        q = self.sub.q
-        units = np.arange(1, q, dtype=self.Gs.dtype)
-        for support in itertools.combinations(range(self.k), w):
-            cost = (q - 1) ** (w - 1)
-            if self.work + cost > DEFAULT_WORK:
+        cost = (self.sub.q - 1) ** (w - 1)   # words per support
+        supports = itertools.combinations(range(self.k), w)
+        while chunk := list(itertools.islice(supports, max(1, BATCH // cost))):
+            room = (DEFAULT_WORK - self.work) // cost
+            if room:
+                self._weigh(np.array(chunk[:room]))
+                self.work += cost * min(room, len(chunk))
+            if room < len(chunk):
                 return False
-            self.work += cost
-            words = self.Gs[support[0]][None, :]
-            for row in support[1:]:
-                scaled = self.sub.mul_t[units[:, None], self.Gs[row][None, :]]
-                words = self.sub.add_t[words[:, None, :], scaled[None, :, :]]
-                words = words.reshape(-1, self.n)
-            self._take(words, np.count_nonzero(words, axis=1))
         return True
+
+    def _weigh(self, C: np.ndarray) -> None:
+        """Pass the words of the supports C (one per row) that are lighter
+        than a current best to _take, in enumeration order."""
+        sub, n = self.sub, self.n
+        P = self.Gs[C[:, 0]][:, None, :]   # the prefixes of each support
+        for col in C[:, 1:-1].T:
+            P = sub.add_t[P[:, :, None, :], self.scaled[col][:, None, :, :]]
+            P = P.reshape(len(C), -1, n)
+        # the last row's negated unit multiples; a leading row alone is
+        # weighed against the zero word
+        L = (self.neg_scaled[C[:, -1]] if C.shape[1] > 1
+             else np.zeros((len(C), 1, n), dtype=P.dtype))
+        weights = n - _zero_counts(P, L)
+        cap = self.best_any if self.best_any is not None else n + 1
+        if self.exclude is not None:
+            cap = n + 1 if self.best_out is None else max(cap, self.best_out)
+        keep = np.flatnonzero(weights < cap)
+        if keep.size:
+            s, p, u = np.unravel_index(keep, weights.shape)
+            words = sub.add_t[P[s, p], sub.neg_t[L[s, u]]]
+            self._take(words, weights.ravel()[keep])
 
     def _done(self, lb: int) -> bool:
         if self.best_any is None or lb < self.best_any:

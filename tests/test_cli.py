@@ -247,9 +247,11 @@ def test_matmul_calls_per_run(capsys, monkeypatch):
 @pytest.mark.parametrize("command,records,tests", [
     # 62 invariance checks (two automorphisms, on each of the 20 codes and
     # 11 excluded subcodes), 42 witness re-checks (20 floor witnesses,
-    # two for each of the 11 outside witnesses), 12 batches of candidates
-    # lighter than the best outside word
-    ("css-search", 20, 116),
+    # two for each of the 11 outside witnesses), and one batch of
+    # candidates lighter than the best outside word for each of the 11
+    # excluded subcodes: every search here closes after information
+    # weight 1, whose k supports are one chunk
+    ("css-search", 20, 115),
     # one batch per nonzero self-orthogonal record (19, the witness)
     ("enumerate", 201, 19),
 ])
@@ -284,13 +286,19 @@ def test_css_search_skips_non_selforth_specs(capsys, tmp_path):
     assert any("skipped" in w for w in doc["warnings"])
 
 
-def test_css_search_isd_weight_cap_degrades_status(capsys):
-    doc = run_json(capsys, "css-search", "--q", "9", "--n", "10",
-                   "--metric", "hermitian", "--limit", "3",
-                   "--isd-weight", "0")
-    assert all(r["distance"] is None for r in doc["results"])
-    assert all(r["distance_status"] == "upper_bound"
-               for r in doc["results"])
+def test_css_search_isd_weight_cap_degrades_status(capsys, tmp_path):
+    # a [[20, 12]] code: information weight 1 finds a word of weight 4 but
+    # bounds unseen words only by ceil(20 * 2 / 16) = 3; weight 2 closes it
+    path = tmp_path / "specs.txt"
+    path.write_text("b0:(zero,zero); b1:(zero,zero); b2:(e01,zero); "
+                    "b3:(row(0),zero)\n")
+    argv = ("css-search", "--q", "9", "--n", "10", "--metric", "hermitian",
+            "--spec", str(path))
+    (capped,) = run_json(capsys, *argv, "--isd-weight", "1")["results"]
+    (full,) = run_json(capsys, *argv)["results"]
+    assert capped["distance_status"] == capped["floor_status"] == "upper_bound"
+    assert full["distance_status"] == full["floor_status"] == "exact"
+    assert capped["distance"] == full["distance"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +385,34 @@ def test_text_render(capsys):
     # verify checks one system (both --q and --n) or the default matrix
     ("verify", "--q", "9", "--limit", "1"),
     ("verify", "--n", "7", "--limit", "1"),
+    # the default matrix fixes each system's group and metric
+    ("verify", "--group", "quaternion", "--limit", "1"),
+    ("verify", "--metric", "hermitian", "--limit", "1"),
+    ("verify", "--group", "dihedral", "--limit", "1"),
+    # information weight 0 bounds nothing
+    ("css-search", "--q", "4", "--n", "7", "--metric", "hermitian",
+     "--isd-weight", "0"),
 ])
 def test_error_exits(capsys, argv):
     code, _ = run(capsys, *argv)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("css-search", "--q", "4", "--n", "7", "--metric", "hermitian",
+      "--isd-weight", "0"), "--isd-weight must be at least 1"),
+    (("verify", "--group", "quaternion", "--limit", "1"),
+     "verify --group needs --q and --n"),
+    (("verify", "--metric", "hermitian", "--limit", "1"),
+     "verify --metric needs --q and --n"),
+])
+def test_input_error_message(capsys, argv, message):
+    # one stderr line and no output, not a record that bounds nothing or
+    # a check of systems the flag did not ask for
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_internal_error_exit(capsys, monkeypatch):

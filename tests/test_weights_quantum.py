@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 from unittest import mock
 
 import numpy as np
@@ -76,7 +78,7 @@ _FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2), 25: (5, 2)}
 @settings(max_examples=150, deadline=None)
 @given(q=st.sampled_from(sorted(_FIELDS)), k=st.integers(1, 5),
        extra=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1),
-       batch=st.sampled_from([wq.EXHAUSTIVE_BATCH, 2, 5, 16, 100]))
+       batch=st.sampled_from([wq.BATCH, 2, 5, 16, 100]))
 def test_exhaustive_matches_reference_scan(q, k, extra, seed, batch):
     # a smaller step size moves the low/high split, so that small codes
     # also get a high part of several digits (batch 2 over GF(2)) or no low
@@ -88,7 +90,7 @@ def test_exhaustive_matches_reference_scan(q, k, extra, seed, batch):
     G = rng.integers(0, q, size=(k, k + extra)).astype(np.int32)
     G[0, int(rng.integers(k + extra))] = 1   # never the zero code
     want = reference_exhaustive(sub, G)
-    with mock.patch.object(wq, "EXHAUSTIVE_BATCH", batch):
+    with mock.patch.object(wq, "BATCH", batch):
         got = wq.min_distance_exhaustive(sub, G)
     assert got == want
 
@@ -320,6 +322,98 @@ def test_excluding_everything_runs_to_exhaustion():
     floor, outside = wq.min_distance_isd_excluding(dec.alphabet, code, code)
     assert outside.value is None and outside.status == wq.EXACT
     assert floor.value is not None
+
+
+class _PerSupport(wq._Search):
+    """The enumeration before chunking: one chain of table gathers and one
+    weight count per support, and the budget checked support by support."""
+
+    def _enumerate_weight(self, w):
+        q = self.sub.q
+        units = np.arange(1, q, dtype=self.Gs.dtype)
+        for support in itertools.combinations(range(self.k), w):
+            cost = (q - 1) ** (w - 1)
+            if self.work + cost > wq.DEFAULT_WORK:
+                return False
+            self.work += cost
+            words = self.Gs[support[0]][None, :]
+            for row in support[1:]:
+                scaled = self.sub.mul_t[units[:, None], self.Gs[row][None, :]]
+                words = self.sub.add_t[words[:, None, :], scaled[None, :, :]]
+                words = words.reshape(-1, self.n)
+            self._take(words, np.count_nonzero(words, axis=1))
+        return True
+
+
+def css_pairs(dec, seed, count):
+    """(big, small) codes of random hermitian self-orthogonal specs: the
+    dual code and the code, as css_hermitian builds them."""
+    options = [du.selforth_block_options(dec, b) for b in dec.blocks]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        spec = tuple(x for opts in options
+                     for x in opts[int(rng.integers(len(opts)))])
+        yield (ic.ideal_to_code(dec, du.dual_spec(dec, spec)),
+               ic.ideal_to_code(dec, spec))
+
+
+@pytest.mark.parametrize("work", [None, 1, 7, 50, 300])
+@pytest.mark.parametrize("n,Q", [(7, 4), (10, 9)])
+def test_chunked_enumeration_matches_per_support(monkeypatch, n, Q, work):
+    # the budgets of 1 to 300 words end the search inside a chunk: at the
+    # first or second information weight, with or without the orbit bound
+    # (without it, information weight 3 is the last one the reference
+    # walks in good time)
+    if work is not None:
+        monkeypatch.setattr(wq, "DEFAULT_WORK", work)
+    dec = dihedral(n, Q, da.HERMITIAN)
+    sub, pi = dec.alphabet, wq.code_automorphism(dec)
+    pairs = list(css_pairs(dec, n, 8))
+    if (n, Q) == (7, 4):
+        # a subcode holding every lightest word: floor 4, outside 6
+        pairs.append(tuple(ic.ideal_to_code(dec, ic.parse_spec(dec, text))
+                           for text in ("b0:mid; b1:e01", "b0:zero; b1:e01")))
+    for big, small in pairs:
+        for exclude, (automorphism, max_weight) in itertools.product(
+                (None, small), ((pi, None), (None, 3))):
+            want = _PerSupport(sub, big, exclude, automorphism, max_weight)
+            got = wq._Search(sub, big, exclude, automorphism, max_weight)
+            assert got.run() == want.run()
+            assert got.work == want.work
+
+
+def test_chunked_enumeration_keeps_outside_candidates():
+    # after weight 1, the floor is 1 (inside the subcode) and the best
+    # outside word has weight 5; the word of weight 3 met at weight 2 is
+    # heavier than the floor but must still reach _take
+    sub = build_field(2, 1).subfield(2)
+    G = np.array([[1, 0, 0, 0, 0, 0, 0, 0],
+                  [0, 1, 0, 1, 1, 1, 1, 1],
+                  [0, 0, 1, 1, 1, 1, 1, 0]], dtype=np.int16)
+    want = _PerSupport(sub, G, G[:1], None).run()
+    got = wq._Search(sub, G, G[:1], None).run()
+    assert got == want
+    assert (got[0].value, got[1].value) == (1, 3)
+
+
+@pytest.mark.parametrize("n,Q", [(7, 4), (10, 9)])
+def test_chunked_enumeration_order(monkeypatch, n, Q):
+    # while no word is kept, every word reaches _take: the chunks must hand
+    # over the per-support walk's words and weights in its order
+    def record(search, words, weights):
+        search.seen.extend(zip(map(tuple, words.tolist()), weights.tolist()))
+
+    monkeypatch.setattr(wq._Search, "_take", record)
+    dec = dihedral(n, Q, da.HERMITIAN)
+    for big, _ in css_pairs(dec, n, 4):
+        want = _PerSupport(dec.alphabet, big, None, None, 3)
+        got = wq._Search(dec.alphabet, big, None, None, 3)
+        want.seen, got.seen = [], []
+        want.run(), got.run()
+        assert got.seen == want.seen
+        assert len(got.seen) == sum(
+            math.comb(big.shape[0], w) * (Q - 1) ** (w - 1)
+            for w in range(1, min(big.shape[0], 3) + 1))
 
 
 # ---------------------------------------------------------------------------
