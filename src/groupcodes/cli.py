@@ -455,8 +455,23 @@ def cmd_verify(cfg: RunConfig, warnings: list) -> list:
 # output rendering
 
 
+def _dump(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
 def _render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """``_dump(payload)`` and a newline, with each result encoded on its
+    own: json's indenting encoder gathers every token of a document in one
+    list, and for a whole census that list would be most of the command's
+    peak memory."""
+    results = payload["results"]
+    if not results:
+        return _dump(payload) + "\n"
+    # the results list sits two levels deep, so each result is indented by
+    # four spaces; no other bare list item is that deep
+    head, tail = _dump({**payload, "results": [None]}).split("\n    null\n")
+    body = ",\n    ".join([_dump(r).replace("\n", "\n    ") for r in results])
+    return "".join([head, "\n    ", body, "\n", tail, "\n"])
 
 
 def _render_csv(results: list) -> str:

@@ -361,7 +361,7 @@ def build_field(p: int, m: int, budget: int = DEFAULT_FIELD_BUDGET) -> FieldTabl
 
 
 MAX_TABLE_ORDER = 4096
-_TABLES = ("add_t", "mul_t", "neg_t", "inv_t")
+_TABLES = ("add_t", "mul_t", "neg_t", "inv_t", "coord_t", "mulmat_t", "pack_t")
 
 
 class Subfield:
@@ -369,9 +369,15 @@ class Subfield:
 
     Elements get compact indices 0..q-1: index 0 is zero and index i >= 1 is
     gen^(i-1) where gen = xi^step is the canonical subfield generator.
-    numpy tables (add_t, mul_t, neg_t, inv_t) operate on these indices.
-    They are built on first access, so block fields, which only need
-    ``elements`` / ``dlog`` / ``contains``, never pay for them.
+    numpy tables (add_t, mul_t, neg_t, inv_t) operate on these indices, and
+    three more give the regular representation over GF(p) in a basis of
+    GF(q): coord_t[i] holds the e coordinates of index i, mulmat_t[i] the
+    e x e matrix M with coords(x * i) = coords(x) @ M, and pack_t maps the
+    base-p number of a coordinate vector (first coordinate least
+    significant) back to its index.  The coordinate tables are float64 so
+    products of them go straight to BLAS.  All seven are built on first
+    access, so block fields, which only need ``elements`` / ``dlog`` /
+    ``contains``, never pay for them.
     """
 
     def __init__(self, master: FieldTable, q: int):
@@ -421,7 +427,7 @@ class Subfield:
     # -- numpy tables --------------------------------------------------------
 
     def __getattr__(self, name):
-        # only reached while the tables are missing: build all four at once
+        # only reached while the tables are missing: build all at once
         if name not in _TABLES:
             raise AttributeError(name)
         self._build_tables()
@@ -450,6 +456,34 @@ class Subfield:
         self.neg_t = self.mul_t[self.index(self.master.minus_one)].copy()
         self.inv_t = np.zeros(q, dtype=np.int16)
         self.inv_t[1:] = (-e) % m + 1
+        self._build_coordinate_tables()
+
+    def _build_coordinate_tables(self):
+        """The regular representation over GF(p).
+
+        The master's packed coefficient vectors of the q elements form an
+        e-dimensional subspace of GF(p)^m.  Its pivot columns J (where the
+        rank grows, left to right) read coordinates off as x -> x[J], in the
+        basis whose J-parts are the unit vectors.
+        """
+        F, p, q = self.master, self.p, self.q
+        packed = np.zeros(q, dtype=np.int64)
+        packed[1:] = F.exp[::self.step]
+        digits = packed[:, None] // p ** np.arange(F.m) % p
+        J: list[int] = []
+        for c in range(F.m):
+            if len(J) == self.degree:
+                break
+            codes = digits[:, J + [c]] @ p ** np.arange(len(J) + 1)
+            if np.count_nonzero(np.bincount(codes)) > p ** len(J):
+                J.append(c)
+        coords = digits[:, J]
+        self.pack_t = np.empty(q, dtype=np.int16)
+        self.pack_t[coords @ p ** np.arange(self.degree)] = np.arange(q)
+        basis = self.pack_t[p ** np.arange(self.degree)]
+        self.coord_t = coords.astype(np.float64)
+        # mulmat_t[y, i] = coords(basis[i] * y)
+        self.mulmat_t = self.coord_t[self.mul_t[basis]].transpose(1, 0, 2).copy()
 
 
 # ---------------------------------------------------------------------------

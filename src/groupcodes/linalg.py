@@ -2,8 +2,21 @@
 
 Matrices here are 2-D numpy integer arrays whose entries are *indices* into
 a :class:`~groupcodes.fields.Subfield` (0 = zero, i >= 1 = gen^(i-1)), so
-row reduction and products run through the subfield's dense lookup tables
-instead of per-scalar Python arithmetic.
+row reduction runs through the subfield's dense lookup tables instead of
+per-scalar Python arithmetic.
+
+Products use the regular representation of GF(p^e) over GF(p): A @ B
+expands A to its (m, n e) coordinates and B to (n e, l e) blocks of
+multiplication matrices, takes one float64 product mod p, and gathers the
+coordinate vectors back to indices.  The product is exact while
+n e (p - 1)^2 < 2^53, which ``matmul`` checks: every alphabet with tables
+(q <= MAX_TABLE_ORDER) allows inner dimensions n above 5 * 10^8.  A prime
+alphabet is the case e = 1, plain (A @ B) % p.
+
+Membership is one product: a row v lies in the row space of an RREF R with
+pivots P exactly when v == v[P] @ R.  ``rref`` hands back a copy of an
+input that is already reduced, found by a constant number of whole-matrix
+checks, without elimination.
 """
 
 from __future__ import annotations
@@ -16,17 +29,45 @@ from .fields import Subfield
 def matmul(sub: Subfield, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
-    C = np.zeros((A.shape[0], B.shape[1]), dtype=A.dtype)
-    for j in range(A.shape[1]):
-        C = sub.add_t[C, sub.mul_t[A[:, j][:, None], B[j][None, :]]]
-    return C
+    (m, n), l, e, p = A.shape, B.shape[1], sub.degree, sub.p
+    if n * e * (p - 1) ** 2 >= 2 ** 53:
+        raise AssertionError("the expanded product would not be exact")
+    X = sub.coord_t[A].reshape(m, n * e)
+    Y = sub.mulmat_t[B].transpose(0, 2, 1, 3).reshape(n * e, l * e)
+    C = X @ Y
+    C %= p
+    codes = C.reshape(m, l, e) @ (float(p) ** np.arange(e))
+    return sub.pack_t[codes.astype(np.intp)]
+
+
+def _reduced_pivots(A: np.ndarray) -> tuple[int, ...] | None:
+    """The pivots of A if it is already in RREF, else None.
+
+    With r nonzero rows, A is reduced when the first nonzero entries of its
+    first r rows lie in strictly increasing columns, and those columns are
+    the first r unit columns (index 1 is the element 1).  A zero row among
+    the first r fails the second test: its lead would read as column 0.
+    """
+    nonzero = A != 0
+    r = int(nonzero.any(axis=1).sum())
+    if r == 0:
+        return ()
+    lead = nonzero[:r].argmax(axis=1)
+    unit = np.eye(A.shape[0], r, dtype=A.dtype)
+    if (lead[1:] <= lead[:-1]).any() or (A[:, lead] != unit).any():
+        return None
+    return tuple(lead.tolist())
 
 
 def rref(sub: Subfield, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form; returns (R, pivot columns).
 
-    R has the same shape as A (zero rows at the bottom are kept).
+    R has the same shape as A (zero rows at the bottom are kept).  A
+    matrix already in RREF comes back as a copy, without elimination.
     """
+    reduced = _reduced_pivots(A)
+    if reduced is not None:
+        return A.copy(), reduced
     R = A.copy()
     nrows, ncols = R.shape
     pivots = []
@@ -76,11 +117,13 @@ def nullspace(sub: Subfield, A: np.ndarray) -> np.ndarray:
 
 def in_row_space(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],
                  V: np.ndarray) -> np.ndarray:
-    """Which rows of V lie in the row space of the RREF (R, pivots)."""
-    W = V
-    for i, c in enumerate(pivots):
-        W = sub.add_t[W, sub.mul_t[sub.neg_t[W[:, c]][:, None], R[i][None, :]]]
-    return ~W.any(axis=1)
+    """Which rows of V lie in the row space of the RREF (R, pivots).
+
+    The pivot entries of a row of the row space are its coefficients, so v
+    is in it exactly when v == v[pivots] @ R.
+    """
+    back = matmul(sub, V[:, list(pivots)], R[:len(pivots)])
+    return (back == V).all(axis=1)
 
 
 def row_space_contains(sub: Subfield, A: np.ndarray, B: np.ndarray) -> bool:

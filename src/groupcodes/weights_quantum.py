@@ -158,11 +158,14 @@ def _is_transitive(perms: np.ndarray) -> bool:
 
 
 def _check_invariant(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],
-                     perm: np.ndarray) -> None:
-    """The permuted rows of the RREF (R, pivots) stay in its row space."""
-    moved = np.empty_like(R)
-    moved[:, perm] = R
-    if not linalg.in_row_space(sub, R, pivots, moved).all():
+                     perms: np.ndarray) -> None:
+    """The rows of the RREF (R, pivots), moved by every permutation (one
+    per row of perms), stay in its row space: one membership test."""
+    basis = R[:len(pivots)]
+    # coordinate perm[j] of a moved row is coordinate j of the row
+    moved = basis[:, np.argsort(perms, axis=1)].transpose(1, 0, 2)
+    if not linalg.in_row_space(sub, R, pivots,
+                               moved.reshape(-1, R.shape[1])).all():
         raise AssertionError("permutation does not preserve the code")
 
 
@@ -192,10 +195,9 @@ class _Search:
             if not _is_transitive(perms):
                 raise ValueError("the automorphisms do not act transitively "
                                  "on the coordinates")
-            for perm in perms:
-                _check_invariant(sub, self.Gs, piv, perm)
-                if self.exclude is not None:
-                    _check_invariant(sub, *self.exclude, perm)
+            _check_invariant(sub, self.Gs, piv, perms)
+            if self.exclude is not None:
+                _check_invariant(sub, *self.exclude, perms)
 
         self.best_any: int | None = None
         self.best_out: int | None = None
@@ -279,25 +281,28 @@ class _Search:
         else:
             if w_stop == self.k:
                 status = EXACT   # every information pattern was visited
-        floor = self._checked(self.best_any, status, self.wit_any)
+        self._check_witnesses()
+        floor = DistanceResult(self.best_any, status, self.wit_any)
         if self.exclude is None:
             return floor, None
-        return floor, self._checked(self.best_out, status, self.wit_out,
-                                    outside=True)
+        return floor, DistanceResult(self.best_out, status, self.wit_out)
 
-    def _checked(self, value, status, witness, outside=False):
-        """Re-weigh the witness and test that it is a codeword (and, for
-        the outside result, that it is not in the excluded subcode)."""
-        if witness is not None:
-            wit = np.array(witness, dtype=self.Gs.dtype)[None]
-            if int(np.count_nonzero(wit)) != value:
-                raise AssertionError("distance witness has the wrong weight")
-            if not linalg.in_row_space(self.sub, self.Gs, self.info, wit)[0]:
-                raise AssertionError("distance witness is not a codeword")
-            if outside and linalg.in_row_space(self.sub, *self.exclude, wit)[0]:
-                raise AssertionError(
-                    "distance witness lies in the excluded subcode")
-        return DistanceResult(value, status, witness)
+    def _check_witnesses(self):
+        """Re-weigh the witnesses, test them for code membership in one
+        call, and test that the outside witness is not in the excluded
+        subcode."""
+        found = [(self.best_any, self.wit_any), (self.best_out, self.wit_out)]
+        found = [(value, wit) for value, wit in found if wit is not None]
+        if not found:
+            return
+        W = np.array([wit for _, wit in found], dtype=self.Gs.dtype)
+        if (np.count_nonzero(W, axis=1) != [value for value, _ in found]).any():
+            raise AssertionError("distance witness has the wrong weight")
+        if not linalg.in_row_space(self.sub, self.Gs, self.info, W).all():
+            raise AssertionError("distance witness is not a codeword")
+        if (self.wit_out is not None
+                and linalg.in_row_space(self.sub, *self.exclude, W[-1:])[0]):
+            raise AssertionError("distance witness lies in the excluded subcode")
 
 
 def min_distance_isd(sub: Subfield, G: np.ndarray, *,

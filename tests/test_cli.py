@@ -245,13 +245,14 @@ def test_matmul_calls_per_run(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command,records,tests", [
-    # 62 invariance checks (two automorphisms, on each of the 20 codes and
-    # 11 excluded subcodes), 42 witness re-checks (20 floor witnesses,
-    # two for each of the 11 outside witnesses), and one batch of
-    # candidates lighter than the best outside word for each of the 11
-    # excluded subcodes: every search here closes after information
-    # weight 1, whose k supports are one chunk
-    ("css-search", 20, 115),
+    # 31 invariance checks (both automorphisms at once, on each of the 20
+    # codes and 11 excluded subcodes), 31 witness re-checks (each record's
+    # witnesses tested for membership at once, and each of the 11 outside
+    # witnesses against its subcode), and one batch of candidates lighter
+    # than the best outside word for each of the 11 excluded subcodes:
+    # every search here closes after information weight 1, whose k
+    # supports are one chunk
+    ("css-search", 20, 73),
     # one batch per nonzero self-orthogonal record (19, the witness)
     ("enumerate", 201, 19),
 ])
@@ -340,6 +341,32 @@ def test_byte_identical_json(capsys):
     _, out2 = run(capsys, "css-search", "--q", "4", "--n", "7",
                   "--metric", "hermitian")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("css-search", "--q", "4", "--n", "7", "--metric", "hermitian"),
+    ("enumerate", "--q", "4", "--n", "7", "--metric", "hermitian",
+     "--limit", "3"),
+    ("decompose", "--q", "9", "--n", "10", "--metric", "hermitian"),
+    ("verify", "--q", "4", "--n", "7", "--limit", "2"),
+    ("css-search", "--q", "4", "--n", "7", "--metric", "hermitian",
+     "--limit", "0"),
+])
+def test_json_render_matches_one_dump(capsys, argv):
+    # results are encoded one at a time; the document must read as if
+    # encoded whole
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_json_render_nulls_and_nesting():
+    payload = {"config": {"limit": None, "shape": [None, [None]]},
+               "results": [{"witness": None, "rows": [[None, 1], []]},
+                           None, [None], {}, "a\n    null\n"],
+               "timings": {}, "warnings": ["w"]}
+    assert cli._render_json(payload) == \
+        json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_csv_render(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from groupcodes.fields import (
     DEFAULT_FIELD_BUDGET,
     ZERO,
+    _TABLES,
     FieldBudgetError,
     MissingSubfieldError,
     Subfield,
@@ -155,6 +156,28 @@ def test_tables_match_scalar_ops(p, m, q):
         assert S.element(int(S.mul_t[i, j])) == F.mul(a, b), (i, j)
     for t in (S.add_t, S.mul_t, S.neg_t, S.inv_t):
         assert t.dtype == np.int16
+    # the regular representation: coordinates are a bijection onto
+    # GF(p)^e, additive, and products are coordinates times a matrix
+    weights = p ** np.arange(S.degree)
+    codes = S.coord_t.astype(np.int64) @ weights
+    assert (S.pack_t[codes] == np.arange(q)).all()
+    i, j = np.array(pairs).T
+    coords = S.coord_t.astype(np.int64)
+    assert ((coords[i] + coords[j]) % p == coords[S.add_t[i, j]]).all()
+    prod = np.einsum("ka,kab->kb", coords[i], S.mulmat_t[j].astype(np.int64))
+    assert (prod % p == coords[S.mul_t[i, j]]).all()
+
+
+def test_tables_built_lazily():
+    # a block field used only through elements / dlog / contains builds
+    # none of the seven tables; the first table access builds them all
+    S = Subfield(build_field(3, 4), 81)
+    elems = list(S.elements())
+    assert [S.dlog(a) for a in elems[1:4]] == [0, 1, 2]
+    assert S.contains(elems[5])
+    assert not set(_TABLES) & set(vars(S))
+    assert S.coord_t.shape == (81, 4)
+    assert set(_TABLES) <= set(vars(S))
 
 
 def test_missing_subfield():

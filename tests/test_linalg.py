@@ -242,3 +242,81 @@ def test_matmul_and_rref_match_scalar_arithmetic(q, rows, inner, cols,
     R_want, pivots_want = scalar_rref(S, A)
     assert pivots == pivots_want
     assert (R == R_want).all()
+
+
+def scalar_in_row_space(S, R, v):
+    """v is in the row space of R iff appending it keeps the rank."""
+    rank = len(scalar_rref(S, R)[1])
+    return len(scalar_rref(S, np.vstack([R, v[None]]))[1]) == rank
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.sampled_from(sorted(_MASTERS)), rows=st.integers(1, 5),
+       cols=st.integers(1, 7), zeros=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+       inside=st.integers(0, 3), outside=st.integers(0, 3),
+       blank=st.integers(0, 2), seed=st.integers(0, 2 ** 32 - 1))
+def test_in_row_space_matches_scalar_elimination(q, rows, cols, zeros, inside,
+                                                 outside, blank, seed):
+    # R keeps its zero rows at the bottom, and an all-zero A has no pivots
+    S = build_field(*_MASTERS[q]).subfield(q)
+    rng = np.random.default_rng(seed)
+    A = sparse_idx(rng, S, (rows, cols), zeros)
+    R, pivots = scalar_rref(S, A)
+    V = np.vstack([scalar_matmul(S, random_idx(rng, S, (inside, rows)), A),
+                   random_idx(rng, S, (outside, cols)),
+                   np.zeros((blank, cols), dtype=A.dtype)])
+    V = V[rng.permutation(len(V))]
+    got = linalg.in_row_space(S, R, pivots, V)
+    assert got.tolist() == [scalar_in_row_space(S, R, v) for v in V]
+
+
+@settings(max_examples=120, deadline=None)
+@given(q=st.sampled_from(sorted(_MASTERS)), rows=st.integers(0, 5),
+       cols=st.integers(0, 7), zeros=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rref_returns_a_reduced_input_unchanged(q, rows, cols, zeros, seed):
+    S = build_field(*_MASTERS[q]).subfield(q)
+    A = sparse_idx(np.random.default_rng(seed), S, (rows, cols), zeros)
+    R_in, pivots_in = scalar_rref(S, A)
+    assert linalg._reduced_pivots(R_in) == pivots_in
+    R, pivots = linalg.rref(S, R_in)
+    assert pivots == pivots_in
+    assert R is not R_in and R.shape == R_in.shape and (R == R_in).all()
+
+
+# almost reduced: each breaks one condition of RREF (index 2 is not 1)
+NEAR_REDUCED = {
+    "non-unit pivot": [[2, 0, 3], [0, 1, 1]],
+    "nonzero above a pivot": [[1, 3, 0], [0, 1, 2]],
+    "zero row above a nonzero row": [[0, 0, 0], [1, 0, 2]],
+    "pivots not increasing": [[0, 1, 2], [1, 0, 3]],
+    "repeated pivot": [[1, 0, 2], [1, 0, 0]],
+}
+
+
+@pytest.mark.parametrize("q", sorted(q for q in _MASTERS if q > 3))
+@pytest.mark.parametrize("case", sorted(NEAR_REDUCED))
+def test_rref_of_near_reduced_input_matches_scalar(q, case):
+    S = build_field(*_MASTERS[q]).subfield(q)
+    A = np.array(NEAR_REDUCED[case], dtype=S.add_t.dtype)
+    assert linalg._reduced_pivots(A) is None
+    R, pivots = linalg.rref(S, A)
+    R_want, pivots_want = scalar_rref(S, A)
+    assert pivots == pivots_want
+    assert (R == R_want).all()
+    assert linalg.rref(S, R_want)[1] == pivots_want
+
+
+@pytest.mark.parametrize("p,m", [(2, 12), (4093, 1)])
+def test_matmul_exact_at_the_extremes(p, m):
+    # GF(4096) expands each entry to e = 12 coordinates; GF(4093) is the
+    # largest prime below MAX_TABLE_ORDER, whose products of -1 by -1 make
+    # the largest coordinate sums the expanded product meets
+    S = build_field(p, m).subfield(p ** m)
+    rng = np.random.default_rng(p)
+    inner = 300
+    A = random_idx(rng, S, (3, inner))
+    B = random_idx(rng, S, (inner, 4))
+    minus_one = S.index(S.master.minus_one)
+    A[0], B[:, 0] = minus_one, minus_one
+    assert (linalg.matmul(S, A, B) == scalar_matmul(S, A, B)).all()

@@ -186,6 +186,10 @@ def test_rejects_foreign_permutation():
     bad = np.roll(np.arange(dec.length), 1)   # not the group translation
     with pytest.raises(AssertionError, match="preserve"):
         wq.min_distance_isd(dec.alphabet, code, automorphism=bad)
+    # one membership test covers every permutation, the last one too
+    perms = np.vstack([wq.code_automorphism(dec), bad])
+    with pytest.raises(AssertionError, match="preserve"):
+        wq.min_distance_isd(dec.alphabet, code, automorphism=perms)
 
 
 def test_rotation_alone_is_refused():
@@ -287,6 +291,10 @@ def _not_a_codeword(search):
     search.best_any, search.wit_any = 1, (1,) + (0,) * (search.n - 1)
 
 
+def _outside_not_a_codeword(search):
+    search.best_out, search.wit_out = 1, (0,) * (search.n - 1) + (1,)
+
+
 def _in_subcode(search):
     row = search.exclude[0][0]
     search.best_out = int(np.count_nonzero(row))
@@ -296,8 +304,9 @@ def _in_subcode(search):
 @pytest.mark.parametrize("corrupt,match", [
     (_wrong_weight, "wrong weight"),
     (_not_a_codeword, "not a codeword"),
+    (_outside_not_a_codeword, "not a codeword"),
     (_in_subcode, "excluded subcode"),
-], ids=["weight", "codeword", "subcode"])
+], ids=["weight", "codeword", "outside-codeword", "subcode"])
 def test_bad_witness_is_caught(corrupt, match):
     dec = dihedral(7, 4, da.HERMITIAN)
     small, big = d7_css_pair(dec)
