@@ -78,12 +78,9 @@ def _fmt_master(x: int) -> str:
 
 def _fmt_slot_value(slot, value) -> list:
     """Slot value as a JSON-friendly nested list of element strings."""
-    if slot.kind == da.FIELD_SLOT:
-        return [_fmt_master(value)]
-    if slot.kind == da.C2_SLOT:
-        return [_fmt_master(value[0]), _fmt_master(value[1])]
-    a, b, c, d = value
-    return [[_fmt_master(a), _fmt_master(b)], [_fmt_master(c), _fmt_master(d)]]
+    if slot.kind == da.MAT_SLOT:
+        return [[_fmt_master(x) for x in row] for row in (value[:2], value[2:])]
+    return [_fmt_master(x) for x in ((value,) if slot.kind == da.FIELD_SLOT else value)]
 
 
 def _generator_images(dec) -> dict:
@@ -195,17 +192,16 @@ def _validate(ns: argparse.Namespace) -> None:
         raise CliError("--isd-weight must be at least 1")
     if ns.command == "verify" and ns.limit == 0:
         raise CliError("verify --limit 0 would check no spec")
-    if ns.group == QUATERNION and ns.metric == da.HERMITIAN:
-        n_hint = "" if ns.n is None else f" --n {2 * ns.n}"
-        raise CliError(
-            "hermitian duality of a quaternion algebra is handled through "
-            f"the isomorphic dihedral algebra: rerun with --group dihedral"
-            f"{n_hint}")
     if ns.q is None:
         # the default verify matrix fixes each system's group and metric
         for flag, value in (("--group", ns.group), ("--metric", ns.metric)):
             if value is not None:
                 raise CliError(f"verify {flag} needs --q and --n")
+    if ns.group == QUATERNION and ns.metric == da.HERMITIAN:
+        raise CliError(
+            "hermitian duality of a quaternion algebra is handled through "
+            f"the isomorphic dihedral algebra: rerun with --group dihedral"
+            f" --n {2 * ns.n}")
 
 
 def build_system(group: str, n: int, q: int, metric: str):

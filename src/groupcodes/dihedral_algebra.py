@@ -35,11 +35,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from . import linalg, oracle
-from .embeddings import PowerBasis
+from .embeddings import PowerBasis, block_maps, to_coords, to_elements
 from .fields import (ZERO, FieldTable, Subfield, build_field, mult_order,
                      split_prime_power)
 from .polyfactor import (BOTH_FIXED, CONJ_FIXED, CROSS_FIXED, FREE,
@@ -78,7 +79,7 @@ class Slot:
     root: int | None = None  # eigenvalue of a attached to this slot
     offset: int = 0          # first flattened coordinate
 
-    @property
+    @cached_property
     def ncomp(self) -> int:
         return {FIELD_SLOT: 1, C2_SLOT: 2, MAT_SLOT: 4}[self.kind]
 
@@ -92,20 +93,14 @@ class Slot:
 
 
 def slot_one(slot: Slot):
-    F = slot.basis.block.master
+    one = slot.basis.block.master.one
     if slot.kind == FIELD_SLOT:
-        return F.one
-    if slot.kind == C2_SLOT:
-        return (F.one, ZERO)
-    return (F.one, ZERO, ZERO, F.one)
+        return one
+    return (one, ZERO) if slot.kind == C2_SLOT else (one, ZERO, ZERO, one)
 
 
 def slot_zero(slot: Slot):
-    if slot.kind == FIELD_SLOT:
-        return ZERO
-    if slot.kind == C2_SLOT:
-        return (ZERO, ZERO)
-    return (ZERO, ZERO, ZERO, ZERO)
+    return ZERO if slot.kind == FIELD_SLOT else (ZERO,) * slot.ncomp
 
 
 def slot_mul(slot: Slot, x, y):
@@ -128,20 +123,6 @@ def slot_pow(slot: Slot, x, e: int):
         base = slot_mul(slot, base, base)
         e >>= 1
     return out
-
-
-def slot_flatten(slot: Slot, x) -> list[int]:
-    """Alphabet coordinates of a slot value, component by component."""
-    comps = (x,) if slot.kind == FIELD_SLOT else x
-    return [c for comp in comps for c in slot.basis.flatten(comp)]
-
-
-def slot_unflatten(slot: Slot, coords):
-    """Slot value with the given alphabet coordinates."""
-    d = slot.basis.d
-    comps = tuple(slot.basis.unflatten(coords[j * d:(j + 1) * d])
-                  for j in range(slot.ncomp))
-    return comps[0] if slot.kind == FIELD_SLOT else comps
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +245,8 @@ class Decomposition:
     ``mat`` is the (length x length) alphabet matrix whose row g is the
     flattened block image of the group element with index g; ``mat_inv`` is
     its inverse.  For a matrix U of element rows the flattened images are
-    the rows of U @ mat.
+    the rows of U @ mat.  ``to_digits`` / ``from_digits`` map those images
+    to the digits of every slot entry and back (``embeddings.block_maps``).
     """
 
     group: str
@@ -280,6 +262,8 @@ class Decomposition:
     length: int
     mat: np.ndarray
     mat_inv: np.ndarray
+    to_digits: np.ndarray
+    from_digits: np.ndarray
 
     def slots(self) -> list[Slot]:
         return [s for b in self.blocks for s in b.slots]
@@ -303,18 +287,23 @@ class Decomposition:
         is a row of U."""
         coords = linalg.matmul(self.alphabet, np.asarray(U, dtype=np.int32),
                                self.mat)
+        entries = to_elements(self.alphabet, coords, self.to_digits).tolist()
         slots = self.slots()
-        return [[slot_unflatten(s, row[s.offset:s.offset + s.width].tolist())
-                 for s in slots] for row in coords]
+        return [[next(it) if s.kind == FIELD_SLOT else tuple(islice(it, s.ncomp))
+                 for s in slots] for it in map(iter, entries)]
 
     def rho_inv(self, values) -> np.ndarray:
         """Coefficient vectors, one row per element, of the elements with
         the given per-slot block values."""
-        slots = self.slots()
-        coords = np.array([[c for s, v in zip(slots, vals)
-                            for c in slot_flatten(s, v)] for vals in values],
-                          dtype=np.int32)
+        coords = to_coords(self.alphabet, _entries(self.slots(), values),
+                           self.from_digits)
         return linalg.matmul(self.alphabet, coords, self.mat_inv)
+
+
+def _entries(slots: list[Slot], values) -> list[list]:
+    """The block-field entries of per-slot values, one list per element."""
+    return [[c for s, v in zip(slots, vals)
+             for c in ((v,) if s.kind == FIELD_SLOT else v)] for vals in values]
 
 
 def _assemble(group: str, n: int, mode: str, Q: int, q: int | None,
@@ -331,24 +320,25 @@ def _assemble(group: str, n: int, mode: str, Q: int, q: int | None,
         raise AssertionError(f"block widths sum to {offset}, expected {length}")
 
     slots = [s for b in blocks for s in b.slots]
-    rows = np.zeros((length, length), dtype=np.int32)
+    # one change of basis per distinct block field
+    shared: dict[Subfield, PowerBasis] = {}
+    to_digits, from_digits = block_maps(
+        [shared.setdefault(s.field, s.basis) for s in slots
+         for _ in range(s.ncomp)])
     a_powers: list[list] = [[slot_one(s) for s in slots]]
     for _ in range(1, a_order):
         prev = a_powers[-1]
         a_powers.append([slot_mul(s, p, s.gen_a) for s, p in zip(slots, prev)])
-    for j in (0, 1):
-        for i in range(a_order):
-            vals = a_powers[i]
-            if j:
-                vals = [slot_mul(s, v, s.gen_b) for s, v in zip(slots, vals)]
-            row = rows[j * a_order + i]
-            for s, v in zip(slots, vals):
-                row[s.offset:s.offset + s.width] = slot_flatten(s, v)
+    b_images = [[slot_mul(s, v, s.gen_b) for s, v in zip(slots, vals)]
+                for vals in a_powers]
+    rows = to_coords(alphabet, _entries(slots, a_powers + b_images),
+                     from_digits).astype(np.int32)
     mat_inv = linalg.inverse(alphabet, rows)
     return Decomposition(group=group, n=n, mode=mode, Q=Q, q=q, F=F,
                          alphabet=alphabet, factors=tuple(factors),
                          blocks=tuple(blocks), a_order=a_order, length=length,
-                         mat=rows, mat_inv=mat_inv)
+                         mat=rows, mat_inv=mat_inv, to_digits=to_digits,
+                         from_digits=from_digits)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ discrete logs.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -42,18 +43,7 @@ class MissingSubfieldError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -73,33 +63,23 @@ def prime_factors(n: int) -> list[int]:
 
 def mult_order(a: int, n: int) -> int:
     """Multiplicative order of a modulo n (requires gcd(a, n) = 1)."""
-    import math
-
     if math.gcd(a, n) != 1:
         raise ValueError(f"gcd({a}, {n}) != 1, no multiplicative order")
-    if n == 1:
-        return 1
-    order = 1
-    x = a % n
-    while x != 1:
-        x = (x * a) % n
-        order += 1
+    order, x = 1, a % n
+    while x != 1 % n:
+        x, order = x * a % n, order + 1
     return order
 
 
 def split_prime_power(q: int) -> tuple[int, int]:
     """Write q = p^e with p prime; raises if q is not a prime power."""
-    if q < 2:
+    primes = prime_factors(q) if q >= 2 else []
+    if len(primes) != 1:
         raise ValueError(f"{q} is not a prime power")
-    for p in prime_factors(q):
-        e = 0
-        m = q
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m == 1:
-            return p, e
-    raise ValueError(f"{q} is not a prime power")
+    p, e = primes[0], 1
+    while p**e < q:
+        e += 1
+    return p, e
 
 
 # ---------------------------------------------------------------------------
@@ -290,43 +270,24 @@ class FieldTable:
 def _build_exp_table(p: int, m: int, modulus: tuple[int, ...]) -> np.ndarray:
     """Packed coefficient vectors of xi^k for k = 0..p^m-2.
 
-    Multiplication by x is a linear map on coefficient vectors; the orbit of
-    1 under that map is computed in blocks with one small matmul per block.
+    Multiplication by x is a linear map A on coefficient vectors.  The orbit
+    of 1 is doubled up to 4096 states, each doubling one product by
+    A^(states so far); then whole blocks follow, one product by A^4096 each.
     """
     n = p**m - 1
     # A[j, i]: contribution of old coeff j to new coeff i under v -> x*v
-    A = np.zeros((m, m), dtype=np.int64)
-    for j in range(m - 1):
-        A[j, j + 1] = 1
-    for i in range(m):
-        A[m - 1, i] = (-modulus[i]) % p
-
-    block = min(n, 4096)
-    states = np.zeros((block, m), dtype=np.int64)
-    states[0, 0] = 1
-    for k in range(1, block):
-        states[k] = states[k - 1] @ A % p
-
-    weights = np.array([p**i for i in range(m)], dtype=np.int64)
+    A = np.eye(m, k=1, dtype=np.int64)
+    A[m - 1] = [(-c) % p for c in modulus[:m]]
+    states = np.eye(1, m, dtype=np.int64)
+    while len(states) < min(n, 4096):
+        states = np.vstack([states, states @ A % p])
+        A = A @ A % p
+    weights = p ** np.arange(m, dtype=np.int64)
     exp = np.empty(n, dtype=np.int64)
-    exp[:block] = states @ weights
-
-    if n > block:
-        # jump matrix for a whole block: A^block mod p
-        Ab = np.eye(m, dtype=np.int64)
-        e = block
-        base = A.copy()
-        while e:
-            if e & 1:
-                Ab = Ab @ base % p
-            base = base @ base % p
-            e >>= 1
-        pos = block
-        while pos < n:
-            states = states @ Ab % p
-            take = min(block, n - pos)
-            exp[pos:pos + take] = states[:take] @ weights
-            pos += take
+    for pos in range(0, n, len(states)):
+        take = min(len(states), n - pos)
+        exp[pos:pos + take] = states[:take] @ weights
+        states = states @ A % p
     return exp
 
 

@@ -23,6 +23,7 @@ row-reduces them once.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -62,11 +63,19 @@ def slot_ideal_options(slot: Slot) -> list:
     return ["zero", "e01", *rows, "full"]
 
 
+def _option_count(slot: Slot) -> int:
+    return len(_KEYWORDS[slot.kind]) + (slot.field.q if slot.kind == MAT_SLOT else 0)
+
+
+def _slot_option(slot: Slot, i: int):
+    """Entry i of ``slot_ideal_options(slot)``, without building the list."""
+    if slot.kind == MAT_SLOT and 2 <= i < 2 + slot.field.q:
+        return ("row", slot.field.element(i - 2))
+    return _KEYWORDS[slot.kind][i if i < 2 else -1]
+
+
 def spec_count(dec: Decomposition) -> int:
-    total = 1
-    for slot in dec.slots():
-        total *= len(slot_ideal_options(slot))
-    return total
+    return math.prod(_option_count(s) for s in dec.slots())
 
 
 def enumerate_specs(dec: Decomposition, *, budget: int | None = DEFAULT_ENUM_BUDGET):
@@ -79,11 +88,8 @@ def enumerate_specs(dec: Decomposition, *, budget: int | None = DEFAULT_ENUM_BUD
 
 
 def random_spec(dec: Decomposition, rng: np.random.Generator) -> tuple:
-    picks = []
-    for slot in dec.slots():
-        options = slot_ideal_options(slot)
-        picks.append(options[int(rng.integers(len(options)))])
-    return tuple(picks)
+    return tuple(_slot_option(s, int(rng.integers(_option_count(s))))
+                 for s in dec.slots())
 
 
 def zero_spec(dec: Decomposition) -> tuple:
@@ -95,17 +101,11 @@ def full_spec(dec: Decomposition) -> tuple:
 
 
 def _slot_ideal_dim(slot: Slot, ideal) -> int:
-    """Dimension over the code alphabet of one slot's contribution."""
-    d = slot.basis.d
+    """Dimension over the code alphabet of one slot's contribution: a
+    proper ideal ("mid" or a line) fills half of the slot's entries."""
     if ideal == "zero":
         return 0
-    if slot.kind == FIELD_SLOT:
-        return d
-    if slot.kind == C2_SLOT:
-        return d if ideal == "mid" else 2 * d
-    if ideal == "full":
-        return 4 * d
-    return 2 * d
+    return slot.basis.d * (slot.ncomp if ideal == "full" else slot.ncomp // 2)
 
 
 def ideal_dimension(dec: Decomposition, spec) -> int:

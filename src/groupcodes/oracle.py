@@ -31,15 +31,7 @@ from .fields import ZERO, Subfield
 
 def dihedral_mul_table(n: int) -> np.ndarray:
     """table[g, h] = index of the product gh in the dihedral group D_n."""
-    size = 2 * n
-    table = np.empty((size, size), dtype=np.int64)
-    for g in range(size):
-        i1, j1 = g % n, g // n
-        for h in range(size):
-            i2, j2 = h % n, h // n
-            i = (i1 - i2) % n if j1 else (i1 + i2) % n
-            table[g, h] = ((j1 + j2) % 2) * n + i
-    return table
+    return _mul_table(n, 0)
 
 
 def quaternion_mul_table(n: int) -> np.ndarray:
@@ -47,18 +39,16 @@ def quaternion_mul_table(n: int) -> np.ndarray:
 
     Presentation: rotation a of order 2n, b^2 = a^n, b a b^(-1) = a^(-1).
     """
-    m = 2 * n
-    size = 2 * m
-    table = np.empty((size, size), dtype=np.int64)
-    for g in range(size):
-        i1, j1 = g % m, g // m
-        for h in range(size):
-            i2, j2 = h % m, h // m
-            i = (i1 - i2) % m if j1 else (i1 + i2) % m
-            if j1 and j2:
-                i = (i + n) % m  # b^2 = a^n
-            table[g, h] = ((j1 + j2) % 2) * m + i
-    return table
+    return _mul_table(2 * n, n)
+
+
+def _mul_table(m: int, twist: int) -> np.ndarray:
+    """a^i1 b^j1 a^i2 b^j2 = a^(i1 -+ i2 + twist j1 j2) b^(j1 + j2), with
+    rotation order m and b^2 = a^twist."""
+    g = np.arange(2 * m)
+    i1, j1, i2, j2 = (g % m)[:, None], (g // m)[:, None], g % m, g // m
+    i = np.where(j1 == 1, i1 - i2, i1 + i2) + twist * j1 * j2
+    return (j1 + j2) % 2 * m + i % m
 
 
 # ---------------------------------------------------------------------------

@@ -205,12 +205,13 @@ def test_css_search_builds_each_code_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command,records,rrefs", [
     # three per record (its two codes, the search's code), one per
-    # excluded subcode (the 11 records that are not self-dual), one for
-    # the decomposition
-    ("css-search", 20, 72),
+    # excluded subcode (the 11 records that are not self-dual), three for
+    # the decomposition (the change of basis of each of its two block
+    # fields, GF(4) and GF(64), and the inverse of its matrix)
+    ("css-search", 20, 74),
     # one per record (its code), three per nonzero self-orthogonal record
-    # (19, the witness), one for the decomposition
-    ("enumerate", 201, 259),
+    # (19, the witness), three for the decomposition
+    ("enumerate", 201, 261),
 ])
 def test_rref_calls_per_run(capsys, monkeypatch, command, records, rrefs):
     calls = []
@@ -483,12 +484,20 @@ def test_bad_spec_token_reports_error(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv,hint", [
+    # without --q and --n no rerun could succeed, so that is reported first
     (("verify", "--group", "quaternion", "--metric", "hermitian"),
-     "rerun with --group dihedral"),
+     "verify --group needs --q and --n"),
     (("count", "--q", "9", "--n", "7", "--group", "quaternion",
       "--metric", "hermitian"), "rerun with --group dihedral --n 14"),
 ])
 def test_quaternion_hermitian_hint(capsys, argv, hint):
-    # the dihedral order is named only when --n was given
     assert cli.main(list(argv)) == 2
     assert capsys.readouterr().err.rstrip().endswith(hint)
+
+
+def test_verify_block_field_above_two_to_the_sixteen(capsys):
+    # GF(4)[D_19] has 2x2 slots over GF(2^18): its coordinates come from
+    # one change of basis, not from a table over the block field
+    doc = run_json(capsys, "verify", "--q", "4", "--n", "19",
+                   "--metric", "hermitian", "--limit", "2")
+    assert [r["ok"] for r in doc["results"]] == [True]

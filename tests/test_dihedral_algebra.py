@@ -175,12 +175,48 @@ def test_selfrec_block_data():
         assert not b.slots[0].field.contains(alpha)
 
 
+def _random_slot_value(s, rng):
+    entries = tuple(s.field.element(int(i))
+                    for i in rng.integers(0, s.field.q, s.ncomp))
+    return entries[0] if s.kind == da.FIELD_SLOT else entries
+
+
 def test_slot_flatten_round_trip():
-    dec = dec_for(16, 9, da.HERMITIAN)
+    # rho o rho_inv on random values of every slot, and rho_inv o rho on
+    # the elements they give; the systems hold field, c2 and 2x2 slots
+    kinds = set()
     rng = np.random.default_rng(9)
-    for s in dec.slots():
-        if s.kind != da.MAT_SLOT:
-            continue
-        x = tuple(s.field.element(int(i))
-                  for i in rng.integers(0, s.field.q, 4))
-        assert da.slot_unflatten(s, da.slot_flatten(s, x)) == x
+    for n, Q, mode in [(16, 9, da.HERMITIAN), (7, 4, da.EUCLIDEAN),
+                       (10, 9, da.EUCLIDEAN), (3, 25, da.HERMITIAN)]:
+        dec = dec_for(n, Q, mode)
+        kinds |= {s.kind for s in dec.slots()}
+        values = [[_random_slot_value(s, rng) for s in dec.slots()]
+                  for _ in range(6)]
+        U = dec.rho_inv(values)
+        assert dec.rho(U) == values
+        assert np.array_equal(dec.rho_inv(dec.rho(U)), U)
+    assert kinds == {da.FIELD_SLOT, da.C2_SLOT, da.MAT_SLOT}
+
+
+@pytest.mark.parametrize("n,Q,mode", [(16, 9, da.HERMITIAN), (7, 4, da.EUCLIDEAN)])
+def test_rho_of_zero_rows(n, Q, mode):
+    dec = dec_for(n, Q, mode)
+    zeros = [da.slot_zero(s) for s in dec.slots()]
+    assert dec.rho(np.zeros((2, dec.length), dtype=np.int32)) == [zeros] * 2
+    assert np.array_equal(dec.rho_inv([zeros]),
+                          np.zeros((1, dec.length), dtype=np.int32))
+    # no rows at all
+    assert dec.rho(np.zeros((0, dec.length), dtype=np.int32)) == []
+    assert dec.rho_inv([]).shape == (0, dec.length)
+
+
+def test_one_elimination_per_block_field(monkeypatch):
+    calls = []
+    original = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda sub, A: calls.append(A.shape) or original(sub, A))
+    dec = da.build_dihedral_decomposition(16, 9, da.HERMITIAN)
+    fields = {s.field.q for s in dec.slots()}
+    assert len(fields) < len(dec.blocks)  # blocks share their fields
+    # one change of basis per field, and the inverse of mat
+    assert len(calls) == len(fields) + 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,22 @@ def test_counts_d7_f4():
 
 def test_count_q7_f11():
     assert ic.spec_count(quaternion(7, 11)) == 4 * 1334 * 2 * 1334
+
+
+@pytest.mark.parametrize("dec_of", [lambda: dihedral(7, 4, da.HERMITIAN),
+                                    lambda: dihedral(16, 9, da.HERMITIAN),
+                                    lambda: quaternion(7, 11)],
+                         ids=["d7-gf4", "d16-gf9", "q7-gf11"])
+def test_random_spec_matches_list_draw(dec_of):
+    # the reference draws from the option lists written out in full
+    dec = dec_of()
+    options = [ic.slot_ideal_options(s) for s in dec.slots()]
+    assert ic.spec_count(dec) == math.prod(len(o) for o in options)
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            want = tuple(o[int(ref.integers(len(o)))] for o in options)
+            assert ic.random_spec(dec, rng) == want
 
 
 def test_enumeration_budget_guard():
