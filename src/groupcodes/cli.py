@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -37,6 +38,9 @@ from .fields import ZERO, split_prime_power
 DIHEDRAL = "dihedral"
 QUATERNION = "quaternion"
 DEFAULT_VERIFY_SPECS = 50
+# codes are built in batches of this many cells (specs per batch times
+# |G|^2), which keeps a batch's arrays near 1 MiB
+CODE_BATCH_CELLS = 2 ** 15
 
 # systems exercised by `verify` when none is given on the command line
 VERIFY_MATRIX = (
@@ -295,15 +299,31 @@ def cmd_count(cfg: RunConfig, warnings: list) -> list:
     }]
 
 
-def _spec_record(dec, spec) -> tuple:
-    rows = ic.ideal_to_code(dec, spec)
+def _codes(dec, specs):
+    """(spec, R, pivots) for each spec in turn, its code being
+    ``R[:len(pivots)]``: the codes are built in batches of
+    CODE_BATCH_CELLS // |G|^2 specs, one ``ideal_to_code`` each."""
+    specs = iter(specs)
+    step = max(1, CODE_BATCH_CELLS // dec.length ** 2)
+    while batch := list(itertools.islice(specs, step)):
+        R, pivots = ic.ideal_to_code(dec, ic.SpecBatch(batch))
+        yield from zip(batch, R, pivots)
+
+
+def _with_duals(dec, specs) -> list:
+    """Each spec followed by its dual's spec: ``zip(codes, codes)`` over
+    their ``_codes`` takes a spec's code and its dual's together."""
+    return [s for spec in specs for s in (spec, du.dual_spec(dec, spec))]
+
+
+def _spec_record(dec, spec, rows) -> dict:
     record = {
         "spec": ic.format_spec(dec, spec),
         "length": dec.length,
         "dimension": rows.shape[0],
     }
     record.update(_selforth_flags(dec, spec, rows))
-    return record, rows
+    return record
 
 
 def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
@@ -312,19 +332,22 @@ def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
     # with an explicit --limit the stream stops early, so the safety budget
     # on the total ideal count is unnecessary
     budget = None if cfg.limit is not None else ic.DEFAULT_ENUM_BUDGET
-    for spec in ic.enumerate_specs(dec, budget=budget):
-        if cfg.limit is not None and len(results) >= cfg.limit:
+    specs = ic.enumerate_specs(dec, budget=budget)
+    if cfg.limit is not None:
+        specs = list(itertools.islice(specs, cfg.limit + 1))
+        if len(specs) > cfg.limit:
             warnings.append(f"enumeration truncated at --limit {cfg.limit}")
-            break
-        results.append(_spec_record(dec, spec)[0])
+            del specs[cfg.limit:]
+    for spec, R, pivots in _codes(dec, specs):
+        results.append(_spec_record(dec, spec, R[:len(pivots)]))
     return results
 
 
 def cmd_dual(cfg: RunConfig, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
-    for spec in _load_specs(cfg, dec):
-        record, _ = _spec_record(dec, spec)
+    for spec, R, pivots in _codes(dec, _load_specs(cfg, dec)):
+        record = _spec_record(dec, spec, R[:len(pivots)])
         dual = du.dual_spec(dec, spec)
         record["dual_spec"] = ic.format_spec(dec, dual)
         if du.dual_spec(dec, dual) != spec:
@@ -336,9 +359,10 @@ def cmd_dual(cfg: RunConfig, warnings: list) -> list:
 def cmd_classify(cfg: RunConfig, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
-    for spec in _load_specs(cfg, dec):
-        record, rows = _spec_record(dec, spec)
-        dual_rows = ic.ideal_to_code(dec, du.dual_spec(dec, spec))
+    codes = _codes(dec, _with_duals(dec, _load_specs(cfg, dec)))
+    for (spec, R, pivots), (_, Rd, pivots_d) in zip(codes, codes):
+        rows, dual_rows = R[:len(pivots)], Rd[:len(pivots_d)]
+        record = _spec_record(dec, spec, rows)
         stacked = np.vstack([rows, dual_rows])
         hull_dim = (rows.shape[0] + dual_rows.shape[0]
                     - linalg.rank(dec.alphabet, stacked))
@@ -368,9 +392,11 @@ def cmd_css_search(cfg: RunConfig, warnings: list) -> list:
                 break
             specs.append(spec)
     results = []
-    for spec in specs:
+    codes = _codes(dec, _with_duals(dec, specs))
+    for (spec, R, pivots), (_, Rd, pivots_d) in zip(codes, codes):
         try:
-            rec = wq.css_hermitian(dec, spec, max_weight=cfg.isd_weight)
+            rec = wq.css_hermitian(dec, spec, max_weight=cfg.isd_weight,
+                                   codes=((R, pivots), (Rd, pivots_d)))
         except du.NotSelfOrthogonalError as e:
             warnings.append(f"skipped {ic.format_spec(dec, spec)}: {e}")
             continue
@@ -398,11 +424,11 @@ def _verify_system(group, n, Q, metric, rng, count, warnings) -> dict:
     dec = build_system(group, n, Q, metric)
     checks = {}
 
+    specs = [ic.random_spec(dec, rng) for _ in range(count)]
+    codes = _codes(dec, _with_duals(dec, specs))
     mismatch = 0
-    for _ in range(count):
-        spec = ic.random_spec(dec, rng)
-        rows = ic.ideal_to_code(dec, spec)
-        dual = ic.ideal_to_code(dec, du.dual_spec(dec, spec))
+    for (_, R, pivots), (_, Rd, pivots_d) in zip(codes, codes):
+        rows, dual = R[:len(pivots)], Rd[:len(pivots_d)]
         if dec.mode == da.HERMITIAN:
             ref = oracle.hermitian_dual_basis(dec.alphabet, rows, dec.q)
         else:
@@ -413,8 +439,7 @@ def _verify_system(group, n, Q, metric, rng, count, warnings) -> dict:
 
     pairs = rng.integers(0, dec.Q, (count, 2, dec.length))
     U, V = pairs[:, 0], pairs[:, 1]
-    W = [oracle.group_mul(dec.alphabet, dec.mul_table, u, v)
-         for u, v in zip(U, V)]
+    W = oracle.group_mul(dec.alphabet, dec.mul_table, U, V)
     slots = dec.slots()
     checks["rho_multiplicative"] = sum(
         lhs != [da.slot_mul(s, x, y) for s, x, y in zip(slots, ru, rv)]
@@ -455,19 +480,23 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _render_json(payload: dict) -> str:
-    """``_dump(payload)`` and a newline, with each result encoded on its
-    own: json's indenting encoder gathers every token of a document in one
-    list, and for a whole census that list would be most of the command's
-    peak memory."""
+def _render_json(payload: dict):
+    """The pieces of ``_dump(payload)`` and a newline, each result encoded
+    on its own and handed over as it is encoded: json's indenting encoder
+    gathers every token of a document in one list, and for a whole census
+    that list, or the document joined from its results, would be most of
+    the command's peak memory."""
     results = payload["results"]
     if not results:
-        return _dump(payload) + "\n"
+        yield _dump(payload) + "\n"
+        return
     # the results list sits two levels deep, so each result is indented by
     # four spaces; no other bare list item is that deep
     head, tail = _dump({**payload, "results": [None]}).split("\n    null\n")
-    body = ",\n    ".join([_dump(r).replace("\n", "\n    ") for r in results])
-    return "".join([head, "\n    ", body, "\n", tail, "\n"])
+    yield head
+    for i, r in enumerate(results):
+        yield (",\n    " if i else "\n    ") + _dump(r).replace("\n", "\n    ")
+    yield "\n" + tail + "\n"
 
 
 def _render_csv(results: list) -> str:
@@ -533,7 +562,7 @@ def main(argv=None) -> int:
         "warnings": warnings,
     }
     if cfg.format == "json":
-        sys.stdout.write(_render_json(payload))
+        sys.stdout.writelines(_render_json(payload))
     elif cfg.format == "csv":
         sys.stdout.write(_render_csv(results))
     else:

@@ -294,10 +294,13 @@ class Decomposition:
 
     def rho_inv(self, values) -> np.ndarray:
         """Coefficient vectors, one row per element, of the elements with
-        the given per-slot block values."""
-        coords = to_coords(self.alphabet, _entries(self.slots(), values),
-                           self.from_digits)
-        return linalg.matmul(self.alphabet, coords, self.mat_inv)
+        the given per-slot block values, or with the given flattened
+        images: the rows of an alphabet-index array (r, length), in the
+        coordinates of ``mat``'s rows."""
+        if not isinstance(values, np.ndarray):
+            values = to_coords(self.alphabet, _entries(self.slots(), values),
+                               self.from_digits)
+        return linalg.matmul(self.alphabet, values, self.mat_inv)
 
 
 def _entries(slots: list[Slot], values) -> list[list]:

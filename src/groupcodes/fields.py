@@ -273,6 +273,9 @@ def _build_exp_table(p: int, m: int, modulus: tuple[int, ...]) -> np.ndarray:
     Multiplication by x is a linear map A on coefficient vectors.  The orbit
     of 1 is doubled up to 4096 states, each doubling one product by
     A^(states so far); then whole blocks follow, one product by A^4096 each.
+    The blocks, which are the work for a large field, take float64 products,
+    so they go to BLAS; they are exact, since every sum is below
+    m (p - 1)^2 and every packed value below p^m.
     """
     n = p**m - 1
     # A[j, i]: contribution of old coeff j to new coeff i under v -> x*v
@@ -282,12 +285,15 @@ def _build_exp_table(p: int, m: int, modulus: tuple[int, ...]) -> np.ndarray:
     while len(states) < min(n, 4096):
         states = np.vstack([states, states @ A % p])
         A = A @ A % p
-    weights = p ** np.arange(m, dtype=np.int64)
+    states, A = states.astype(np.float64), A.astype(np.float64)
+    weights = float(p) ** np.arange(m)
     exp = np.empty(n, dtype=np.int64)
     for pos in range(0, n, len(states)):
         take = min(len(states), n - pos)
         exp[pos:pos + take] = states[:take] @ weights
-        states = states @ A % p
+        states = states @ A
+        # states mod p; float64 % takes about three times as long
+        states -= p * np.floor(states / p)
     return exp
 
 
@@ -311,9 +317,16 @@ def build_field(p: int, m: int, budget: int = DEFAULT_FIELD_BUDGET) -> FieldTabl
     if int((log != ZERO).sum()) != order - 1:
         raise RuntimeError("exp table is not a full multiplicative orbit")
 
-    # zech[k] = log(1 + xi^k); adding 1 only touches the constant coefficient
+    # zech[k] = log(1 + xi^k); adding 1 only touches the constant
+    # coefficient.  In place, so that a large field's build holds at most
+    # four tables of its size at once.
     c0 = exp % p
-    zech = log[exp - c0 + (c0 + 1) % p]
+    packed = exp - c0
+    c0 += 1
+    c0 %= p
+    packed += c0
+    del c0
+    zech = log[packed]
     return FieldTable(p, m, modulus, exp, log, zech)
 
 

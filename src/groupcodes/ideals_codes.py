@@ -14,10 +14,15 @@ row-space constraint.  We describe that choice with a flat per-slot tuple
 element, fields.ZERO for zero).  Field slots admit only "zero"/"full",
 local slots "zero"/"mid"/"full".
 
-Every such ideal is the left ideal generated by one element: per slot 0,
-1, 1 + b, [[0, 0], [0, 1]] or [[1, lam], [0, 0]].  ``ideal_to_code`` pulls
-that element back with one ``rho_inv``, stacks its |G| left translates and
-row-reduces them once.
+Every such ideal is a direct sum of slot ideals, and each slot ideal has a
+fixed basis over the alphabet, d being the slot field's degree over it:
+d rows for a field slot and for "mid" ([I | I]), 2d for a line (row(lam)
+has the rows [I | M_lam] on the entries x0, x1 and on x2, x3, M_lam the
+multiplication by lam; "e01" the unit rows of x1 and x3), and 2d or 4d for
+"full".  Since rho is an isomorphism, the preimages of those rows are a
+basis of the code.  ``ideal_to_code`` pulls the distinct slot bases of a
+whole batch of specs back with one ``rho_inv``, stacks them per spec and
+reduces the stack with one stacked RREF.
 """
 
 from __future__ import annotations
@@ -35,8 +40,6 @@ from .dihedral_algebra import (
     MAT_SLOT,
     Decomposition,
     Slot,
-    slot_one,
-    slot_zero,
 )
 
 DEFAULT_ENUM_BUDGET = 10 ** 7
@@ -125,34 +128,90 @@ def spec_contains(spec_a, spec_b) -> bool:
 # spec -> code
 
 
-def _slot_generator(slot: Slot, ideal):
-    """Slot value whose left multiples are exactly the slot's ideal."""
-    F = slot.basis.block.master
-    if ideal == "zero":
-        return slot_zero(slot)
+class SpecBatch(tuple):
+    """Specs whose codes ``ideal_to_code`` builds and reduces together."""
+
+
+def _unit_columns(slot: Slot, ideal) -> np.ndarray:
+    """The slot ideal's basis over the alphabet, in the slot's block
+    coordinates: row t has the entry 1 in the columns ``units[t]``, and
+    for a line row(lam) M_lam in the next d columns (``_generators``).
+
+    "full" is the identity; "mid" is [I | I], the values c (1 + b) of a
+    C2 slot; a 2x2 line row(lam) is [I | M_lam] on the entries x0, x1 and
+    on x2, x3 (rows (c, c lam)), and "e01" the identity on x1 and on x3.
+    """
+    d, t = slot.basis.d, np.arange(slot.basis.d)
     if ideal == "full":
-        return slot_one(slot)
+        return np.arange(slot.width)[:, None]
     if ideal == "mid":
-        return (F.one, F.one)              # 1 + b
-    if ideal == "e01":
-        return (ZERO, ZERO, ZERO, F.one)   # [[0, 0], [0, 1]]
-    return (F.one, ideal[1], ZERO, ZERO)   # [[1, lam], [0, 0]]
+        return np.stack([t, d + t], axis=1)
+    first = d if ideal == "e01" else 0
+    return np.concatenate([first + t, first + 2 * d + t])[:, None]
 
 
-def ideal_to_code(dec: Decomposition, spec) -> np.ndarray:
+def _generators(dec: Decomposition, specs) -> np.ndarray:
+    """A basis of each spec's ideal, as coefficient vectors (B, k, n) with
+    zero rows padding to the largest dimension k.
+
+    The ideal is the direct sum of its slot ideals, so its basis stacks
+    the slots' bases (``_unit_columns``).  The distinct slot ideals of the
+    batch are pulled back by one ``rho_inv`` and gathered per spec.
+    """
+    F = dec.F
+    parts, rows_of, size = [], [], 0
+    for j, slot in enumerate(dec.slots()):
+        kinds: dict = {}
+        for ideal in dict.fromkeys(spec[j] for spec in specs):
+            if ideal != "zero":
+                kinds.setdefault(ideal if isinstance(ideal, str) else "row",
+                                 []).append(ideal)
+        rows_of.append({})
+        for kind, ideals in kinds.items():
+            units = slot.offset + _unit_columns(slot, kind)
+            r = np.arange(len(units))[:, None]
+            block = np.zeros((len(ideals), len(units), dec.length),
+                             dtype=np.int16)
+            block[:, r, units] = 1
+            if kind == "row":
+                # M_lam: row i holds the coordinates of lam tau^i
+                basis, d = slot.basis, slot.basis.d
+                lam = np.array([[ideal[1]] for ideal in ideals])
+                x = (lam + np.arange(d) * basis.block.gen) % F.mult_order
+                M = basis.flatten(np.where(lam == ZERO, ZERO, x))
+                # the entry after x0 (or x2) of row t, whose 1 is at t mod d
+                cols = units - r % d + d + np.arange(d)
+                block[:, r, cols] = np.tile(M, (1, 2, 1))
+            for ideal in ideals:
+                rows_of[j][ideal] = range(size, size + len(units))
+                size += len(units)
+            parts.append(block.reshape(-1, dec.length))
+    table = np.zeros((size + 1, dec.length), dtype=np.int16)  # last row zero
+    if size:
+        table[:size] = dec.rho_inv(np.concatenate(parts))
+    picks = [[i for j, ideal in enumerate(spec) if ideal != "zero"
+              for i in rows_of[j][ideal]] for spec in specs]
+    k = max(map(len, picks), default=0)
+    index = np.array([p + [size] * (k - len(p)) for p in picks],
+                     dtype=np.intp).reshape(len(specs), k)
+    return table[index]
+
+
+def ideal_to_code(dec: Decomposition, spec):
     """Reduced row-echelon basis of the group code cut out by `spec`.
 
-    The ideal is the left ideal generated by one element e, so its code is
-    the row space of the |G| left translates g*e.
+    The preimages under rho of the spec's slot bases are a basis of the
+    code (``_generators``), and one RREF reduces it.  Given a ``SpecBatch``
+    it builds every code of the batch with one ``rho_inv`` and one stacked
+    RREF, and returns that RREF (R, pivots): code i is
+    ``R[i, :len(pivots[i])]``, above zero rows up to the batch's largest
+    dimension.
     """
-    e = dec.rho_inv([[_slot_generator(s, i)
-                      for s, i in zip(dec.slots(), spec)]])[0]
-    translates = np.zeros((dec.length, dec.length), dtype=np.int32)
-    translates[np.arange(dec.length)[:, None], dec.mul_table] = e
-    code = linalg.row_basis(dec.alphabet, translates)
-    if code.shape[0] != ideal_dimension(dec, spec):
+    batch = spec if isinstance(spec, SpecBatch) else (spec,)
+    R, pivots = linalg.rref(dec.alphabet, _generators(dec, batch))
+    if [len(p) for p in pivots] != [ideal_dimension(dec, s) for s in batch]:
         raise AssertionError("ideal basis unexpectedly degenerate")
-    return code
+    return (R, pivots) if isinstance(spec, SpecBatch) else R[0]
 
 
 # ---------------------------------------------------------------------------

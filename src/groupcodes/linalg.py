@@ -1,6 +1,6 @@
 """Linear algebra over a subfield, on numpy arrays of element indices.
 
-Matrices here are 2-D numpy integer arrays whose entries are *indices* into
+Matrices here are numpy integer arrays whose entries are *indices* into
 a :class:`~groupcodes.fields.Subfield` (0 = zero, i >= 1 = gen^(i-1)), so
 row reduction runs through the subfield's dense lookup tables instead of
 per-scalar Python arithmetic.
@@ -14,12 +14,17 @@ n e (p - 1)^2 < 2^53, which ``matmul`` checks: every alphabet with tables
 alphabet is the case e = 1, plain (A @ B) % p.
 
 Membership is one product: a row v lies in the row space of an RREF R with
-pivots P exactly when v == v[P] @ R.  ``rref`` hands back a copy of an
-input that is already reduced, found by a constant number of whole-matrix
-checks, without elimination.
+pivots P exactly when v == v[P] @ R.  ``rref`` reduces a matrix or a whole
+stack (..., m, n) of them with one column loop, a matrix being a stack of
+one (blocked elimination over small fields in the manner of Dumas, Giorgi
+& Pernet, ACM TOMS 35, 2008).  A member that is already reduced, found by
+a constant number of whole-stack checks, comes back as a copy without
+elimination.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -40,54 +45,99 @@ def matmul(sub: Subfield, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return sub.pack_t[codes.astype(np.intp)]
 
 
-def _reduced_pivots(A: np.ndarray) -> tuple[int, ...] | None:
-    """The pivots of A if it is already in RREF, else None.
+def _reduced_pivots(S: np.ndarray) -> list[tuple[int, ...] | None]:
+    """The pivots of each matrix of the stack S (B, m, n) that is already
+    in RREF, None for the others.
 
-    With r nonzero rows, A is reduced when the first nonzero entries of its
-    first r rows lie in strictly increasing columns, and those columns are
-    the first r unit columns (index 1 is the element 1).  A zero row among
-    the first r fails the second test: its lead would read as column 0.
+    Give a zero row the leading column n.  A matrix is reduced when its
+    rows' leading columns increase strictly up to its zero rows, and each
+    nonzero row i leads in a unit column (index 1 is the element 1) whose
+    1 is in row i.
     """
-    nonzero = A != 0
-    r = int(nonzero.any(axis=1).sum())
-    if r == 0:
-        return ()
-    lead = nonzero[:r].argmax(axis=1)
-    unit = np.eye(A.shape[0], r, dtype=A.dtype)
-    if (lead[1:] <= lead[:-1]).any() or (A[:, lead] != unit).any():
-        return None
-    return tuple(lead.tolist())
+    B, m, n = S.shape
+    if S.size == 0:
+        return [()] * B
+    nonzero = S != 0
+    live = nonzero.any(axis=2)
+    lead = np.where(live, nonzero.argmax(axis=2), n)
+    ok = ((lead[:, 1:] > lead[:, :-1]) | (lead[:, 1:] == n)).all(axis=1)
+    if ok.any():
+        # cols[b, i, j] = S[b, i, lead[b, j]], the identity on live pivots
+        cols = S[np.arange(B)[:, None, None], np.arange(m)[:, None],
+                 np.minimum(lead, n - 1)[:, None, :]]
+        unit = (cols == np.eye(m, dtype=S.dtype)) | ~live[:, None, :]
+        ok &= unit.all(axis=(1, 2))
+    return [tuple(p[:r].tolist()) if good else None
+            for p, r, good in zip(lead, live.sum(axis=1), ok)]
 
 
-def rref(sub: Subfield, A: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+def _eliminate(sub: Subfield, R: np.ndarray) -> tuple[np.ndarray, list]:
+    """The RREF of every matrix of the stack R (B, m, n) and its pivots,
+    by one column loop for the whole stack.
+
+    Rows are not swapped.  At column c, each matrix with a nonzero entry
+    there in a row that holds no pivot yet takes the first such row as its
+    pivot row; a matrix without one adds zero multiples of a row.  At the
+    end the pivot rows are sorted by their leading columns, and the other
+    rows, all zero by then, follow.
+    """
+    B, m, n = R.shape
+    R = R.reshape(B * m, n)
+    first = np.arange(B) * m                 # row 0 of each matrix
+    free = np.ones(B * m, dtype=bool)        # rows holding no pivot yet
+    for c in range(n):
+        col = R[:, c]
+        hit = np.logical_and(col, free)
+        at = first + hit.reshape(B, m).argmax(axis=1)
+        found = hit[at]
+        k = np.count_nonzero(found)
+        if not k:
+            continue
+        lead = R[at]
+        lead = sub.mul_t[lead, sub.inv_t[lead[:, c]][:, None]]
+        # the pivot row cancels itself here, and takes the lead row below
+        fac = sub.neg_t[col]
+        if k < B:
+            fac.reshape(B, m)[~found] = 0
+        # the lead row is zero left of c, so columns left of c stay
+        R[:, c:] = sub.add_t[R[:, c:], sub.mul_t[fac.reshape(B, m, 1),
+                                                 lead[:, None, c:]]
+                             .reshape(B * m, n - c)]
+        if k < B:
+            at, lead = at[found], lead[found]
+        R[at] = lead
+        free[at] = False
+        if c >= m - 1 and not free.any():
+            break
+    R = R.reshape(B, m, n)
+    free = free.reshape(B, m)
+    key = np.where(free, n, (R != 0).argmax(axis=2))
+    order = np.arange(B)[:, None], key.argsort(axis=1, kind="stable")
+    return R[order], [tuple(p[:m - f].tolist())
+                      for p, f in zip(key[order], free.sum(axis=1))]
+
+
+def rref(sub: Subfield, A: np.ndarray):
     """Reduced row echelon form; returns (R, pivot columns).
 
-    R has the same shape as A (zero rows at the bottom are kept).  A
-    matrix already in RREF comes back as a copy, without elimination.
+    R has the same shape as A (zero rows at the bottom are kept).  A may be
+    a stack (..., m, n) of matrices, all reduced by one column loop; then
+    the pivots are a list with one tuple per matrix, in the order of
+    ``A.reshape(-1, m, n)``.  A matrix already in RREF comes back as a
+    copy, without elimination.
     """
-    reduced = _reduced_pivots(A)
-    if reduced is not None:
-        return A.copy(), reduced
-    R = A.copy()
-    nrows, ncols = R.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        hit = np.nonzero(R[r:, c])[0]
-        if hit.size == 0:
-            continue
-        pr = r + int(hit[0])
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-        R[r] = sub.mul_t[R[r], int(sub.inv_t[R[r, c]])]
-        fac = R[:, c].copy()
-        fac[r] = 0
-        R = sub.add_t[R, sub.mul_t[sub.neg_t[fac][:, None], R[r][None, :]]]
-        pivots.append(c)
-        r += 1
-    return R, tuple(pivots)
+    *stack, m, n = A.shape
+    R = A.reshape(math.prod(stack), m, n).copy()
+    pivots = _reduced_pivots(R)
+    todo = [b for b, p in enumerate(pivots) if p is None]
+    if todo and len(todo) == len(R):
+        R, pivots = _eliminate(sub, R)
+    elif todo:
+        R[todo], found = _eliminate(sub, R[todo])
+        for b, p in zip(todo, found):
+            pivots[b] = p
+    R = R.reshape(A.shape)
+    return (R, pivots) if stack else (R, pivots[0])
 
 
 def row_basis(sub: Subfield, A: np.ndarray) -> np.ndarray:

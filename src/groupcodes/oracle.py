@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .fields import ZERO, Subfield
+from .fields import Subfield
 
 
 # ---------------------------------------------------------------------------
@@ -55,24 +55,21 @@ def _mul_table(m: int, twist: int) -> np.ndarray:
 # algebra operations by convolution
 
 
-def group_mul(sub: Subfield, table: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Product of two algebra elements given as alphabet-index vectors."""
-    F = sub.master
-    size = table.shape[0]
-    vals = [sub.element(i) for i in range(sub.q)]
-    w = [ZERO] * size
-    for g in range(size):
-        ug = vals[int(u[g])]
-        if ug == ZERO:
-            continue
-        row = table[g]
-        for h in range(size):
-            vh = vals[int(v[h])]
-            if vh == ZERO:
-                continue
-            k = int(row[h])
-            w[k] = F.add(w[k], F.mul(ug, vh))
-    return np.array([sub.index(x) for x in w], dtype=np.int32)
+def group_mul(sub: Subfield, table: np.ndarray, U: np.ndarray,
+              V: np.ndarray) -> np.ndarray:
+    """Products of algebra elements given as alphabet-index vectors: the
+    rows of the stacks U, V (..., |G|), taken pairwise.
+
+    (u v)_k is the sum of u_g v_h over gh = k, so u_g times v moved by
+    h -> gh is added once for each group element g: one gather per g.
+    """
+    U, V = np.asarray(U), np.asarray(V)
+    W = np.zeros(np.broadcast_shapes(U.shape, V.shape), dtype=sub.add_t.dtype)
+    # V[..., moved[g]][k] = v_h with gh = k
+    moved = np.argsort(table, axis=1)
+    for g in range(table.shape[0]):
+        W = sub.add_t[W, sub.mul_t[U[..., g, None], V[..., moved[g]]]]
+    return W
 
 
 def translate_vector(table: np.ndarray, g: int, u: np.ndarray) -> np.ndarray:

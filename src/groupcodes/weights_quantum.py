@@ -46,7 +46,7 @@ from . import linalg
 from .dihedral_algebra import HERMITIAN, Decomposition
 from .duality import NotSelfOrthogonalError, dual_spec, is_self_orthogonal
 from .fields import Subfield
-from .ideals_codes import ideal_to_code
+from .ideals_codes import SpecBatch, ideal_to_code
 
 DEFAULT_WORK = 2 * 10 ** 8  # codewords one search may enumerate
 BATCH = 4096               # words weighed per step of either scan
@@ -169,11 +169,18 @@ def _check_invariant(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],
         raise AssertionError("permutation does not preserve the code")
 
 
+def _reduced(sub: Subfield, G) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The RREF (R, pivots) of a generator matrix G, or G itself when it
+    is given as such a pair."""
+    return G if isinstance(G, tuple) else linalg.rref(sub, np.asarray(G))
+
+
 class _Search:
-    """Shared state of one enumeration run."""
+    """Shared state of one enumeration run.  The code and the excluded
+    subcode are generator matrices or RREFs given as (R, pivots) pairs."""
 
     def __init__(self, sub, G, exclude, automorphism, max_weight=None):
-        R, piv = linalg.rref(sub, np.asarray(G))
+        R, piv = _reduced(sub, G)
         if not piv:
             raise ValueError("the zero code has no minimum distance")
         # the pivots are an information set, and Gs is the identity there
@@ -186,8 +193,7 @@ class _Search:
         self.max_weight = max_weight
         self.work = 0
 
-        self.exclude = (None if exclude is None
-                        else linalg.rref(sub, np.asarray(exclude)))
+        self.exclude = None if exclude is None else _reduced(sub, exclude)
 
         self.orbit_bound = automorphism is not None
         if automorphism is not None:
@@ -305,20 +311,22 @@ class _Search:
             raise AssertionError("distance witness lies in the excluded subcode")
 
 
-def min_distance_isd(sub: Subfield, G: np.ndarray, *,
+def min_distance_isd(sub: Subfield, G, *,
                      automorphism: np.ndarray | None = None,
                      max_weight: int | None = None) -> DistanceResult:
+    """Minimum weight of the code generated by G, a matrix or an RREF
+    given as its (R, pivots) pair."""
     floor, _ = _Search(sub, G, None, automorphism, max_weight).run()
     return floor
 
 
-def min_distance_isd_excluding(sub: Subfield, G: np.ndarray,
-                               exclude: np.ndarray | None, *,
+def min_distance_isd_excluding(sub: Subfield, G, exclude, *,
                                automorphism: np.ndarray | None = None,
                                max_weight: int | None = None):
     """(floor, outside): minimum weights in the code and off the subcode.
 
-    With no subcode to exclude, outside is None.
+    G and exclude are generator matrices or RREFs given as (R, pivots)
+    pairs.  With no subcode to exclude, outside is None.
     """
     return _Search(sub, G, exclude, automorphism, max_weight).run()
 
@@ -328,17 +336,25 @@ def min_distance_isd_excluding(sub: Subfield, G: np.ndarray,
 
 
 def css_hermitian(dec: Decomposition, spec, *,
-                  max_weight: int | None = None) -> QuantumRecord:
-    """Quantum parameters of a hermitian self-orthogonal ideal spec."""
+                  max_weight: int | None = None,
+                  codes: tuple | None = None) -> QuantumRecord:
+    """Quantum parameters of a hermitian self-orthogonal ideal spec.
+
+    ``codes`` are the RREFs (R, pivots) of the spec's code and of its
+    dual's, when the caller has built them already (``ideal_to_code`` of
+    a ``SpecBatch``).
+    """
     if dec.mode != HERMITIAN:
         raise ValueError("stabilizer construction needs a hermitian-mode algebra")
     ok, block = is_self_orthogonal(dec, spec)
     if not ok:
         raise NotSelfOrthogonalError(
             f"ideal is not hermitian self-orthogonal (block {block})")
-    small = ideal_to_code(dec, spec)
-    big = ideal_to_code(dec, dual_spec(dec, spec))
-    n, k = dec.length, small.shape[0]
+    if codes is None:
+        R, pivots = ideal_to_code(dec, SpecBatch((spec, dual_spec(dec, spec))))
+        codes = (R[0], pivots[0]), (R[1], pivots[1])
+    small, big = codes
+    n, k = dec.length, len(small[1])
     self_dual = n == 2 * k
     # nothing lies outside a self-dual subcode: the distance is the floor
     floor, outside = min_distance_isd_excluding(

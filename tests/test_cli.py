@@ -186,13 +186,14 @@ def test_css_search_small_system(capsys):
 
 
 def test_css_search_builds_each_code_once(capsys, monkeypatch):
-    # one ideal_to_code for the spec and one for its dual, per record; the
-    # witness re-check reuses the dual code built for the distance search
+    # the code of each record's spec and of its dual, built in one batch
+    # (the 20 specs of GF(4)[D_7] fit one); the witness re-check reuses the
+    # dual code built for the distance search
     calls = []
     original = ic.ideal_to_code
 
     def counting(dec, spec):
-        calls.append(spec)
+        calls.extend(spec if isinstance(spec, ic.SpecBatch) else [spec])
         return original(dec, spec)
 
     monkeypatch.setattr(ic, "ideal_to_code", counting)
@@ -204,14 +205,15 @@ def test_css_search_builds_each_code_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command,records,rrefs", [
-    # three per record (its two codes, the search's code), one per
-    # excluded subcode (the 11 records that are not self-dual), three for
-    # the decomposition (the change of basis of each of its two block
-    # fields, GF(4) and GF(64), and the inverse of its matrix)
-    ("css-search", 20, 74),
-    # one per record (its code), three per nonzero self-orthogonal record
-    # (19, the witness), three for the decomposition
-    ("enumerate", 201, 261),
+    # one stacked RREF for the codes of the 20 specs and of their duals
+    # (one batch of 40), none in the searches, which take those RREFs,
+    # and three for the decomposition (the change of basis of each of its
+    # two block fields, GF(4) and GF(64), and the inverse of its matrix)
+    ("css-search", 20, 4),
+    # one stacked RREF per batch of codes (201 specs, 167 to a batch of
+    # 2^15 // 14^2), three per nonzero self-orthogonal record (19, the
+    # witness), three for the decomposition
+    ("enumerate", 201, 62),
 ])
 def test_rref_calls_per_run(capsys, monkeypatch, command, records, rrefs):
     calls = []
@@ -229,8 +231,12 @@ def test_rref_calls_per_run(capsys, monkeypatch, command, records, rrefs):
 
 
 def test_matmul_calls_per_run(capsys, monkeypatch):
-    # one rho_inv per code (5 specs, each with its dual), and one batched
-    # rho for each of u, v and uv over the 5 multiplicativity pairs
+    # one rho_inv for the 10 codes (5 specs, each with its dual): the 51
+    # basis rows of their distinct slot ideals (C2 slot: "full" 2 and "mid"
+    # 1; the 2x2 slot over GF(64), d = 3: "e01" and seven row(lam), 6
+    # each);
+    # and one batched rho for each of u, v and uv over the 5
+    # multiplicativity pairs
     calls = []
     original = linalg.matmul
 
@@ -242,7 +248,7 @@ def test_matmul_calls_per_run(capsys, monkeypatch):
     doc = run_json(capsys, "verify", "--q", "4", "--n", "7",
                    "--metric", "hermitian", "--limit", "5")
     assert doc["results"][0]["ok"]
-    assert calls == [(1, 14)] * 10 + [(5, 14)] * 3
+    assert calls == [(51, 14)] + [(5, 14)] * 3
 
 
 @pytest.mark.parametrize("command,records,tests", [
@@ -366,7 +372,7 @@ def test_json_render_nulls_and_nesting():
                "results": [{"witness": None, "rows": [[None, 1], []]},
                            None, [None], {}, "a\n    null\n"],
                "timings": {}, "warnings": ["w"]}
-    assert cli._render_json(payload) == \
+    assert "".join(cli._render_json(payload)) == \
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 

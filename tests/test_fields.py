@@ -11,6 +11,7 @@ from groupcodes.fields import (
     DEFAULT_FIELD_BUDGET,
     ZERO,
     _TABLES,
+    _build_exp_table,
     FieldBudgetError,
     MissingSubfieldError,
     Subfield,
@@ -57,6 +58,35 @@ def test_tables_consistent(p, m):
     for k in range(N):
         lhs = F.add(F.one, k)
         assert lhs == (int(F.zech[k]) if F.zech[k] != ZERO else ZERO)
+
+
+def int64_exp_table(p, m, modulus):
+    """The exp table by the same doubling and blocks in int64 products,
+    which numpy computes without BLAS: the reference for the float64 ones."""
+    n = p**m - 1
+    A = np.eye(m, k=1, dtype=np.int64)
+    A[m - 1] = [(-c) % p for c in modulus[:m]]
+    states = np.eye(1, m, dtype=np.int64)
+    while len(states) < min(n, 4096):
+        states = np.vstack([states, states @ A % p])
+        A = A @ A % p
+    weights = p ** np.arange(m, dtype=np.int64)
+    exp = np.empty(n, dtype=np.int64)
+    for pos in range(0, n, len(states)):
+        take = min(len(states), n - pos)
+        exp[pos:pos + take] = states[:take] @ weights
+        states = states @ A % p
+    return exp
+
+
+@pytest.mark.parametrize("p,m", [(2, k) for k in range(1, 17)]
+                         + [(3, k) for k in range(1, 12)]
+                         + [(5, 7), (7, 5), (11, 4), (13, 3)])
+def test_exp_table_matches_int64_products(p, m):
+    modulus = smallest_primitive_modulus(p, m)
+    exp = _build_exp_table(p, m, modulus)
+    assert exp.dtype == np.int64
+    assert np.array_equal(exp, int64_exp_table(p, m, modulus))
 
 
 def _prime_poly_add(F, a, b):

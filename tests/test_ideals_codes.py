@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from groupcodes import dihedral_algebra as da
+from groupcodes import duality as du
 from groupcodes import quaternion_algebra as qa
 from groupcodes import ideals_codes as ic
 from groupcodes import linalg, oracle
@@ -108,6 +109,64 @@ def test_every_d7_ideal_really_is_one():
             assert ic.code_to_ideal(dec, code) == spec
         assert len(dims) == 201
         assert min(dims) == 0 and max(dims) == 14
+
+
+def translate_code(dec, spec):
+    """The code as the row space of the |G| left translates of one
+    generating element (per slot 0, 1, 1 + b, [[0, 0], [0, 1]] or
+    [[1, lam], [0, 0]]), row-reduced: the route before slot bases."""
+    F = dec.F
+
+    def generator(slot, ideal):
+        if ideal == "zero":
+            return da.slot_zero(slot)
+        if ideal == "full":
+            return da.slot_one(slot)
+        if ideal == "mid":
+            return (F.one, F.one)
+        if ideal == "e01":
+            return (ZERO, ZERO, ZERO, F.one)
+        return (F.one, ideal[1], ZERO, ZERO)
+
+    e = dec.rho_inv([[generator(s, i) for s, i in zip(dec.slots(), spec)]])[0]
+    table = group_table(dec)
+    translates = np.array([oracle.translate_vector(table, g, e)
+                           for g in range(dec.length)])
+    return linalg.row_basis(dec.alphabet, translates)
+
+
+@pytest.mark.parametrize("system", ["d7-gf4-herm", "d7-gf4-eucl", "d16-gf9",
+                                    "q7-gf11"])
+def test_batch_codes_equal_the_translate_route(system):
+    # every spec of D_7/GF(4), in one batch; sampled specs of the others,
+    # with their duals and the zero and full specs, in one batch
+    if system.startswith("d7"):
+        dec = dihedral(7, 4, da.HERMITIAN if "herm" in system else da.EUCLIDEAN)
+        specs = list(ic.enumerate_specs(dec))
+    else:
+        dec = dihedral(16, 9, da.HERMITIAN) if system == "d16-gf9" \
+            else quaternion(7, 11)
+        rng = np.random.default_rng(dec.length)
+        specs = [ic.random_spec(dec, rng) for _ in range(25)]
+        specs += [du.dual_spec(dec, s) for s in specs]
+        specs += [ic.zero_spec(dec), ic.full_spec(dec)]
+    R, pivots = ic.ideal_to_code(dec, ic.SpecBatch(specs))
+    assert R.shape == (len(specs), max(map(len, pivots)), dec.length)
+    for i, spec in enumerate(specs):
+        want = translate_code(dec, spec)
+        k = len(pivots[i])
+        assert k == want.shape[0] == ic.ideal_dimension(dec, spec)
+        assert R[i, :k].tobytes() == want.astype(R.dtype).tobytes()
+        assert not R[i, k:].any()
+        assert pivots[i] == tuple(int(c) for c in (want != 0).argmax(axis=1))
+        single = ic.ideal_to_code(dec, spec)
+        assert single.shape == want.shape and (single == want).all()
+
+
+def test_empty_batch():
+    dec = dihedral(7, 4, da.HERMITIAN)
+    R, pivots = ic.ideal_to_code(dec, ic.SpecBatch())
+    assert R.shape == (0, 0, dec.length) and pivots == []
 
 
 # ---------------------------------------------------------------------------

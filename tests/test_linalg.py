@@ -244,6 +244,38 @@ def test_matmul_and_rref_match_scalar_arithmetic(q, rows, inner, cols,
     assert (R == R_want).all()
 
 
+@settings(max_examples=120, deadline=None)
+@given(q=st.sampled_from(sorted(_MASTERS)), members=st.integers(1, 4),
+       rows=st.integers(0, 5), cols=st.integers(0, 7),
+       zeros=st.sampled_from([0.0, 0.5, 0.8]), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_rref_matches_scalar_elimination(q, members, rows, cols,
+                                                 zeros, seed):
+    # members of mixed ranks (a product through r <= rows), zero padding
+    # rows at random places, and already reduced members (their own RREF)
+    S = build_field(*_MASTERS[q]).subfield(q)
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((members, rows, cols), dtype=S.add_t.dtype)
+    for b in range(members):
+        r = int(rng.integers(0, rows + 1))
+        A = scalar_matmul(S, sparse_idx(rng, S, (rows, r), zeros),
+                          sparse_idx(rng, S, (r, cols), zeros))
+        A[rng.random(rows) < 0.3] = 0
+        stack[b] = scalar_rref(S, A)[0] if rng.random() < 0.3 else A
+    R, pivots = linalg.rref(S, stack)
+    assert R.shape == stack.shape and len(pivots) == members
+    for b in range(members):
+        R_want, pivots_want = scalar_rref(S, stack[b])
+        assert pivots[b] == pivots_want
+        assert (R[b] == R_want).all()
+        R_one, pivots_one = linalg.rref(S, stack[b])   # a batch of one
+        assert pivots_one == pivots_want and (R_one == R_want).all()
+    # a batch of one, and two leading dimensions (pivots in flat order)
+    R1, pivots1 = linalg.rref(S, stack[:1])
+    assert pivots1 == pivots[:1] and (R1 == R[:1]).all()
+    R2, pivots2 = linalg.rref(S, np.stack([stack, stack]))
+    assert pivots2 == pivots + pivots and (R2 == R[None]).all()
+
+
 def scalar_in_row_space(S, R, v):
     """v is in the row space of R iff appending it keeps the rank."""
     rank = len(scalar_rref(S, R)[1])
@@ -278,7 +310,7 @@ def test_rref_returns_a_reduced_input_unchanged(q, rows, cols, zeros, seed):
     S = build_field(*_MASTERS[q]).subfield(q)
     A = sparse_idx(np.random.default_rng(seed), S, (rows, cols), zeros)
     R_in, pivots_in = scalar_rref(S, A)
-    assert linalg._reduced_pivots(R_in) == pivots_in
+    assert linalg._reduced_pivots(R_in[None]) == [pivots_in]
     R, pivots = linalg.rref(S, R_in)
     assert pivots == pivots_in
     assert R is not R_in and R.shape == R_in.shape and (R == R_in).all()
@@ -299,7 +331,7 @@ NEAR_REDUCED = {
 def test_rref_of_near_reduced_input_matches_scalar(q, case):
     S = build_field(*_MASTERS[q]).subfield(q)
     A = np.array(NEAR_REDUCED[case], dtype=S.add_t.dtype)
-    assert linalg._reduced_pivots(A) is None
+    assert linalg._reduced_pivots(A[None]) == [None]
     R, pivots = linalg.rref(S, A)
     R_want, pivots_want = scalar_rref(S, A)
     assert pivots == pivots_want

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcodes import linalg, oracle
-from groupcodes.fields import build_field
+from groupcodes.fields import ZERO, build_field
 
 
 def test_dihedral_table_is_a_group():
@@ -69,6 +71,53 @@ def test_convolution_matches_table_on_delta_vectors(builder, n):
         expect = np.zeros(size, dtype=np.int32)
         expect[t[g, h]] = sub.index(F.mul(sub.element(3), sub.element(5)))
         assert np.array_equal(w, expect)
+
+
+def scalar_group_mul(sub, table, u, v):
+    """The product u v by the definition: u_g v_h added to entry gh, one
+    pair of group elements at a time, in master-field arithmetic."""
+    F = sub.master
+    size = table.shape[0]
+    vals = [sub.element(i) for i in range(sub.q)]
+    w = [ZERO] * size
+    for g in range(size):
+        ug = vals[int(u[g])]
+        if ug == ZERO:
+            continue
+        for h in range(size):
+            vh = vals[int(v[h])]
+            if vh == ZERO:
+                continue
+            k = int(table[g, h])
+            w[k] = F.add(w[k], F.mul(ug, vh))
+    return np.array([sub.index(x) for x in w], dtype=np.int32)
+
+
+# (table builder, n, p, m, q): dihedral and quaternion groups over prime
+# alphabets and proper subfields of their masters
+_MUL_SYSTEMS = [(oracle.dihedral_mul_table, 7, 2, 2, 4),
+                (oracle.dihedral_mul_table, 8, 3, 4, 9),
+                (oracle.dihedral_mul_table, 5, 11, 1, 11),
+                (oracle.quaternion_mul_table, 3, 5, 2, 25),
+                (oracle.quaternion_mul_table, 5, 3, 2, 3)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(system=st.sampled_from(_MUL_SYSTEMS), count=st.integers(1, 4),
+       zeros=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_group_mul_matches_scalar_convolution(system, count, zeros, seed):
+    build, n, p, m, q = system
+    sub, table = build_field(p, m).subfield(q), build(n)
+    rng = np.random.default_rng(seed)
+    U, V = rng.integers(0, q, (2, count, table.shape[0])).astype(np.int16)
+    U[rng.random(U.shape) < zeros] = 0   # zero vectors when zeros = 1
+    V[rng.random(V.shape) < zeros] = 0
+    W = oracle.group_mul(sub, table, U, V)
+    assert W.shape == U.shape
+    for u, v, w in zip(U, V, W):
+        assert np.array_equal(w, scalar_group_mul(sub, table, u, v))
+        assert np.array_equal(oracle.group_mul(sub, table, u, v), w)
 
 
 def test_group_mul_is_associative_on_random_vectors():
