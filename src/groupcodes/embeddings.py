@@ -121,6 +121,6 @@ def to_coords(alphabet: Subfield, x, from_digits: np.ndarray) -> np.ndarray:
     F, p, e, (mk, n) = alphabet.master, alphabet.p, alphabet.degree, from_digits.shape
     x = np.reshape(np.asarray(x, dtype=np.int64), (len(x), mk // F.m))
     coords = _quotients(F, x).reshape(len(x), mk) @ from_digits
-    coords %= p
+    coords -= p * np.floor(coords / p)
     codes = coords.reshape(len(x), n // e, e) @ _powers(p, e)
     return alphabet.pack_t[codes.astype(np.intp)]

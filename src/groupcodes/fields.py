@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -179,7 +180,10 @@ class FieldTable:
         self.log = log
         self.zech = zech
         self.one = 0
-        self._subfields: dict[int, Subfield] = {}
+        # a Subfield keeps its master alive, not the other way round, so
+        # dropping the last reference frees the tables without a GC pass
+        self._subfields: weakref.WeakValueDictionary[int, Subfield] = (
+            weakref.WeakValueDictionary())
         # dlog of -1: xi^((p^m-1)/2) for odd p, 1 == -1 for p = 2
         self.minus_one = 0 if p == 2 else self.mult_order // 2
 

@@ -16,7 +16,13 @@ it.  It stops once the bound meets the best word found: then d is exact.
 Both scans weigh words by comparison: coordinate j of H + L vanishes
 exactly when L[j] = -H[j], so the weights of all sums H[a] + L[b] of two
 blocks of words take one comparison per coordinate (`_zero_counts`), and
-only a word that may be the lightest is ever added up.
+only a word that may be the lightest is ever added up.  The matches are
+counted a word at a time: the comparison's True bytes, 8 coordinates to a
+uint64, are the set bits that `np.bitwise_count` counts.  Each search pads
+its code once with zero columns up to a multiple of 8; a zero column adds
+no weight, so a weight is the padded length less the zeros.  Witnesses,
+membership tests and the orbit bound keep the true length n.  A step of
+either scan weighs about BATCH = 16,384 words.
 
 The enumeration walks the weight-w supports in combinations order, in
 chunks of about BATCH words.  From a table of every unit multiple of every
@@ -49,7 +55,7 @@ from .fields import Subfield
 from .ideals_codes import SpecBatch, ideal_to_code
 
 DEFAULT_WORK = 2 * 10 ** 8  # codewords one search may enumerate
-BATCH = 4096               # words weighed per step of either scan
+BATCH = 16384              # words weighed per step of either scan
 EXACT = "exact"
 UPPER_BOUND = "upper_bound"
 
@@ -71,14 +77,41 @@ class QuantumRecord:
     self_dual: bool
 
 
+def _padded(n: int) -> int:
+    """The least multiple of 8 that is at least n."""
+    return -(-n // 8) * 8
+
+
+def _pad_columns(G: np.ndarray) -> np.ndarray:
+    """G with zero columns up to a multiple of 8, which add no weight."""
+    out = np.zeros((len(G), _padded(G.shape[1])), dtype=G.dtype)
+    out[:, :G.shape[1]] = G
+    return out
+
+
 def _zero_counts(neg: np.ndarray, L: np.ndarray) -> np.ndarray:
     """zeros[..., a, b]: coordinates where neg[..., a, :] == L[..., b, :].
 
-    With neg = -H that is the number of zeros of H[a] + L[b].  The count
-    is int16, which holds any length below 2^15.
+    With neg = -H that is the number of zeros of H[a] + L[b].  Each match
+    is one True byte, so the matches of 8 coordinates are the set bits of
+    one uint64 word.  A length that is not a multiple of 8 is compared
+    into rows padded with False.  The count is int16, which holds any
+    length below 2^15.
     """
-    return np.add.reduce(neg[..., :, None, :] == L[..., None, :, :],
-                         axis=-1, dtype=np.int16)
+    n = neg.shape[-1]
+    a, b = neg[..., :, None, :], L[..., None, :, :]
+    if n % 8:
+        *lead, _ = np.broadcast_shapes(a.shape, b.shape)
+        eq = np.zeros((*lead, _padded(n)), dtype=bool)
+        np.equal(a, b, out=eq[..., :n])
+    else:
+        eq = np.equal(a, b, order="C")
+    words = eq.view(np.uint64)
+    # numpy adds whole word columns faster than it reduces a short axis
+    zeros = np.bitwise_count(words[..., 0]).astype(np.int16)
+    for j in range(1, words.shape[-1]):
+        zeros += np.bitwise_count(words[..., j])
+    return zeros
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +138,8 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
     total = (q ** k - 1) // (q - 1)
     if total > budget:
         raise ValueError(f"{total} projective messages exceed budget {budget}")
+    G = _pad_columns(G)
+    width = G.shape[1]
     best, witness = None, None
     for lead in range(k):
         free = k - 1 - lead
@@ -114,10 +149,10 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
         high = free - low
         # all q^low combinations of the last `low` rows, first row most
         # significant
-        L = np.zeros((1, n), dtype=G.dtype)
+        L = np.zeros((1, width), dtype=G.dtype)
         for row in G[k - low:]:
             scaled = sub.mul_t[np.arange(q)[:, None], row[None, :]]
-            L = sub.add_t[L[:, None, :], scaled[None, :, :]].reshape(-1, n)
+            L = sub.add_t[L[:, None, :], scaled[None, :, :]].reshape(-1, width)
         step = BATCH // len(L)
         for start in range(0, q ** high, step):
             stop = min(start + step, q ** high)
@@ -127,11 +162,11 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
             H = linalg.matmul(sub, msgs, G[lead:k - low])
             zeros = _zero_counts(sub.neg_t[H], L)
             i = int(zeros.argmax())
-            weight = n - int(zeros.flat[i])
+            weight = width - int(zeros.flat[i])
             if best is None or weight < best:
                 a, b = divmod(i, len(L))
                 best = weight
-                witness = tuple(int(x) for x in sub.add_t[H[a], L[b]])
+                witness = tuple(int(x) for x in sub.add_t[H[a, :n], L[b, :n]])
     return DistanceResult(best, EXACT, witness)
 
 
@@ -186,9 +221,11 @@ class _Search:
         # the pivots are an information set, and Gs is the identity there
         self.sub, self.Gs, self.info = sub, R[:len(piv)], piv
         self.k, self.n = self.Gs.shape
-        # scaled[r, u - 1] = u Gs[r] for every unit u, and its negative
+        # scaled[r, u - 1] = u Gs[r] for every unit u, and its negative,
+        # on the padded columns
         units = np.arange(1, sub.q, dtype=self.Gs.dtype)
-        self.scaled = sub.mul_t[units[None, :, None], self.Gs[:, None, :]]
+        self.scaled = sub.mul_t[units[None, :, None],
+                                _pad_columns(self.Gs)[:, None, :]]
         self.neg_scaled = sub.neg_t[self.scaled]
         self.max_weight = max_weight
         self.work = 0
@@ -248,23 +285,23 @@ class _Search:
     def _weigh(self, C: np.ndarray) -> None:
         """Pass the words of the supports C (one per row) that are lighter
         than a current best to _take, in enumeration order."""
-        sub, n = self.sub, self.n
-        P = self.Gs[C[:, 0]][:, None, :]   # the prefixes of each support
+        sub, n, width = self.sub, self.n, self.scaled.shape[-1]
+        P = self.scaled[C[:, 0], :1]   # the prefixes of each support
         for col in C[:, 1:-1].T:
             P = sub.add_t[P[:, :, None, :], self.scaled[col][:, None, :, :]]
-            P = P.reshape(len(C), -1, n)
+            P = P.reshape(len(C), -1, width)
         # the last row's negated unit multiples; a leading row alone is
         # weighed against the zero word
         L = (self.neg_scaled[C[:, -1]] if C.shape[1] > 1
-             else np.zeros((len(C), 1, n), dtype=P.dtype))
-        weights = n - _zero_counts(P, L)
+             else np.zeros((len(C), 1, width), dtype=P.dtype))
+        weights = width - _zero_counts(P, L)
         cap = self.best_any if self.best_any is not None else n + 1
         if self.exclude is not None:
             cap = n + 1 if self.best_out is None else max(cap, self.best_out)
         keep = np.flatnonzero(weights < cap)
         if keep.size:
             s, p, u = np.unravel_index(keep, weights.shape)
-            words = sub.add_t[P[s, p], sub.neg_t[L[s, u]]]
+            words = sub.add_t[P[s, p, :n], sub.neg_t[L[s, u, :n]]]
             self._take(words, weights.ravel()[keep])
 
     def _done(self, lb: int) -> bool:

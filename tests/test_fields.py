@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +211,24 @@ def test_tables_built_lazily():
     assert not set(_TABLES) & set(vars(S))
     assert S.coord_t.shape == (81, 4)
     assert set(_TABLES) <= set(vars(S))
+
+
+def test_dropped_field_is_freed_without_gc():
+    # a master keeps no strong reference to its subfields, so once its
+    # last holder lets go the tables are freed at once, with the cyclic
+    # collector off; a subfield keeps its master alive
+    gc.disable()
+    try:
+        F = build_field.__wrapped__(3, 4)   # a table of its own, uncached
+        S = F.subfield(9)
+        assert S.add_t.shape == (9, 9) and F.subfield(9) is S
+        master, sub = weakref.ref(F), weakref.ref(S)
+        del F
+        assert master() is S.master
+        del S
+        assert master() is None and sub() is None
+    finally:
+        gc.enable()
 
 
 def test_missing_subfield():

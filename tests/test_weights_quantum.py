@@ -47,6 +47,52 @@ def small_ideals(dec, rng, count, max_dim):
 
 
 # ---------------------------------------------------------------------------
+# the zero-count kernel
+
+
+def reference_zero_counts(neg, L):
+    """The kernel before word counting: one reduction over the coordinates."""
+    return np.add.reduce(neg[..., :, None, :] == L[..., None, :, :],
+                         axis=-1, dtype=np.int16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 70), lead=st.sampled_from([(), (3,), (2, 3), (1, 4)]),
+       a=st.integers(1, 30), b=st.integers(1, 30),
+       rows=st.sampled_from(["random", "all equal", "no match"]),
+       dtype=st.sampled_from([np.int16, np.intp]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_zero_counts_match_reference(n, lead, a, b, rows, dtype, seed):
+    # L lacks the first leading axis, which it is broadcast over
+    rng = np.random.default_rng(seed)
+    neg = rng.integers(0, 4, size=(*lead, a, n)).astype(dtype)
+    L = rng.integers(0, 4, size=(*lead[1:], b, n)).astype(dtype)
+    if rows == "all equal":
+        neg[...] = L[...] = neg.reshape(-1, n)[0].copy()
+    elif rows == "no match":
+        L += 4
+    got = wq._zero_counts(neg, L)
+    assert got.dtype == np.int16
+    assert got.shape == (*lead, a, b)
+    assert (got == reference_zero_counts(neg, L)).all()
+    if rows == "all equal":
+        assert (got == n).all()
+    elif rows == "no match":
+        assert not got.any()
+
+
+@pytest.mark.parametrize("n", [2048, 2053])
+def test_zero_counts_of_long_rows(n):
+    rng = np.random.default_rng(n)
+    neg = rng.integers(0, 2, size=(24, n)).astype(np.int16)
+    L = rng.integers(0, 2, size=(30, n)).astype(np.intp)
+    L[3] = neg[5]
+    got = wq._zero_counts(neg, L)
+    assert (got == reference_zero_counts(neg, L)).all()
+    assert got[5, 3] == n
+
+
+# ---------------------------------------------------------------------------
 # exhaustive scan against the information-set search
 
 
@@ -78,7 +124,7 @@ _FIELDS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2), 25: (5, 2)}
 @settings(max_examples=150, deadline=None)
 @given(q=st.sampled_from(sorted(_FIELDS)), k=st.integers(1, 5),
        extra=st.integers(0, 8), seed=st.integers(0, 2 ** 32 - 1),
-       batch=st.sampled_from([wq.BATCH, 2, 5, 16, 100]))
+       batch=st.sampled_from([wq.BATCH, 4096, 2, 5, 16, 100]))
 def test_exhaustive_matches_reference_scan(q, k, extra, seed, batch):
     # a smaller step size moves the low/high split, so that small codes
     # also get a high part of several digits (batch 2 over GF(2)) or no low
@@ -423,6 +469,33 @@ def test_chunked_enumeration_order(monkeypatch, n, Q):
         assert len(got.seen) == sum(
             math.comb(big.shape[0], w) * (Q - 1) ** (w - 1)
             for w in range(1, min(big.shape[0], 3) + 1))
+
+
+@pytest.mark.parametrize("n,Q", [(7, 4), (10, 9)])
+def test_padded_searches_keep_their_witnesses(monkeypatch, n, Q):
+    # the lengths 14 and 20 are padded to 16 and 24; unpadded, with the
+    # reduction kernel and 4,096 words a step, every search must give the
+    # same values, statuses and witnesses
+    dec = dihedral(n, Q, da.HERMITIAN)
+    sub, pi = dec.alphabet, wq.code_automorphism(dec)
+    pairs = list(css_pairs(dec, n, 6))
+
+    def searches():
+        out = []
+        for big, small in pairs:
+            out += wq.min_distance_isd_excluding(sub, big, small,
+                                                 automorphism=pi)
+            out.append(wq.min_distance_isd(sub, big, max_weight=3))
+            if Q ** len(small) <= 2 ** 21:
+                out.append(wq.min_distance_exhaustive(sub, small))
+        return out
+
+    got = searches()
+    monkeypatch.setattr(wq, "_pad_columns", lambda G: G)
+    monkeypatch.setattr(wq, "_zero_counts", reference_zero_counts)
+    monkeypatch.setattr(wq, "BATCH", 4096)
+    assert got == searches()
+    assert any(r.value is not None and r.witness for r in got)
 
 
 # ---------------------------------------------------------------------------
