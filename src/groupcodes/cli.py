@@ -41,6 +41,10 @@ DEFAULT_VERIFY_SPECS = 50
 # codes are built in batches of this many cells (specs per batch times
 # |G|^2), which keeps a batch's arrays near 1 MiB
 CODE_BATCH_CELLS = 2 ** 15
+# verify checks the duals of this many cells of specs (times |G|^2) per
+# oracle call: one call for each system of the default matrix, and stacks
+# of a few MiB for a long --limit
+VERIFY_BATCH_CELLS = 2 ** 18
 
 # systems exercised by `verify` when none is given on the command line
 VERIFY_MATRIX = (
@@ -231,16 +235,21 @@ def _load_specs(cfg: RunConfig, dec) -> list:
 # emission-time re-validation
 
 
+def _oracle_dual(dec, codes):
+    """The oracle's RREF (R, pivots) of the dual of a code, or of each code
+    of a stack, under the pairing the algebra was built for."""
+    if dec.mode == da.HERMITIAN:
+        return oracle.hermitian_dual_basis(dec.alphabet, codes, dec.q)
+    return oracle.euclid_dual_basis(dec.alphabet, codes)
+
+
 def _selforth_flags(dec, spec, rows) -> dict:
     ok, _ = du.is_self_orthogonal(dec, spec)
     flags = {"self_orthogonal": ok}
     if ok and rows.shape[0]:
         # independent witness through the dense nullspace oracle
-        if dec.mode == da.HERMITIAN:
-            dual = oracle.hermitian_dual_basis(dec.alphabet, rows, dec.q)
-        else:
-            dual = oracle.euclid_dual_basis(dec.alphabet, rows)
-        if not linalg.row_space_contains(dec.alphabet, dual, rows):
+        R, pivots = _oracle_dual(dec, rows)
+        if not linalg.row_space_contains(dec.alphabet, R[:len(pivots)], rows):
             raise AssertionError("self-orthogonality witness failed")
     dual_spec = du.dual_spec(dec, spec)
     flags["self_dual"] = dual_spec == spec
@@ -420,22 +429,38 @@ def cmd_css_search(cfg: RunConfig, warnings: list) -> list:
     return results
 
 
+def _dual_mismatches(dec, specs) -> int:
+    """How many specs' closed-form duals differ from the oracle's.
+
+    The codes and their closed-form duals, reduced by ``_codes``, are
+    zero-padded into two (count, |G|, |G|) stacks, and one oracle call
+    dualises the codes of each stack of VERIFY_BATCH_CELLS // |G|^2 specs.
+    Both sides are RREFs, so equal row spaces are equal pivots and rows.
+    """
+    n = dec.length
+    step = max(1, VERIFY_BATCH_CELLS // n ** 2)
+    mismatch = 0
+    for start in range(0, len(specs), step):
+        batch = specs[start:start + step]
+        stacks = np.zeros((2, len(batch), n, n), dtype=dec.alphabet.add_t.dtype)
+        dual_pivots = []
+        for k, (_, R, pivots) in enumerate(_codes(dec, _with_duals(dec, batch))):
+            stacks[k % 2, k // 2, :len(pivots)] = R[:len(pivots)]
+            if k % 2:
+                dual_pivots.append(pivots)
+        ref, ref_pivots = _oracle_dual(dec, stacks[0])
+        same = (ref == stacks[1]).all(axis=(1, 2))
+        mismatch += sum(not (ok and p == d)
+                        for ok, p, d in zip(same, ref_pivots, dual_pivots))
+    return mismatch
+
+
 def _verify_system(group, n, Q, metric, rng, count, warnings) -> dict:
     dec = build_system(group, n, Q, metric)
     checks = {}
 
     specs = [ic.random_spec(dec, rng) for _ in range(count)]
-    codes = _codes(dec, _with_duals(dec, specs))
-    mismatch = 0
-    for (_, R, pivots), (_, Rd, pivots_d) in zip(codes, codes):
-        rows, dual = R[:len(pivots)], Rd[:len(pivots_d)]
-        if dec.mode == da.HERMITIAN:
-            ref = oracle.hermitian_dual_basis(dec.alphabet, rows, dec.q)
-        else:
-            ref = oracle.euclid_dual_basis(dec.alphabet, rows)
-        if not linalg.row_space_equal(dec.alphabet, dual, ref):
-            mismatch += 1
-    checks["dual_vs_oracle"] = mismatch
+    checks["dual_vs_oracle"] = _dual_mismatches(dec, specs)
 
     pairs = rng.integers(0, dec.Q, (count, 2, dec.length))
     U, V = pairs[:, 0], pairs[:, 1]

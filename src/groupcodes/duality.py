@@ -78,13 +78,22 @@ def _dual_proper(dec: Decomposition, block: Block, j: int, x):
     return _line(F, v0, v1)
 
 
+# the kinds whose slot j dualises the ideal of the other slot
+_SWAPPED = (RECIP_FIXED, FREE)
+
+
+def _dual_label(dec: Decomposition, block: Block, j: int, x):
+    """Dual label, in slot j, of the slot ideal x that slot j reads."""
+    if x in _ZERO_FULL:
+        return _ZERO_FULL[x]
+    return _dual_proper(dec, block, j, x)
+
+
 def dual_block(dec: Decomposition, block: Block, ideals: tuple) -> tuple:
     """Dual of one block's slot-ideal tuple under the algebra's pairing."""
-    if block.kind in (RECIP_FIXED, FREE):
+    if block.kind in _SWAPPED:
         ideals = ideals[::-1]
-    return tuple(_ZERO_FULL[x] if x in _ZERO_FULL
-                 else _dual_proper(dec, block, j, x)
-                 for j, x in enumerate(ideals))
+    return tuple(_dual_label(dec, block, j, x) for j, x in enumerate(ideals))
 
 
 def _block_ideals(dec: Decomposition, spec):
@@ -116,11 +125,21 @@ def is_self_orthogonal(dec: Decomposition, spec) -> tuple[bool, int | None]:
 
 
 def selforth_block_options(dec: Decomposition, block: Block) -> list[tuple]:
-    """All self-orthogonal slot-ideal tuples for one block."""
-    options = [slot_ideal_options(s) for s in block.slots]
+    """All self-orthogonal slot-ideal tuples for one block, in the order of
+    the product of the slots' options.
+
+    A dual label reads the ideal of one slot only, so each option's label
+    is computed once: option x of slot j gives the label of the dual's
+    slot j, or of the other slot for a swapped kind.
+    """
+    k, swap = len(block.slots), block.kind in _SWAPPED
+    options = [[(x, _dual_label(dec, block, k - 1 - j if swap else j, x))
+                for x in slot_ideal_options(s)]
+               for j, s in enumerate(block.slots)]
     out = []
-    for ideals in itertools.product(*options):
-        if spec_contains(dual_block(dec, block, ideals), ideals):
+    for combo in itertools.product(*options):
+        ideals, labels = zip(*combo)
+        if spec_contains(labels[::-1] if swap else labels, ideals):
             out.append(ideals)
     return out
 

@@ -106,13 +106,13 @@ def _quotients(F, x: np.ndarray) -> np.ndarray:
 
 
 def to_elements(alphabet: Subfield, C: np.ndarray, to_digits: np.ndarray) -> np.ndarray:
-    """Master elements (r, k) with digits coords(C) @ to_digits mod p, for
-    alphabet indices C (r, n)."""
+    """Master elements (r, k), int64, with digits coords(C) @ to_digits
+    mod p, for alphabet indices C (r, n)."""
     F, p, (n, mk) = alphabet.master, alphabet.p, to_digits.shape
     digits = alphabet.coord_t[C].reshape(len(C), n) @ to_digits
     digits -= p * np.floor(digits / p)
     packed = _powers(p, F.m) @ digits.reshape(len(C), F.m, mk // F.m)
-    return F.log[packed.astype(np.intp)]
+    return F.log[packed.astype(np.intp)].astype(np.int64)
 
 
 def to_coords(alphabet: Subfield, x, from_digits: np.ndarray) -> np.ndarray:

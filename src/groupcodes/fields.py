@@ -167,6 +167,10 @@ class FieldTable:
     exp : numpy array, exp[k] = base-p packed coefficient vector of xi^k
     log : numpy array indexed by packed value; log[0] = ZERO
     zech : numpy array, zech[k] = log(1 + xi^k) (ZERO where 1 + xi^k = 0)
+
+    The three tables are int32, since every entry is below the budget
+    2^24; what they hand out is widened (``int`` here, int64 in
+    ``embeddings``), so products of element values cannot wrap.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...],
@@ -291,7 +295,7 @@ def _build_exp_table(p: int, m: int, modulus: tuple[int, ...]) -> np.ndarray:
         A = A @ A % p
     states, A = states.astype(np.float64), A.astype(np.float64)
     weights = float(p) ** np.arange(m)
-    exp = np.empty(n, dtype=np.int64)
+    exp = np.empty(n, dtype=np.int32)
     for pos in range(0, n, len(states)):
         take = min(len(states), n - pos)
         exp[pos:pos + take] = states[:take] @ weights
@@ -316,8 +320,8 @@ def build_field(p: int, m: int, budget: int = DEFAULT_FIELD_BUDGET) -> FieldTabl
     modulus = smallest_primitive_modulus(p, m)
     exp = _build_exp_table(p, m, modulus)
 
-    log = np.full(order, ZERO, dtype=np.int64)
-    log[exp] = np.arange(order - 1, dtype=np.int64)
+    log = np.full(order, ZERO, dtype=np.int32)
+    log[exp] = np.arange(order - 1, dtype=np.int32)
     if int((log != ZERO).sum()) != order - 1:
         raise RuntimeError("exp table is not a full multiplicative orbit")
 

@@ -161,16 +161,27 @@ def rank(sub: Subfield, A: np.ndarray) -> int:
 
 
 def nullspace(sub: Subfield, A: np.ndarray) -> np.ndarray:
-    """Rows form a basis of {x : A @ x = 0} (the kernel of x -> Ax)."""
-    ncols = A.shape[1]
-    if A.shape[0] == 0:
-        return np.eye(ncols, dtype=sub.add_t.dtype)
-    R, pivots = rref(sub, A)
-    free = [c for c in range(ncols) if c not in pivots]
-    out = np.zeros((len(free), ncols), dtype=A.dtype)
-    out[np.arange(len(free)), free] = 1  # index of the element 1
-    out[:, list(pivots)] = sub.neg_t[R[:len(pivots), free]].T
-    return out
+    """Rows form a basis of {x : A @ x = 0} (the kernel of x -> Ax).
+
+    A may be a stack (..., m, n), reduced by one stacked ``rref``; then
+    each member's kernel is the (n, n) matrix (I - P)^T, where P holds the
+    member's RREF rows at their pivot indices.  Its rows at pivot columns
+    are zero and the others are the basis, which for a single matrix is
+    returned alone, in column order.
+    """
+    *stack, m, n = A.shape
+    R, pivots = rref(sub, A.reshape(math.prod(stack), m, n))
+    P = np.zeros((len(R), n, n), dtype=A.dtype)
+    for Pb, Rb, piv in zip(P, R, pivots):
+        Pb[list(piv)] = Rb[:len(piv)]
+    # I - P has 1 - P[c, c] on its diagonal: 0 at a pivot, 1 (the index
+    # of the element 1) elsewhere
+    out = sub.neg_t[P.transpose(0, 2, 1)].astype(A.dtype, copy=False)
+    diag = np.arange(n)
+    out[:, diag, diag] = P[:, diag, diag] == 0
+    if stack:
+        return out.reshape(*stack, n, n)
+    return out[0, [c for c in range(n) if c not in pivots[0]]]
 
 
 def in_row_space(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],

@@ -99,16 +99,19 @@ def is_left_ideal(sub: Subfield, table: np.ndarray, basis: np.ndarray) -> bool:
 # duals as nullspaces
 
 
-def euclid_dual_basis(sub: Subfield, basis: np.ndarray) -> np.ndarray:
-    """RREF basis of {v : sum_g u_g v_g = 0 for all u in the row space}."""
-    return linalg.nullspace(sub, basis)
+def euclid_dual_basis(sub: Subfield, basis: np.ndarray):
+    """The RREF (R, pivots) of {v : sum_g u_g v_g = 0 for all u in the row
+    space}, as ``linalg.rref`` returns it: ``basis`` may be a stack of
+    codes, each dualised on its own by one stacked nullspace and RREF."""
+    return linalg.rref(sub, linalg.nullspace(sub, basis))
 
 
-def hermitian_dual_basis(sub: Subfield, basis: np.ndarray, q: int) -> np.ndarray:
-    """RREF basis of {v : sum_g u_g v_g^q = 0}; q is the conjugation root.
+def hermitian_dual_basis(sub: Subfield, basis: np.ndarray, q: int):
+    """The RREF (R, pivots) of {v : sum_g u_g v_g^q = 0}, of a code or of
+    each member of a stack; q is the conjugation root.
 
     v is hermitian-orthogonal to everything iff its entrywise q-th power is
     euclidean-orthogonal, so conjugate the euclidean nullspace back.
     """
     null = linalg.nullspace(sub, basis)
-    return linalg.row_basis(sub, linalg.entrywise_pow(sub, null, q))
+    return linalg.rref(sub, linalg.entrywise_pow(sub, null, q))

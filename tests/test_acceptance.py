@@ -68,8 +68,10 @@ def matrix_systems():
 
 def oracle_dual(dec, rows):
     if dec.mode == da.HERMITIAN:
-        return oracle.hermitian_dual_basis(dec.alphabet, rows, dec.q)
-    return oracle.euclid_dual_basis(dec.alphabet, rows)
+        R, pivots = oracle.hermitian_dual_basis(dec.alphabet, rows, dec.q)
+    else:
+        R, pivots = oracle.euclid_dual_basis(dec.alphabet, rows)
+    return R[:len(pivots)]
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,43 @@ def test_verify_single_system(capsys):
     assert res["checks"]["census_formula_vs_enumeration"] == 0
 
 
+def test_verify_counts_wrong_duals(capsys, monkeypatch):
+    # a dual_spec that returns its input is right exactly on the self-dual
+    # specs; verify draws its specs first, so the same seed redraws them
+    dec = cli.build_system(cli.DIHEDRAL, 7, 4, "euclidean")
+    rng = np.random.default_rng(0)
+    specs = [ic.random_spec(dec, rng) for _ in range(50)]
+    wrong = sum(cli.du.dual_spec(dec, s) != s for s in specs)
+    assert 0 < wrong < 50
+    monkeypatch.setattr(cli.du, "dual_spec", lambda dec, spec: spec)
+    code, out = run(capsys, "verify", "--q", "4", "--n", "7",
+                    "--metric", "euclidean", "--limit", "50")
+    assert code == 1
+    (res,) = json.loads(out)["results"]
+    assert res["checks"]["dual_vs_oracle"] == wrong
+    assert not res["ok"]
+
+
+@pytest.mark.parametrize("limit", ["5", "50"])
+def test_verify_rref_calls_per_system(capsys, monkeypatch, limit):
+    # one stacked RREF for the codes of the specs and of their duals (one
+    # batch), one in the oracle's nullspace of the codes (already reduced,
+    # so without elimination), one of the oracle's dual bases, and three
+    # for the decomposition: none per spec
+    calls = []
+    original = linalg.rref
+
+    def counting(sub, A):
+        calls.append(A.shape)
+        return original(sub, A)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    doc = run_json(capsys, "verify", "--q", "4", "--n", "7",
+                   "--metric", "hermitian", "--limit", limit)
+    assert doc["results"][0]["ok"]
+    assert len(calls) == 6
+
+
 def test_verify_block_field_beyond_dense_tables(capsys):
     # GF(4)[D_43] has a GF(16384) block field, too large for dense index
     # tables; only the alphabet's tables are ever read

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from groupcodes import cli
 from groupcodes import dihedral_algebra as da
 from groupcodes import quaternion_algebra as qa
 from groupcodes import duality as du
@@ -48,8 +49,10 @@ def all_decs():
 
 def oracle_dual(dec, code):
     if dec.mode == da.HERMITIAN:
-        return oracle.hermitian_dual_basis(dec.alphabet, code, dec.q)
-    return oracle.euclid_dual_basis(dec.alphabet, code)
+        R, pivots = oracle.hermitian_dual_basis(dec.alphabet, code, dec.q)
+    else:
+        R, pivots = oracle.euclid_dual_basis(dec.alphabet, code)
+    return R[:len(pivots)]
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +98,18 @@ def test_dual_block_on_every_label_tuple():
                 assert dims == block.width
                 assert dual.count("full") == ideals.count("zero")
                 assert dual.count("zero") == ideals.count("full")
+
+
+@pytest.mark.parametrize("system", cli.VERIFY_MATRIX)
+def test_selforth_block_options_match_dual_block(system):
+    # the walk that labels each slot option once against the route that
+    # dualises every combination of a block's slot options
+    dec = cli.build_system(*system)
+    for block in dec.blocks:
+        options = [ic.slot_ideal_options(s) for s in block.slots]
+        want = [ideals for ideals in itertools.product(*options)
+                if ic.spec_contains(du.dual_block(dec, block, ideals), ideals)]
+        assert du.selforth_block_options(dec, block) == want
 
 
 def test_dual_on_every_d7_ideal():

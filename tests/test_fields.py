@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupcodes.embeddings import PowerBasis, to_elements
 from groupcodes.fields import (
     DEFAULT_FIELD_BUDGET,
     ZERO,
@@ -88,8 +89,22 @@ def int64_exp_table(p, m, modulus):
 def test_exp_table_matches_int64_products(p, m):
     modulus = smallest_primitive_modulus(p, m)
     exp = _build_exp_table(p, m, modulus)
-    assert exp.dtype == np.int64
+    assert exp.dtype == np.int32
     assert np.array_equal(exp, int64_exp_table(p, m, modulus))
+
+
+def test_master_tables_are_int32_and_values_are_not():
+    # the tables of the largest master the verify matrix builds hold int32;
+    # element values read from them are int64, so exponent products like
+    # F.pow's a * e (about 2^41 here) do not wrap
+    F = build_field(11, 6)
+    assert [t.dtype for t in (F.exp, F.log, F.zech)] == [np.int32] * 3
+    basis = PowerBasis(F.subfield(11 ** 6), F.subfield(11))
+    C = np.random.default_rng(6).integers(0, 11, (20, 6))
+    x = to_elements(basis.alphabet, C, basis.to_digits).ravel()
+    assert x.dtype == np.int64 and x.max() > 2 ** 20
+    for e in (11 ** 3, 11 ** 6 - 2):
+        assert [F.pow(a, e) for a in x] == [F.pow(int(a), e) for a in x]
 
 
 def _prime_poly_add(F, a, b):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupcodes import linalg
+from groupcodes import linalg, oracle
 from groupcodes.fields import ZERO, build_field
 
 
@@ -274,6 +276,41 @@ def test_stacked_rref_matches_scalar_elimination(q, members, rows, cols,
     assert pivots1 == pivots[:1] and (R1 == R[:1]).all()
     R2, pivots2 = linalg.rref(S, np.stack([stack, stack]))
     assert pivots2 == pivots + pivots and (R2 == R[None]).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from([4, 9, 25]), members=st.integers(1, 4),
+       rows=st.integers(0, 6), cols=st.integers(1, 6),
+       zeros=st.sampled_from([0.0, 0.5]), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_nullspace_and_oracle_duals_match_per_matrix(
+        q, members, rows, cols, zeros, seed):
+    # members of every rank 0..min(rows, cols), zero rows at random places
+    # and whole zero members; q is a square, so both pairings exist
+    S = build_field(*_MASTERS[q]).subfield(q)
+    root = math.isqrt(q)
+    rng = np.random.default_rng(seed)
+    stack = np.zeros((members, rows, cols), dtype=S.add_t.dtype)
+    for b in range(members):
+        r = int(rng.integers(0, min(rows, cols) + 1))
+        A = scalar_matmul(S, sparse_idx(rng, S, (rows, r), zeros),
+                          sparse_idx(rng, S, (r, cols), zeros))
+        A[rng.random(rows) < 0.2] = 0
+        stack[b] = A
+    N = linalg.nullspace(S, stack)
+    assert N.shape == (members, cols, cols)
+    duals = (oracle.euclid_dual_basis(S, stack),
+             oracle.hermitian_dual_basis(S, stack, root))
+    for b, A in enumerate(stack):
+        pivots = linalg.rref(S, A)[1]
+        free = [c for c in range(cols) if c not in pivots]
+        assert (N[b, free] == linalg.nullspace(S, A)).all()
+        assert not N[b, list(pivots)].any()
+        for (R, piv), (R_one, piv_one) in zip(
+                duals, (oracle.euclid_dual_basis(S, A),
+                        oracle.hermitian_dual_basis(S, A, root))):
+            assert piv[b] == piv_one
+            assert (R[b, :len(piv_one)] == R_one[:len(piv_one)]).all()
+            assert not R[b, len(piv_one):].any()
 
 
 def scalar_in_row_space(S, R, v):
