@@ -249,7 +249,7 @@ def _selforth_flags(dec, spec, rows) -> dict:
     if ok and rows.shape[0]:
         # independent witness through the dense nullspace oracle
         R, pivots = _oracle_dual(dec, rows)
-        if not linalg.row_space_contains(dec.alphabet, R[:len(pivots)], rows):
+        if not linalg.in_row_space(dec.alphabet, R, pivots, rows).all():
             raise AssertionError("self-orthogonality witness failed")
     dual_spec = du.dual_spec(dec, spec)
     flags["self_dual"] = dual_spec == spec

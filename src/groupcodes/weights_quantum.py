@@ -18,19 +18,28 @@ exactly when L[j] = -H[j], so the weights of all sums H[a] + L[b] of two
 blocks of words take one comparison per coordinate (`_zero_counts`), and
 only a word that may be the lightest is ever added up.  The matches are
 counted a word at a time: the comparison's True bytes, 8 coordinates to a
-uint64, are the set bits that `np.bitwise_count` counts.  Each search pads
-its code once with zero columns up to a multiple of 8; a zero column adds
-no weight, so a weight is the padded length less the zeros.  Witnesses,
-membership tests and the orbit bound keep the true length n.  A step of
-either scan weighs about BATCH = 16,384 words.
+uint64, are the set bits that `np.bitwise_count` counts.  Zero columns,
+which add no weight, pad the compared coordinates to a multiple of 8, so a
+weight is the padded length less the zeros.  Witnesses, membership tests
+and the orbit bound keep the true length n.  A step of either scan weighs
+about BATCH = 16,384 words.
 
-The enumeration walks the weight-w supports in combinations order, in
-chunks of about BATCH words.  From a table of every unit multiple of every
-row, the prefixes of a chunk (the leading row, then unit multiples of the
-rows up to the last) take one gather per support position, and the last
-row's negated multiples are compared against them.  Words come in support
-order, then unit tuples with the first scalar most significant; the first
-lightest word is the witness.
+The enumeration keeps its code in one column layout: the n - k columns
+off the pivots first, zero-padded to wr, then the k pivot columns, where
+the basis is the identity.  A word of information weight w is its w unit
+coefficients on the pivots, so it weighs w plus the nonzeros of its wr
+redundancy coordinates, and only those are compared.  The weight-w
+supports come in combinations order, in chunks of about BATCH words.  The
+prefixes of a support (the leading row, then unit multiples of the rows up
+to the last) depend only on its head, the support less its last row, and
+supports sharing a head are neighbours; so a chunk builds each distinct
+head's prefixes once, one gather per head position from a table of every
+unit multiple of every row, hands them to the head's supports, and
+compares the last row's negated multiples against them.  Only a word kept
+for `_take` is put together at full width, its pivot coordinates being its
+coefficients, and moved back to the natural column order.  Words come in
+support order, then unit tuples with the first scalar most significant;
+the first lightest word is the witness.
 
 The exhaustive reference scans one codeword per projective message of a
 row-reduced basis: a leading 1 at each position in turn, then every choice
@@ -38,11 +47,15 @@ of the trailing digits.  It splits the trailing rows in two.  The low part,
 the last l rows with q^l <= BATCH, is tabulated once as a table L of all
 q^l combinations.  The high part is walked in steps, each giving a block H
 of words (the leading row plus a high combination), weighed against L by
-comparison.  The first lightest word in message order is the witness.
+comparison over every column of the code, padded to a multiple of 8.  It
+takes nothing from an information set on purpose: it is the independent
+reference the enumeration is tested against.  The first lightest word in
+message order is the witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -107,6 +120,8 @@ def _zero_counts(neg: np.ndarray, L: np.ndarray) -> np.ndarray:
     else:
         eq = np.equal(a, b, order="C")
     words = eq.view(np.uint64)
+    if not words.shape[-1]:   # no coordinates: nothing matches
+        return np.zeros(words.shape[:-1], dtype=np.int16)
     # numpy adds whole word columns faster than it reduces a short axis
     zeros = np.bitwise_count(words[..., 0]).astype(np.int16)
     for j in range(1, words.shape[-1]):
@@ -184,7 +199,17 @@ def code_automorphism(dec: Decomposition) -> np.ndarray:
 
 
 def _is_transitive(perms: np.ndarray) -> bool:
-    """Whether the permutations (rows) move coordinate 0 to every other."""
+    """Whether the permutations (rows) move coordinate 0 to every other.
+
+    A census hands every search the same automorphism, so the answer is
+    kept per distinct array of permutations."""
+    perms = np.ascontiguousarray(perms, dtype=np.intp)
+    return _orbit_is_everything(perms.tobytes(), perms.shape[1])
+
+
+@functools.lru_cache(maxsize=64)
+def _orbit_is_everything(rows: bytes, n: int) -> bool:
+    perms = np.frombuffer(rows, dtype=np.intp).reshape(-1, n)
     orbit, size = {0}, 0
     while len(orbit) > size:
         size = len(orbit)
@@ -221,11 +246,22 @@ class _Search:
         # the pivots are an information set, and Gs is the identity there
         self.sub, self.Gs, self.info = sub, R[:len(piv)], piv
         self.k, self.n = self.Gs.shape
-        # scaled[r, u - 1] = u Gs[r] for every unit u, and its negative,
-        # on the padded columns
+        # the layout: the n - k non-pivot columns, zero columns up to wr,
+        # then the pivot columns; pos[j] is the place of column j in it
+        pivot = np.zeros(self.n, dtype=bool)
+        pivot[list(piv)] = True
+        order = np.argsort(pivot, kind="stable")
+        redundancy = self.n - self.k
+        self.wr = _padded(redundancy)
+        self.pos = np.empty(self.n, dtype=np.intp)
+        self.pos[order] = np.arange(self.n)
+        self.pos[order[redundancy:]] += self.wr - redundancy
+        # scaled[i, u - 1] = u Gs[i] on the redundancy part, for every
+        # unit u, and its negative
+        red = np.zeros((self.k, self.wr), dtype=self.Gs.dtype)
+        red[:, :redundancy] = self.Gs[:, order[:redundancy]]
         units = np.arange(1, sub.q, dtype=self.Gs.dtype)
-        self.scaled = sub.mul_t[units[None, :, None],
-                                _pad_columns(self.Gs)[:, None, :]]
+        self.scaled = sub.mul_t[units[None, :, None], red[:, None, :]]
         self.neg_scaled = sub.neg_t[self.scaled]
         self.max_weight = max_weight
         self.work = 0
@@ -285,24 +321,48 @@ class _Search:
     def _weigh(self, C: np.ndarray) -> None:
         """Pass the words of the supports C (one per row) that are lighter
         than a current best to _take, in enumeration order."""
-        sub, n, width = self.sub, self.n, self.scaled.shape[-1]
-        P = self.scaled[C[:, 0], :1]   # the prefixes of each support
-        for col in C[:, 1:-1].T:
-            P = sub.add_t[P[:, :, None, :], self.scaled[col][:, None, :, :]]
-            P = P.reshape(len(C), -1, width)
+        sub, w = self.sub, C.shape[1]
+        # supports sharing a head (all rows but the last) are neighbours:
+        # build each head's prefixes once and hand them to its supports
+        head = C[:, :-1]
+        new = np.ones(len(C), dtype=bool)
+        new[1:] = (head[1:] != head[:-1]).any(axis=1)
+        P = self._prefixes(head[new])[np.cumsum(new) - 1]
         # the last row's negated unit multiples; a leading row alone is
-        # weighed against the zero word
-        L = (self.neg_scaled[C[:, -1]] if C.shape[1] > 1
-             else np.zeros((len(C), 1, width), dtype=P.dtype))
-        weights = width - _zero_counts(P, L)
-        cap = self.best_any if self.best_any is not None else n + 1
+        # taken once, unscaled
+        L = self.neg_scaled[C[:, -1], :1 if w == 1 else None]
+        # on the pivots a word is its w unit coefficients
+        weights = w + self.wr - _zero_counts(P, L)
+        cap = self.best_any if self.best_any is not None else self.n + 1
         if self.exclude is not None:
-            cap = n + 1 if self.best_out is None else max(cap, self.best_out)
+            cap = (self.n + 1 if self.best_out is None
+                   else max(cap, self.best_out))
         keep = np.flatnonzero(weights < cap)
         if keep.size:
             s, p, u = np.unravel_index(keep, weights.shape)
-            words = sub.add_t[P[s, p, :n], sub.neg_t[L[s, u, :n]]]
-            self._take(words, weights.ravel()[keep])
+            words = np.zeros((keep.size, self.wr + self.k), dtype=P.dtype)
+            words[:, :self.wr] = sub.add_t[P[s, p], sub.neg_t[L[s, u]]]
+            # the coefficients on the pivots: 1 on the leading row, then
+            # the unit digits of p and u (the unit of index i is i + 1)
+            coef = np.ones((keep.size, w), dtype=P.dtype)
+            if w > 2:
+                digits = np.unravel_index(p, (sub.q - 1,) * (w - 2))
+                coef[:, 1:-1] = np.stack(digits, axis=1) + 1
+            coef[:, -1] = u + 1
+            words[np.arange(keep.size)[:, None], self.wr + C[s]] = coef
+            self._take(words[:, self.pos], weights.ravel()[keep])
+
+    def _prefixes(self, heads: np.ndarray) -> np.ndarray:
+        """P[h, p]: the redundancy part of the leading row of heads[h] plus
+        the p-th tuple of unit multiples of its other rows, the first
+        scalar most significant; the zero word for an empty head."""
+        if not heads.shape[1]:
+            return np.zeros((len(heads), 1, self.wr), dtype=self.scaled.dtype)
+        P = self.scaled[heads[:, 0], :1]
+        for col in heads[:, 1:].T:
+            P = self.sub.add_t[P[:, :, None, :], self.scaled[col][:, None, :, :]]
+            P = P.reshape(len(heads), P.shape[1] * P.shape[2], self.wr)
+        return P
 
     def _done(self, lb: int) -> bool:
         if self.best_any is None or lb < self.best_any:

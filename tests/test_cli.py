@@ -211,9 +211,10 @@ def test_css_search_builds_each_code_once(capsys, monkeypatch):
     # two block fields, GF(4) and GF(64), and the inverse of its matrix)
     ("css-search", 20, 4),
     # one stacked RREF per batch of codes (201 specs, 167 to a batch of
-    # 2^15 // 14^2), three per nonzero self-orthogonal record (19, the
-    # witness), three for the decomposition
-    ("enumerate", 201, 62),
+    # 2^15 // 14^2), two per nonzero self-orthogonal record (19, the
+    # witness: the hermitian oracle's one and the nullspace's), three for
+    # the decomposition
+    ("enumerate", 201, 43),
 ])
 def test_rref_calls_per_run(capsys, monkeypatch, command, records, rrefs):
     calls = []

@@ -451,31 +451,94 @@ def test_chunked_enumeration_keeps_outside_candidates():
     assert (got[0].value, got[1].value) == (1, 3)
 
 
-@pytest.mark.parametrize("n,Q", [(7, 4), (10, 9)])
-def test_chunked_enumeration_order(monkeypatch, n, Q):
-    # while no word is kept, every word reaches _take: the chunks must hand
-    # over the per-support walk's words and weights in its order
-    def record(search, words, weights):
-        search.seen.extend(zip(map(tuple, words.tolist()), weights.tolist()))
+def record(search, words, weights):
+    search.seen.extend(zip(map(tuple, words.tolist()), weights.tolist()))
 
-    monkeypatch.setattr(wq._Search, "_take", record)
+
+def _matches_per_support(sub, G, max_weight):
+    """While no word is kept, every word reaches _take: the chunks must
+    hand over the per-support walk's words and weights in its order."""
+    want = _PerSupport(sub, G, None, None, max_weight)
+    got = wq._Search(sub, G, None, None, max_weight)
+    want.seen, got.seen = [], []
+    with mock.patch.object(wq._Search, "_take", record):
+        want.run(), got.run()
+    assert got.seen == want.seen
+    k = got.k
+    assert len(got.seen) == sum(
+        math.comb(k, w) * (sub.q - 1) ** (w - 1)
+        for w in range(1, min(k, max_weight) + 1))
+
+
+@pytest.mark.parametrize("n,Q", [(7, 4), (10, 9)])
+def test_chunked_enumeration_order(n, Q):
     dec = dihedral(n, Q, da.HERMITIAN)
     for big, _ in css_pairs(dec, n, 4):
-        want = _PerSupport(dec.alphabet, big, None, None, 3)
-        got = wq._Search(dec.alphabet, big, None, None, 3)
-        want.seen, got.seen = [], []
-        want.run(), got.run()
-        assert got.seen == want.seen
-        assert len(got.seen) == sum(
-            math.comb(big.shape[0], w) * (Q - 1) ** (w - 1)
-            for w in range(1, min(big.shape[0], 3) + 1))
+        _matches_per_support(dec.alphabet, big, 3)
+
+
+def layout_codes():
+    """(name, alphabet, generator matrix): codes whose pivots are not the
+    leading columns, a full code, and redundancies of 11 and 8 columns."""
+    rng = np.random.default_rng(15)
+    gf4, gf9 = build_field(2, 2).subfield(4), build_field(3, 2).subfield(9)
+    dec = dihedral(7, 4, da.HERMITIAN)
+    big, small = next(css_pairs(dec, 7, 1))
+    for name, code in (("permuted-big", big), ("permuted-small", small)):
+        perm = rng.permutation(code.shape[1])
+        _, piv = linalg.rref(dec.alphabet, code[:, perm])
+        assert piv != tuple(range(len(piv)))
+        yield name, dec.alphabet, code[:, perm]
+    while True:
+        full = rng.integers(0, 4, size=(7, 7)).astype(np.int16)
+        if linalg.rank(gf4, full) == 7:
+            break
+    yield "full", gf4, full
+    for name, (k, n) in (("redundancy-11", (6, 17)), ("redundancy-8", (5, 13))):
+        G = rng.integers(0, 9, size=(k, n)).astype(np.int16)
+        assert linalg.rank(gf9, G) == k
+        yield name, gf9, G
+
+
+_LAYOUT_CODES = list(layout_codes())
+
+
+@pytest.mark.parametrize("batch", [wq.BATCH, 2000, 300, 40])
+@pytest.mark.parametrize("case", range(len(_LAYOUT_CODES)),
+                         ids=[name for name, _, _ in _LAYOUT_CODES])
+def test_heads_and_layout_match_per_support(monkeypatch, case, batch):
+    # information weights 4 and 5, in chunks that start inside a group of
+    # supports sharing a head; the words, weights and order must be the
+    # per-support walk's, and so must values, witnesses and work
+    _, sub, G = _LAYOUT_CODES[case]
+    monkeypatch.setattr(wq, "BATCH", batch)
+    starts = []
+    weigh = wq._Search._weigh
+
+    def watch(search, C):
+        starts.append(tuple(C[0]))
+        weigh(search, C)
+
+    monkeypatch.setattr(wq._Search, "_weigh", watch)
+    _matches_per_support(sub, G, 5)
+    if batch < wq.BATCH:
+        # some chunk's first support shares its head with the one before
+        assert any(a[:-1] == b[:-1] and len(a) > 2
+                   for b, a in zip(starts, starts[1:]))
+    for exclude in (None, G[:2]):
+        for max_weight in (4, 5):
+            want = _PerSupport(sub, G, exclude, None, max_weight)
+            got = wq._Search(sub, G, exclude, None, max_weight)
+            assert got.run() == want.run()
+            assert got.work == want.work
 
 
 @pytest.mark.parametrize("n,Q", [(7, 4), (10, 9)])
 def test_padded_searches_keep_their_witnesses(monkeypatch, n, Q):
-    # the lengths 14 and 20 are padded to 16 and 24; unpadded, with the
-    # reduction kernel and 4,096 words a step, every search must give the
-    # same values, statuses and witnesses
+    # the lengths 14 and 20 are padded to 16 and 24 in the exhaustive scan,
+    # and the information-set search pads each code's n - k redundancy
+    # columns; unpadded, with the reduction kernel and 4,096 words a step,
+    # every search must give the same values, statuses and witnesses
     dec = dihedral(n, Q, da.HERMITIAN)
     sub, pi = dec.alphabet, wq.code_automorphism(dec)
     pairs = list(css_pairs(dec, n, 6))
@@ -491,10 +554,16 @@ def test_padded_searches_keep_their_witnesses(monkeypatch, n, Q):
         return out
 
     got = searches()
-    monkeypatch.setattr(wq, "_pad_columns", lambda G: G)
+    monkeypatch.setattr(wq, "_padded", lambda n: n)
     monkeypatch.setattr(wq, "_zero_counts", reference_zero_counts)
     monkeypatch.setattr(wq, "BATCH", 4096)
     assert got == searches()
+    # both scans really ran unpadded
+    big, small = pairs[0]
+    assert wq._pad_columns(small).shape == small.shape
+    search = wq._Search(sub, big, small, pi)
+    assert search.wr == search.n - search.k
+    assert any(wq._Search(sub, big, None, None).wr % 8 for big, _ in pairs)
     assert any(r.value is not None and r.witness for r in got)
 
 
