@@ -325,9 +325,12 @@ class _Search:
         # supports sharing a head (all rows but the last) are neighbours:
         # build each head's prefixes once and hand them to its supports
         head = C[:, :-1]
-        new = np.ones(len(C), dtype=bool)
-        new[1:] = (head[1:] != head[:-1]).any(axis=1)
-        P = self._prefixes(head[new])[np.cumsum(new) - 1]
+        if w > 2:
+            new = np.ones(len(C), dtype=bool)
+            new[1:] = (head[1:] != head[:-1]).any(axis=1)
+            P = self._prefixes(head[new])[np.cumsum(new) - 1]
+        else:   # a head of at most one row costs one gather: nothing to share
+            P = self._prefixes(head)
         # the last row's negated unit multiples; a leading row alone is
         # taken once, unscaled
         L = self.neg_scaled[C[:, -1], :1 if w == 1 else None]

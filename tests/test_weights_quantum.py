@@ -248,6 +248,22 @@ def test_rotation_alone_is_refused():
                             automorphism=wq.code_automorphism(dec)[:1])
 
 
+def test_transitivity_is_checked_once_per_automorphism():
+    # a census hands every search a fresh copy of the same automorphism
+    dec = dihedral(7, 4, da.EUCLIDEAN)
+    rng = np.random.default_rng(1)
+    codes = [ic.ideal_to_code(dec, s) for s in small_ideals(dec, rng, 3, 10)]
+    wq._orbit_is_everything.cache_clear()
+    for code in codes:
+        wq.min_distance_isd(dec.alphabet, code,
+                            automorphism=wq.code_automorphism(dec))
+        with pytest.raises(ValueError, match="transitively"):
+            wq.min_distance_isd(dec.alphabet, code,
+                                automorphism=wq.code_automorphism(dec)[:1])
+    info = wq._orbit_is_everything.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+
+
 @pytest.mark.parametrize("system", [("d", 10, 9, da.HERMITIAN),
                                     ("d", 7, 4, da.EUCLIDEAN),
                                     ("q", 3, 11, None)])
@@ -451,7 +467,7 @@ def test_chunked_enumeration_keeps_outside_candidates():
     assert (got[0].value, got[1].value) == (1, 3)
 
 
-def record(search, words, weights):
+def _record(search, words, weights):
     search.seen.extend(zip(map(tuple, words.tolist()), weights.tolist()))
 
 
@@ -461,7 +477,7 @@ def _matches_per_support(sub, G, max_weight):
     want = _PerSupport(sub, G, None, None, max_weight)
     got = wq._Search(sub, G, None, None, max_weight)
     want.seen, got.seen = [], []
-    with mock.patch.object(wq._Search, "_take", record):
+    with mock.patch.object(wq._Search, "_take", _record):
         want.run(), got.run()
     assert got.seen == want.seen
     k = got.k
@@ -559,10 +575,8 @@ def test_padded_searches_keep_their_witnesses(monkeypatch, n, Q):
     monkeypatch.setattr(wq, "BATCH", 4096)
     assert got == searches()
     # both scans really ran unpadded
-    big, small = pairs[0]
-    assert wq._pad_columns(small).shape == small.shape
-    search = wq._Search(sub, big, small, pi)
-    assert search.wr == search.n - search.k
+    assert all(wq._pad_columns(small).shape == small.shape
+               for _, small in pairs)
     assert any(wq._Search(sub, big, None, None).wr % 8 for big, _ in pairs)
     assert any(r.value is not None and r.witness for r in got)
 
