@@ -33,13 +33,14 @@ supports come in combinations order, in chunks of about BATCH words.  The
 prefixes of a support (the leading row, then unit multiples of the rows up
 to the last) depend only on its head, the support less its last row, and
 supports sharing a head are neighbours; so a chunk builds each distinct
-head's prefixes once, one gather per head position from a table of every
-unit multiple of every row, hands them to the head's supports, and
-compares the last row's negated multiples against them.  Only a word kept
-for `_take` is put together at full width, its pivot coordinates being its
-coefficients, and moved back to the natural column order.  Words come in
-support order, then unit tuples with the first scalar most significant;
-the first lightest word is the witness.
+head's prefixes once (a head of one row is a single gather), one gather
+per head position from a table of every unit multiple of every row, hands
+them to the head's supports, and compares the last row's negated
+multiples against them.  Only a word kept for `_take` is put together at
+full width, its pivot coordinates being its coefficients, and moved back
+to the natural column order.  Words come in support order, then unit
+tuples with the first scalar most significant; the first lightest word is
+the witness.
 
 The exhaustive reference scans one codeword per projective message of a
 row-reduced basis: a leading 1 at each position in turn, then every choice
