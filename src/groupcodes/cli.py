@@ -219,16 +219,18 @@ def build_system(group: str, n: int, q: int, metric: str):
     return da.build_dihedral_decomposition(n, q, metric)
 
 
-def _load_specs(cfg: RunConfig, dec) -> list:
+def _load_specs(cfg: RunConfig, dec, warnings: list) -> list:
+    """The specs of the --spec file, the first --limit of them when the
+    file holds more (with a warning)."""
     if cfg.spec is None:
         raise CliError(f"{cfg.command} needs --spec <file>")
-    specs = []
     with open(cfg.spec) as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                specs.append(ic.parse_spec(dec, line))
-    return specs
+        lines = [line.strip() for line in fh]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if cfg.limit is not None and len(lines) > cfg.limit:
+        warnings.append(f"spec file truncated at --limit {cfg.limit}")
+        del lines[cfg.limit:]
+    return [ic.parse_spec(dec, line) for line in lines]
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +310,18 @@ def cmd_count(cfg: RunConfig, warnings: list) -> list:
     }]
 
 
+def _batches(specs, size: int):
+    """The specs in lists of ``size``, the last one shorter."""
+    specs = iter(specs)
+    while batch := list(itertools.islice(specs, size)):
+        yield batch
+
+
 def _codes(dec, specs):
     """(spec, R, pivots) for each spec in turn, its code being
     ``R[:len(pivots)]``: the codes are built in batches of
     CODE_BATCH_CELLS // |G|^2 specs, one ``ideal_to_code`` each."""
-    specs = iter(specs)
-    step = max(1, CODE_BATCH_CELLS // dec.length ** 2)
-    while batch := list(itertools.islice(specs, step)):
+    for batch in _batches(specs, max(1, CODE_BATCH_CELLS // dec.length ** 2)):
         R, pivots = ic.ideal_to_code(dec, ic.SpecBatch(batch))
         yield from zip(batch, R, pivots)
 
@@ -355,7 +362,7 @@ def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
 def cmd_dual(cfg: RunConfig, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
-    for spec, R, pivots in _codes(dec, _load_specs(cfg, dec)):
+    for spec, R, pivots in _codes(dec, _load_specs(cfg, dec, warnings)):
         record = _spec_record(dec, spec, R[:len(pivots)])
         dual = du.dual_spec(dec, spec)
         record["dual_spec"] = ic.format_spec(dec, dual)
@@ -368,7 +375,7 @@ def cmd_dual(cfg: RunConfig, warnings: list) -> list:
 def cmd_classify(cfg: RunConfig, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
-    codes = _codes(dec, _with_duals(dec, _load_specs(cfg, dec)))
+    codes = _codes(dec, _with_duals(dec, _load_specs(cfg, dec, warnings)))
     for (spec, R, pivots), (_, Rd, pivots_d) in zip(codes, codes):
         rows, dual_rows = R[:len(pivots)], Rd[:len(pivots_d)]
         record = _spec_record(dec, spec, rows)
@@ -385,13 +392,25 @@ def cmd_classify(cfg: RunConfig, warnings: list) -> list:
     return results
 
 
+def _selforth_only(dec, specs, warnings: list):
+    """The specs whose ideals are hermitian self-orthogonal, in turn; a
+    warning for each other one."""
+    for spec in specs:
+        try:
+            wq.check_self_orthogonal(dec, spec)
+        except du.NotSelfOrthogonalError as e:
+            warnings.append(f"skipped {ic.format_spec(dec, spec)}: {e}")
+        else:
+            yield spec
+
+
 def cmd_css_search(cfg: RunConfig, warnings: list) -> list:
     if cfg.metric != da.HERMITIAN:
         raise CliError("css-search uses the hermitian metric; "
                        "pass --metric hermitian")
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     if cfg.spec is not None:
-        specs = _load_specs(cfg, dec)
+        specs = _selforth_only(dec, _load_specs(cfg, dec, warnings), warnings)
     else:
         specs = []
         for spec in du.enumerate_selforth(dec):
@@ -401,27 +420,29 @@ def cmd_css_search(cfg: RunConfig, warnings: list) -> list:
                 break
             specs.append(spec)
     results = []
-    codes = _codes(dec, _with_duals(dec, specs))
-    for (spec, R, pivots), (_, Rd, pivots_d) in zip(codes, codes):
-        try:
-            rec = wq.css_hermitian(dec, spec, max_weight=cfg.isd_weight,
-                                   codes=((R, pivots), (Rd, pivots_d)))
-        except du.NotSelfOrthogonalError as e:
-            warnings.append(f"skipped {ic.format_spec(dec, spec)}: {e}")
-            continue
-        results.append({
-            "spec": ic.format_spec(dec, spec),
-            "length": rec.length,
-            "logical_dim": rec.logical_dim,
-            "base_field": rec.base_field,
-            "distance": rec.distance.value,
-            "distance_status": rec.distance.status,
-            "distance_provenance": "information-set enumeration with "
-                                   "group-translation orbit bound",
-            "floor": rec.floor.value,
-            "floor_status": rec.floor.status,
-            "self_dual_classical": rec.self_dual,
-        })
+    # one ideal_to_code builds the codes of a batch's specs and of their
+    # duals, CODE_BATCH_CELLS cells in all, and one css_hermitian call
+    # searches them
+    size = max(1, CODE_BATCH_CELLS // (2 * dec.length ** 2))
+    for batch in _batches(specs, size):
+        R, pivots = ic.ideal_to_code(dec, ic.SpecBatch(_with_duals(dec, batch)))
+        records = wq.css_hermitian(
+            dec, ic.SpecBatch(batch), max_weight=cfg.isd_weight,
+            codes=((R[0::2], pivots[0::2]), (R[1::2], pivots[1::2])))
+        for spec, rec in zip(batch, records):
+            results.append({
+                "spec": ic.format_spec(dec, spec),
+                "length": rec.length,
+                "logical_dim": rec.logical_dim,
+                "base_field": rec.base_field,
+                "distance": rec.distance.value,
+                "distance_status": rec.distance.status,
+                "distance_provenance": "information-set enumeration with "
+                                       "group-translation orbit bound",
+                "floor": rec.floor.value,
+                "floor_status": rec.floor.status,
+                "self_dual_classical": rec.self_dual,
+            })
     results.sort(key=lambda r: (-r["logical_dim"],
                                 r["distance_status"] != wq.EXACT,
                                 -(r["distance"] or 0),

@@ -13,11 +13,13 @@ n e (p - 1)^2 < 2^53, which ``matmul`` checks: every alphabet with tables
 (q <= MAX_TABLE_ORDER) allows inner dimensions n above 5 * 10^8.  A prime
 alphabet is the case e = 1, plain (A @ B) % p.
 
-Membership is one product: a row v lies in the row space of an RREF R with
-pivots P exactly when v == v[P] @ R.  ``rref`` reduces a matrix or a whole
-stack (..., m, n) of them with one column loop, a matrix being a stack of
-one (blocked elimination over small fields in the manner of Dumas, Giorgi
-& Pernet, ACM TOMS 35, 2008).  A member that is already reduced, found by
+Products broadcast over leading stack axes.  Membership is one product: a
+row v lies in the row space of an RREF R with pivots P exactly when
+v == v[P] @ R, and a stack of RREFs tests a stack of row blocks with one
+stacked product.  ``rref`` reduces a matrix or a whole stack (..., m, n)
+of them with one column loop, a matrix being a stack of one (blocked
+elimination over small fields in the manner of Dumas, Giorgi & Pernet,
+ACM TOMS 35, 2008).  A member that is already reduced, found by
 a constant number of whole-stack checks, comes back as a copy without
 elimination.
 """
@@ -34,22 +36,25 @@ from .fields import Subfield
 def matmul(sub: Subfield, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B over the subfield, by one float64 product of coordinates.
 
+    A (..., m, n) and B (..., n, l) may be stacks, whose leading axes
+    broadcast as in numpy's matmul.
+
     Every entry x of the product is an integer below n e (p - 1)^2, and
     while that is below 2^53 both x and floor(x / p) are exact: the
     correctly rounded x / p misses the next integer by at least 1 / p,
     more than half its spacing.  So x - p floor(x / p) is x mod p, which
     numpy computes faster than float %.
     """
-    if A.shape[1] != B.shape[0]:
+    if A.shape[-1] != B.shape[-2]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
-    (m, n), l, e, p = A.shape, B.shape[1], sub.degree, sub.p
+    (m, n), l, e, p = A.shape[-2:], B.shape[-1], sub.degree, sub.p
     if n * e * (p - 1) ** 2 >= 2 ** 53:
         raise AssertionError("the expanded product would not be exact")
-    X = sub.coord_t[A].reshape(m, n * e)
-    Y = sub.mulmat_t[B].transpose(0, 2, 1, 3).reshape(n * e, l * e)
+    X = sub.coord_t[A].reshape(*A.shape[:-2], m, n * e)
+    Y = sub.mulmat_t[B].swapaxes(-3, -2).reshape(*B.shape[:-2], n * e, l * e)
     C = X @ Y
     C -= p * np.floor(C / p)
-    codes = C.reshape(m, l, e) @ (float(p) ** np.arange(e))
+    codes = C.reshape(*C.shape[:-1], l, e) @ (float(p) ** np.arange(e))
     return sub.pack_t[codes.astype(np.intp)]
 
 
@@ -184,15 +189,36 @@ def nullspace(sub: Subfield, A: np.ndarray) -> np.ndarray:
     return out[0, [c for c in range(n) if c not in pivots[0]]]
 
 
-def in_row_space(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],
-                 V: np.ndarray) -> np.ndarray:
+def in_row_space(sub: Subfield, R: np.ndarray, pivots, V: np.ndarray
+                 ) -> np.ndarray:
     """Which rows of V lie in the row space of the RREF (R, pivots).
 
     The pivot entries of a row of the row space are its coefficients, so v
     is in it exactly when v == v[pivots] @ R.
+
+    R (B, m, n) may be a stack of RREFs with a list of pivots, as ``rref``
+    returns it, and V (B, r, n) a stack of as many blocks of rows; then
+    the answer is (B, r), from one stacked product.  Each member's columns
+    are put in the order pivots first, so the coefficients are the first
+    columns of every row, up to the largest rank; a member of lower rank
+    takes some of its other entries as coefficients, which meet only its
+    zero rows.  The columns before the smallest rank are pivots of every
+    member, where a row always equals its coefficients, so only the
+    columns from there on are multiplied out and compared.
     """
-    back = matmul(sub, V[:, list(pivots)], R[:len(pivots)])
-    return (back == V).all(axis=1)
+    if R.ndim == 2:
+        back = matmul(sub, V[:, list(pivots)], R[:len(pivots)])
+        return (back == V).all(axis=1)
+    ranks = [len(p) for p in pivots]
+    lo, hi = min(ranks, default=0), max(ranks, default=0)
+    pivot = np.zeros((len(R), R.shape[2]), dtype=bool)
+    for row, p in zip(pivot, pivots):
+        row[list(p)] = True
+    order = np.argsort(~pivot, axis=1, kind="stable")[:, None, :]
+    V = np.take_along_axis(V, order, axis=2)
+    back = matmul(sub, V[:, :, :hi],
+                  np.take_along_axis(R[:, :hi], order, axis=2)[:, :, lo:])
+    return (back == V[:, :, lo:]).all(axis=2)
 
 
 def row_space_contains(sub: Subfield, A: np.ndarray, B: np.ndarray) -> bool:

@@ -13,6 +13,12 @@ yet, in the code or off a subcode that G also fixes, has
 for any information set.  Only transitivity is used, and the search checks
 it.  It stops once the bound meets the best word found: then d is exact.
 
+The searches take one code or a stack of them, the stacked RREF that
+``ideal_to_code`` returns for a ``SpecBatch``, and guard a stack once: the
+automorphism's transitivity and the invariance of every code and excluded
+subcode before the searches, the weight, membership and exclusion of every
+witness after them, each membership check one stacked test per dimension.
+
 Both scans weigh words by comparison: coordinate j of H + L vanishes
 exactly when L[j] = -H[j], so the weights of all sums H[a] + L[b] of two
 blocks of words take one comparison per coordinate (`_zero_counts`), and
@@ -218,16 +224,55 @@ def _orbit_is_everything(rows: bytes, n: int) -> bool:
     return len(orbit) == perms.shape[1]
 
 
-def _check_invariant(sub: Subfield, R: np.ndarray, pivots: tuple[int, ...],
-                     perms: np.ndarray) -> None:
-    """The rows of the RREF (R, pivots), moved by every permutation (one
-    per row of perms), stay in its row space: one membership test."""
-    basis = R[:len(pivots)]
+def _by_dimension(codes: list):
+    """(members, R, pivots) for each dimension k among the RREFs (R,
+    pivots) of a list: the indices of its codes, the (B, k, n) stack of
+    their bases and their pivots."""
+    groups: dict[int, list[int]] = {}
+    for i, (_, pivots) in enumerate(codes):
+        groups.setdefault(len(pivots), []).append(i)
+    for k, members in groups.items():
+        yield (members, np.stack([codes[i][0][:k] for i in members]),
+               [codes[i][1] for i in members])
+
+
+def _check_invariant(sub: Subfield, codes: list, perms: np.ndarray) -> None:
+    """The rows of every RREF (R, pivots) of the list, moved by every
+    permutation (one per row of perms), stay in its row space: one
+    stacked membership test per dimension."""
     # coordinate perm[j] of a moved row is coordinate j of the row
-    moved = basis[:, np.argsort(perms, axis=1)].transpose(1, 0, 2)
-    if not linalg.in_row_space(sub, R, pivots,
-                               moved.reshape(-1, R.shape[1])).all():
-        raise AssertionError("permutation does not preserve the code")
+    inverse = np.argsort(perms, axis=1)
+    for members, R, pivots in _by_dimension(codes):
+        moved = R[:, :, inverse].reshape(len(members), -1, R.shape[2])
+        if not linalg.in_row_space(sub, R, pivots, moved).all():
+            raise AssertionError("permutation does not preserve the code")
+
+
+def _check_witnesses(sub: Subfield, codes: list, excluded: list | None,
+                     results: list) -> None:
+    """Re-weigh every witness of the (floor, outside) results, test them
+    for membership in their codes, and test the outside witnesses against
+    their excluded subcodes: one stacked test per dimension each."""
+    if not results:
+        return
+    n = codes[0][0].shape[1]
+    W = np.zeros((len(results), 2, n), dtype=codes[0][0].dtype)
+    weights = np.zeros((len(results), 2), dtype=np.intp)
+    found = np.zeros((len(results), 2), dtype=bool)
+    for b, pair in enumerate(results):
+        for j, r in enumerate(pair):
+            if r is not None and r.witness is not None:
+                W[b, j], weights[b, j], found[b, j] = r.witness, r.value, True
+    # a missing witness stays the zero word, of weight 0 and in every code
+    if (np.count_nonzero(W, axis=2) != weights).any():
+        raise AssertionError("distance witness has the wrong weight")
+    for members, R, pivots in _by_dimension(codes):
+        if not linalg.in_row_space(sub, R, pivots, W[members]).all():
+            raise AssertionError("distance witness is not a codeword")
+    for members, R, pivots in _by_dimension(excluded or []):
+        inside = linalg.in_row_space(sub, R, pivots, W[members, 1:])[:, 0]
+        if (inside & found[members, 1]).any():
+            raise AssertionError("distance witness lies in the excluded subcode")
 
 
 def _reduced(sub: Subfield, G) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -236,14 +281,22 @@ def _reduced(sub: Subfield, G) -> tuple[np.ndarray, tuple[int, ...]]:
     return G if isinstance(G, tuple) else linalg.rref(sub, np.asarray(G))
 
 
+def _stack(sub: Subfield, G) -> tuple[list, bool]:
+    """The codes of G as a list of RREFs (R, pivots), and whether G is a
+    stacked RREF (R (B, m, n), a list of pivots) rather than one code."""
+    if isinstance(G, tuple) and G[0].ndim == 3:
+        return list(zip(*G)), True
+    return [_reduced(sub, G)], False
+
+
 class _Search:
     """Shared state of one enumeration run.  The code and the excluded
-    subcode are generator matrices or RREFs given as (R, pivots) pairs."""
+    subcode are generator matrices or RREFs given as (R, pivots) pairs.
+    The orbit bound trusts the automorphism: ``_searches`` checks it, and
+    the witnesses, for a whole stack of searches."""
 
     def __init__(self, sub, G, exclude, automorphism, max_weight=None):
         R, piv = _reduced(sub, G)
-        if not piv:
-            raise ValueError("the zero code has no minimum distance")
         # the pivots are an information set, and Gs is the identity there
         self.sub, self.Gs, self.info = sub, R[:len(piv)], piv
         self.k, self.n = self.Gs.shape
@@ -268,16 +321,7 @@ class _Search:
         self.work = 0
 
         self.exclude = None if exclude is None else _reduced(sub, exclude)
-
         self.orbit_bound = automorphism is not None
-        if automorphism is not None:
-            perms = np.atleast_2d(automorphism)
-            if not _is_transitive(perms):
-                raise ValueError("the automorphisms do not act transitively "
-                                 "on the coordinates")
-            _check_invariant(sub, self.Gs, piv, perms)
-            if self.exclude is not None:
-                _check_invariant(sub, *self.exclude, perms)
 
         self.best_any: int | None = None
         self.best_out: int | None = None
@@ -388,78 +432,122 @@ class _Search:
         else:
             if w_stop == self.k:
                 status = EXACT   # every information pattern was visited
-        self._check_witnesses()
         floor = DistanceResult(self.best_any, status, self.wit_any)
         if self.exclude is None:
             return floor, None
         return floor, DistanceResult(self.best_out, status, self.wit_out)
 
-    def _check_witnesses(self):
-        """Re-weigh the witnesses, test them for code membership in one
-        call, and test that the outside witness is not in the excluded
-        subcode."""
-        found = [(self.best_any, self.wit_any), (self.best_out, self.wit_out)]
-        found = [(value, wit) for value, wit in found if wit is not None]
-        if not found:
-            return
-        W = np.array([wit for _, wit in found], dtype=self.Gs.dtype)
-        if (np.count_nonzero(W, axis=1) != [value for value, _ in found]).any():
-            raise AssertionError("distance witness has the wrong weight")
-        if not linalg.in_row_space(self.sub, self.Gs, self.info, W).all():
-            raise AssertionError("distance witness is not a codeword")
-        if (self.wit_out is not None
-                and linalg.in_row_space(self.sub, *self.exclude, W[-1:])[0]):
-            raise AssertionError("distance witness lies in the excluded subcode")
+
+def _searches(sub: Subfield, codes: list, excluded: list | None,
+              automorphism, max_weight) -> list:
+    """(floor, outside) for each RREF of codes, off the matching RREF of
+    excluded (outside is None without them).
+
+    The guards run once for the whole stack: the automorphism's
+    transitivity, then the invariance of every code and excluded subcode,
+    and after the searches the witnesses, each by one stacked membership
+    test per dimension.
+    """
+    if not all(pivots for _, pivots in codes):
+        raise ValueError("the zero code has no minimum distance")
+    if excluded is not None and len(excluded) != len(codes):
+        raise ValueError("a stack of codes needs one subcode per code")
+    if automorphism is not None:
+        perms = np.atleast_2d(automorphism)
+        if not _is_transitive(perms):
+            raise ValueError("the automorphisms do not act transitively "
+                             "on the coordinates")
+        _check_invariant(sub, codes + (excluded or []), perms)
+    results = [_Search(sub, code, exclude, automorphism, max_weight).run()
+               for code, exclude in zip(codes, excluded or [None] * len(codes))]
+    _check_witnesses(sub, codes, excluded, results)
+    return results
 
 
 def min_distance_isd(sub: Subfield, G, *,
                      automorphism: np.ndarray | None = None,
-                     max_weight: int | None = None) -> DistanceResult:
+                     max_weight: int | None = None):
     """Minimum weight of the code generated by G, a matrix or an RREF
-    given as its (R, pivots) pair."""
-    floor, _ = _Search(sub, G, None, automorphism, max_weight).run()
-    return floor
+    given as its (R, pivots) pair.
+
+    G may also be a stacked RREF (R (B, m, n), a list of pivots), as
+    ``ideal_to_code`` returns it for a ``SpecBatch``; then the result is
+    the flat tuple of the B minimum weights.
+    """
+    codes, stacked = _stack(sub, G)
+    floors = [floor for floor, _ in
+              _searches(sub, codes, None, automorphism, max_weight)]
+    return tuple(floors) if stacked else floors[0]
 
 
 def min_distance_isd_excluding(sub: Subfield, G, exclude, *,
                                automorphism: np.ndarray | None = None,
-                               max_weight: int | None = None):
+                               max_weight: int | None = None) -> tuple:
     """(floor, outside): minimum weights in the code and off the subcode.
 
     G and exclude are generator matrices or RREFs given as (R, pivots)
-    pairs.  With no subcode to exclude, outside is None.
+    pairs, or two stacked RREFs of B codes and their subcodes; then the
+    result is the flat tuple of the B floors followed by the B outside
+    weights, of which one code's (floor, outside) is the case B = 1.
     """
-    return _Search(sub, G, exclude, automorphism, max_weight).run()
+    codes, _ = _stack(sub, G)
+    excluded, _ = _stack(sub, exclude)
+    results = _searches(sub, codes, excluded, automorphism, max_weight)
+    return tuple(floor for floor, _ in results) + tuple(
+        outside for _, outside in results)
 
 
 # ---------------------------------------------------------------------------
 # stabilizer construction
 
 
-def css_hermitian(dec: Decomposition, spec, *,
-                  max_weight: int | None = None,
-                  codes: tuple | None = None) -> QuantumRecord:
-    """Quantum parameters of a hermitian self-orthogonal ideal spec.
-
-    ``codes`` are the RREFs (R, pivots) of the spec's code and of its
-    dual's, when the caller has built them already (``ideal_to_code`` of
-    a ``SpecBatch``).
-    """
-    if dec.mode != HERMITIAN:
-        raise ValueError("stabilizer construction needs a hermitian-mode algebra")
+def check_self_orthogonal(dec: Decomposition, spec) -> None:
+    """Raise NotSelfOrthogonalError unless the ideal of spec lies in its
+    hermitian dual."""
     ok, block = is_self_orthogonal(dec, spec)
     if not ok:
         raise NotSelfOrthogonalError(
             f"ideal is not hermitian self-orthogonal (block {block})")
+
+
+def css_hermitian(dec: Decomposition, spec, *,
+                  max_weight: int | None = None, codes: tuple | None = None):
+    """Quantum parameters of a hermitian self-orthogonal ideal spec, or
+    the list of one record per spec of a ``SpecBatch``.
+
+    ``codes`` are the stacked RREFs (R, pivots) of the specs' codes and of
+    their duals', as ``ideal_to_code`` of a ``SpecBatch`` returns them,
+    when the caller has built them already.  The self-dual specs share one
+    stacked search and the others another, each guarded once.
+    """
+    if dec.mode != HERMITIAN:
+        raise ValueError("stabilizer construction needs a hermitian-mode algebra")
+    batch = spec if isinstance(spec, SpecBatch) else SpecBatch((spec,))
+    for s in batch:
+        check_self_orthogonal(dec, s)
     if codes is None:
-        R, pivots = ideal_to_code(dec, SpecBatch((spec, dual_spec(dec, spec))))
-        codes = (R[0], pivots[0]), (R[1], pivots[1])
-    small, big = codes
-    n, k = dec.length, len(small[1])
-    self_dual = n == 2 * k
+        R, pivots = ideal_to_code(
+            dec, SpecBatch(x for s in batch for x in (s, dual_spec(dec, s))))
+        codes = (R[0::2], pivots[0::2]), (R[1::2], pivots[1::2])
+    (Rs, small), (Rb, big) = codes
+    n, auto = dec.length, code_automorphism(dec)
+    self_dual = [i for i, p in enumerate(small) if n == 2 * len(p)]
+    proper = [i for i, p in enumerate(small) if n != 2 * len(p)]
+    distances = {}   # spec index: (distance, floor)
     # nothing lies outside a self-dual subcode: the distance is the floor
-    floor, outside = min_distance_isd_excluding(
-        dec.alphabet, big, None if self_dual else small,
-        automorphism=code_automorphism(dec), max_weight=max_weight)
-    return QuantumRecord(n, n - 2 * k, dec.q, outside or floor, floor,
-                         self_dual)
+    if self_dual:
+        floors = min_distance_isd(
+            dec.alphabet, (Rb[self_dual], [big[i] for i in self_dual]),
+            automorphism=auto, max_weight=max_weight)
+        distances.update((i, (f, f)) for i, f in zip(self_dual, floors))
+    if proper:
+        found = min_distance_isd_excluding(
+            dec.alphabet, (Rb[proper], [big[i] for i in proper]),
+            (Rs[proper], [small[i] for i in proper]),
+            automorphism=auto, max_weight=max_weight)
+        floors, outside = found[:len(proper)], found[len(proper):]
+        distances.update((i, (o, f)) for i, f, o in zip(proper, floors, outside))
+    records = [QuantumRecord(n, n - 2 * len(p), dec.q, *distances[i],
+                             n == 2 * len(p))
+               for i, p in enumerate(small)]
+    return records if isinstance(spec, SpecBatch) else records[0]

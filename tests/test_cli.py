@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line surface."""
 
+import gzip
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,14 +255,17 @@ def test_matmul_calls_per_run(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command,records,tests", [
-    # 31 invariance checks (both automorphisms at once, on each of the 20
-    # codes and 11 excluded subcodes), 31 witness re-checks (each record's
-    # witnesses tested for membership at once, and each of the 11 outside
-    # witnesses against its subcode), and one batch of candidates lighter
-    # than the best outside word for each of the 11 excluded subcodes:
-    # every search here closes after information weight 1, whose k
-    # supports are one chunk
-    ("css-search", 20, 73),
+    # the 20 specs are one batch: 9 self-dual of dimension 7, 9 of
+    # dimension 6, one of dimension 1 and the zero spec.  The 9 self-dual
+    # codes share one search: one invariance test (both automorphisms at
+    # once) and one witness test.  The other 11 share another: their codes
+    # have dimensions 8, 13 and 14 and their excluded subcodes 6, 1 and 0,
+    # so 6 invariance tests, 3 witness membership tests and 3 tests of the
+    # outside witnesses against their subcodes, one per dimension; and one
+    # batch of candidates lighter than the best outside word for each of
+    # the 11 excluded subcodes, since every search here closes after
+    # information weight 1, whose k supports are one chunk: 2 + 12 + 11
+    ("css-search", 20, 25),
     # one batch per nonzero self-orthogonal record (19, the witness)
     ("enumerate", 201, 19),
 ])
@@ -293,6 +298,67 @@ def test_css_search_skips_non_selforth_specs(capsys, tmp_path):
                    "--metric", "hermitian", "--spec", str(path))
     assert len(doc["results"]) == 1
     assert any("skipped" in w for w in doc["warnings"])
+
+
+def test_css_search_skips_in_the_middle_of_a_batch(capsys, tmp_path):
+    # the seven lines are one batch of codes; the two that are not
+    # self-orthogonal are skipped in file order, and the others keep
+    # their records
+    lines = ["b0:mid; b1:e01", "b0:full; b1:zero", "b0:zero; b1:zero",
+             "b0:mid; b1:row(g^9)", "b0:zero; b1:full", "b0:mid; b1:zero",
+             "b0:zero; b1:row(0)"]
+    path = tmp_path / "specs.txt"
+    path.write_text("\n".join(lines) + "\n")
+    doc = run_json(capsys, "css-search", "--q", "4", "--n", "7",
+                   "--metric", "hermitian", "--spec", str(path))
+    assert doc["warnings"] == [
+        "skipped b0:full; b1:zero: ideal is not hermitian self-orthogonal "
+        "(block 0)",
+        "skipped b0:zero; b1:full: ideal is not hermitian self-orthogonal "
+        "(block 1)"]
+    kept = [line for line in lines if "full" not in line]
+    assert sorted(r["spec"] for r in doc["results"]) == sorted(kept)
+    census = run_json(capsys, "css-search", "--q", "4", "--n", "7",
+                      "--metric", "hermitian")["results"]
+    assert doc["results"] == [r for r in census if r["spec"] in kept]
+
+
+def test_css_search_census_matches_the_benchmark_golden(capsys):
+    # the whole GF(9)[D_10] census, record for record and in order, against
+    # the benchmark's golden (read, never written)
+    golden = Path(__file__).resolve().parent.parent / "perfbench" / \
+        "goldens" / "census-d10.json.gz"
+    with gzip.open(golden, "rt") as fh:
+        want = json.load(fh)
+    doc = run_json(capsys, "css-search", "--q", "9", "--n", "10",
+                   "--metric", "hermitian")
+    assert doc["warnings"] == []
+    assert doc["results"] == want
+
+
+SIX_SPECS = ["b0:mid; b1:e01", "b0:full; b1:zero", "b0:zero; b1:zero",
+             "b0:mid; b1:row(g^9)", "b0:zero; b1:full", "b0:mid; b1:zero"]
+
+
+@pytest.mark.parametrize("command", ["css-search", "dual", "classify"])
+def test_spec_file_honours_limit(capsys, tmp_path, command):
+    path = tmp_path / "specs.txt"
+    path.write_text("# six specs\n" + "\n".join(SIX_SPECS) + "\n")
+    argv = (command, "--q", "4", "--n", "7", "--metric", "hermitian",
+            "--spec", str(path))
+    doc = run_json(capsys, *argv, "--limit", "2")
+    full = run_json(capsys, *argv)
+    # the first two specs: css-search skips the second, which is not
+    # self-orthogonal
+    first = SIX_SPECS[:1] if command == "css-search" else SIX_SPECS[:2]
+    assert [r["spec"] for r in doc["results"]] == first
+    assert doc["warnings"][0] == "spec file truncated at --limit 2"
+    assert doc["results"] == [r for r in full["results"]
+                              if r["spec"] in first]
+    assert not any("truncated" in w for w in full["warnings"])
+    # a limit the file does not reach truncates nothing
+    assert run_json(capsys, *argv, "--limit", "6") == {
+        **full, "config": {**full["config"], "limit": 6}}
 
 
 def test_css_search_isd_weight_cap_degrades_status(capsys, tmp_path):

@@ -389,3 +389,46 @@ def test_matmul_exact_at_the_extremes(p, m):
     minus_one = S.index(S.master.minus_one)
     A[0], B[:, 0] = minus_one, minus_one
     assert (linalg.matmul(S, A, B) == scalar_matmul(S, A, B)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from([2, 4, 9, 25]), members=st.integers(1, 4),
+       rows=st.integers(0, 5), cols=st.integers(1, 7),
+       vrows=st.sampled_from([1, 2, 7]), zeros=st.sampled_from([0.0, 0.5]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_products_match_per_member(q, members, rows, cols, vrows,
+                                           zeros, seed):
+    # members of every rank 0..min(rows, cols), zero rows at random places
+    # (so zero padding rows below each RREF), and rows of V inside the row
+    # space, outside it (mostly) and zero
+    S = build_field(*_MASTERS[q]).subfield(q)
+    rng = np.random.default_rng(seed)
+    A = sparse_idx(rng, S, (members, vrows, rows), zeros)
+    B = sparse_idx(rng, S, (members, rows, cols), zeros)
+    C = linalg.matmul(S, A, B)
+    assert C.shape == (members, vrows, cols)
+    for b in range(members):
+        assert (C[b] == linalg.matmul(S, A[b], B[b])).all()
+    # the leading axes broadcast: one right operand for the whole stack
+    assert (linalg.matmul(S, A, B[0]) == linalg.matmul(
+        S, A, np.broadcast_to(B[0], B.shape))).all()
+
+    stack = np.zeros((members, rows, cols), dtype=S.add_t.dtype)
+    for b in range(members):
+        r = int(rng.integers(0, min(rows, cols) + 1))
+        M = scalar_matmul(S, sparse_idx(rng, S, (rows, r), zeros),
+                          sparse_idx(rng, S, (r, cols), zeros))
+        M[rng.random(rows) < 0.2] = 0
+        stack[b] = M
+    R, pivots = linalg.rref(S, stack)
+    V = random_idx(rng, S, (members, vrows, cols))
+    kind = rng.integers(0, 3, size=(members, vrows))
+    for b in range(members):
+        inside = scalar_matmul(S, random_idx(rng, S, (vrows, rows)), stack[b])
+        V[b][kind[b] == 1] = inside[kind[b] == 1]
+        V[b][kind[b] == 2] = 0
+    got = linalg.in_row_space(S, R, pivots, V)
+    assert got.shape == (members, vrows)
+    for b in range(members):
+        assert (got[b] == linalg.in_row_space(S, R[b], pivots[b], V[b])).all()
+        assert got[b][kind[b] > 0].all()

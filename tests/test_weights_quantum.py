@@ -582,6 +582,104 @@ def test_padded_searches_keep_their_witnesses(monkeypatch, n, Q):
 
 
 # ---------------------------------------------------------------------------
+# stacked searches
+
+
+def census_batch(dec, step):
+    """Every step-th spec of the hermitian census, the zero spec first, and
+    the stacked RREFs of their codes and of their duals' codes."""
+    batch = list(du.enumerate_selforth(dec))[::step]
+    R, pivots = ic.ideal_to_code(dec, ic.SpecBatch(
+        x for s in batch for x in (s, du.dual_spec(dec, s))))
+    return batch, (R[0::2], pivots[0::2]), (R[1::2], pivots[1::2])
+
+
+def members(stack, which):
+    R, pivots = stack
+    return R[which], [pivots[i] for i in which]
+
+
+# GF(9)[D_10] has no self-dual hermitian ideal (its 1,089 have dimensions
+# 0 to 8), so GF(4)[D_7], with 9 self-dual ideals among its 20, adds them
+@pytest.mark.parametrize("n,Q,step", [(10, 9, 45), (7, 4, 1)])
+def test_stacked_searches_match_per_code(n, Q, step):
+    dec = dihedral(n, Q, da.HERMITIAN)
+    sub, pi = dec.alphabet, wq.code_automorphism(dec)
+    batch, small, big = census_batch(dec, step)
+    assert ic.zero_spec(dec) in batch
+    B = len(batch)
+    for max_weight in (None, 1):
+        floors = wq.min_distance_isd(sub, big, automorphism=pi,
+                                     max_weight=max_weight)
+        assert isinstance(floors, tuple) and len(floors) == B
+        for b in range(B):
+            assert floors[b] == wq.min_distance_isd(
+                sub, (big[0][b], big[1][b]), automorphism=pi,
+                max_weight=max_weight)
+        # a self-dual code has nothing outside itself: css_hermitian
+        # searches it without an excluded subcode
+        proper = [b for b in range(B) if 2 * len(small[1][b]) != dec.length]
+        found = wq.min_distance_isd_excluding(
+            sub, members(big, proper), members(small, proper),
+            automorphism=pi, max_weight=max_weight)
+        assert len(found) == 2 * len(proper)
+        for i, b in enumerate(proper):
+            assert (found[i], found[len(proper) + i]) == \
+                wq.min_distance_isd_excluding(
+                    sub, (big[0][b], big[1][b]),
+                    (small[0][b], small[1][b]), automorphism=pi,
+                    max_weight=max_weight)
+    # a stack of one gives the one code's results as a flat tuple
+    one = members(big, [0]), members(small, [0])
+    assert wq.min_distance_isd(sub, one[0], automorphism=pi) == floors[:1]
+    assert wq.min_distance_isd_excluding(sub, *one, automorphism=pi) == \
+        wq.min_distance_isd_excluding(sub, big[0][0], small[0][0],
+                                      automorphism=pi)
+
+
+@pytest.mark.parametrize("n,Q,step", [(10, 9, 45), (7, 4, 1)])
+def test_css_batch_matches_per_spec(n, Q, step):
+    dec = dihedral(n, Q, da.HERMITIAN)
+    batch, small, big = census_batch(dec, step)
+    want = [wq.css_hermitian(dec, spec) for spec in batch]
+    assert any(rec.self_dual for rec in want) == (n == 7)
+    assert wq.css_hermitian(dec, ic.SpecBatch(batch)) == want
+    assert wq.css_hermitian(dec, ic.SpecBatch(batch),
+                            codes=(small, big)) == want
+    with pytest.raises(du.NotSelfOrthogonalError):
+        wq.css_hermitian(dec, ic.SpecBatch(batch + [ic.full_spec(dec)]))
+
+
+def permuted_member(sub, stack, b, perm):
+    """The stack with member b's columns permuted and reduced again."""
+    R, pivots = stack[0].copy(), list(stack[1])
+    k = len(pivots[b])
+    R[b, :k], pivots[b] = linalg.rref(sub, R[b, :k][:, perm])
+    return R, pivots
+
+
+def test_permuted_member_breaks_the_stack():
+    # a valid stack of RREFs, whose member 5 (or 7 of the subcodes) the
+    # group no longer fixes: the one stacked invariance test must see it
+    dec = dihedral(10, 9, da.HERMITIAN)
+    sub, pi = dec.alphabet, wq.code_automorphism(dec)
+    _, small, big = census_batch(dec, 45)
+    perm = np.random.default_rng(3).permutation(dec.length)
+    bad_big = permuted_member(sub, big, 5, perm)
+    bad_small = permuted_member(sub, small, 7, perm)
+    for call in (lambda: wq.min_distance_isd(sub, bad_big, automorphism=pi),
+                 lambda: wq.min_distance_isd_excluding(
+                     sub, bad_big, small, automorphism=pi),
+                 lambda: wq.min_distance_isd_excluding(
+                     sub, big, bad_small, automorphism=pi)):
+        with pytest.raises(AssertionError,
+                           match="permutation does not preserve the code"):
+            call()
+    # without the orbit bound nothing needs the invariance
+    assert len(wq.min_distance_isd(sub, bad_big)) == len(big[1])
+
+
+# ---------------------------------------------------------------------------
 # stabilizer records
 
 
