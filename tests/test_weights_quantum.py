@@ -631,7 +631,8 @@ def test_stacked_searches_match_per_code(n, Q, step):
                     max_weight=max_weight)
     # a stack of one gives the one code's results as a flat tuple
     one = members(big, [0]), members(small, [0])
-    assert wq.min_distance_isd(sub, one[0], automorphism=pi) == floors[:1]
+    assert wq.min_distance_isd(sub, one[0], automorphism=pi) == (
+        wq.min_distance_isd(sub, big[0][0], automorphism=pi),)
     assert wq.min_distance_isd_excluding(sub, *one, automorphism=pi) == \
         wq.min_distance_isd_excluding(sub, big[0][0], small[0][0],
                                       automorphism=pi)
