@@ -420,15 +420,12 @@ def cmd_css_search(cfg: RunConfig, warnings: list) -> list:
                 break
             specs.append(spec)
     results = []
-    # one ideal_to_code builds the codes of a batch's specs and of their
-    # duals, CODE_BATCH_CELLS cells in all, and one css_hermitian call
-    # searches them
+    # one css_hermitian call per batch builds the codes of its specs and of
+    # their duals, CODE_BATCH_CELLS cells in all, and searches them
     size = max(1, CODE_BATCH_CELLS // (2 * dec.length ** 2))
     for batch in _batches(specs, size):
-        R, pivots = ic.ideal_to_code(dec, ic.SpecBatch(_with_duals(dec, batch)))
-        records = wq.css_hermitian(
-            dec, ic.SpecBatch(batch), max_weight=cfg.isd_weight,
-            codes=((R[0::2], pivots[0::2]), (R[1::2], pivots[1::2])))
+        records = wq.css_hermitian(dec, ic.SpecBatch(batch),
+                                   max_weight=cfg.isd_weight)
         for spec, rec in zip(batch, records):
             results.append({
                 "spec": ic.format_spec(dec, spec),

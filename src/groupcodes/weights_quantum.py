@@ -510,26 +510,22 @@ def check_self_orthogonal(dec: Decomposition, spec) -> None:
             f"ideal is not hermitian self-orthogonal (block {block})")
 
 
-def css_hermitian(dec: Decomposition, spec, *,
-                  max_weight: int | None = None, codes: tuple | None = None):
+def css_hermitian(dec: Decomposition, spec, *, max_weight: int | None = None):
     """Quantum parameters of a hermitian self-orthogonal ideal spec, or
     the list of one record per spec of a ``SpecBatch``.
 
-    ``codes`` are the stacked RREFs (R, pivots) of the specs' codes and of
-    their duals', as ``ideal_to_code`` of a ``SpecBatch`` returns them,
-    when the caller has built them already.  The self-dual specs share one
-    stacked search and the others another, each guarded once.
+    One ``ideal_to_code`` call builds the codes of the specs and of their
+    duals.  The self-dual specs share one stacked search and the others
+    another, each guarded once.
     """
     if dec.mode != HERMITIAN:
         raise ValueError("stabilizer construction needs a hermitian-mode algebra")
     batch = spec if isinstance(spec, SpecBatch) else SpecBatch((spec,))
     for s in batch:
         check_self_orthogonal(dec, s)
-    if codes is None:
-        R, pivots = ideal_to_code(
-            dec, SpecBatch(x for s in batch for x in (s, dual_spec(dec, s))))
-        codes = (R[0::2], pivots[0::2]), (R[1::2], pivots[1::2])
-    (Rs, small), (Rb, big) = codes
+    R, pivots = ideal_to_code(
+        dec, SpecBatch(x for s in batch for x in (s, dual_spec(dec, s))))
+    (Rs, small), (Rb, big) = (R[0::2], pivots[0::2]), (R[1::2], pivots[1::2])
     n, auto = dec.length, code_automorphism(dec)
     self_dual = [i for i, p in enumerate(small) if n == 2 * len(p)]
     proper = [i for i, p in enumerate(small) if n != 2 * len(p)]
