@@ -138,6 +138,23 @@ def _factor_str(dec, factor) -> str:
 # configuration and system construction
 
 
+# the flags beyond --q, --n, --group, --metric and --format, each with
+# the commands that read it; the others leave its field at the default
+_FLAGS = {
+    "--isd-weight": (("css-search",), dict(
+        type=int, default=None,
+        help="stop distance enumeration after this information weight, at "
+             "least 1 (status degrades to upper_bound when the bound is not "
+             "closed)")),
+    "--seed": (("verify",), dict(type=int, default=0)),
+    "--spec": (("dual", "classify", "css-search"), dict(
+        default=None, help="file of spec serializations, one per line")),
+    "--limit": (("enumerate", "dual", "classify", "css-search", "verify"),
+                dict(type=int, default=None,
+                     help="evaluate at most this many specs")),
+}
+
+
 def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="groupcodes",
@@ -158,18 +175,14 @@ def _parse_args(argv) -> argparse.Namespace:
                        default=None, help=f"default {DIHEDRAL}")
         p.add_argument("--metric", choices=(da.EUCLIDEAN, da.HERMITIAN),
                        default=None, help=f"default {da.EUCLIDEAN}")
-        p.add_argument("--isd-weight", type=int, default=None,
-                       help="stop distance enumeration after this "
-                            "information weight, at least 1 (status "
-                            "degrades to upper_bound when the bound is not "
-                            "closed)")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="json")
-        p.add_argument("--spec", default=None,
-                       help="file of spec serializations, one per line")
-        p.add_argument("--limit", type=int, default=None,
-                       help="evaluate at most this many specs")
+        for flag, (commands, kwargs) in _FLAGS.items():
+            if name in commands:
+                p.add_argument(flag, **kwargs)
+            else:
+                p.set_defaults(**{flag[2:].replace("-", "_"):
+                                  kwargs["default"]})
     return parser.parse_args(argv)
 
 
@@ -326,12 +339,6 @@ def _codes(dec, specs):
         yield from zip(batch, R, pivots)
 
 
-def _with_duals(dec, specs) -> list:
-    """Each spec followed by its dual's spec: ``zip(codes, codes)`` over
-    their ``_codes`` takes a spec's code and its dual's together."""
-    return [s for spec in specs for s in (spec, du.dual_spec(dec, spec))]
-
-
 def _spec_record(dec, spec, rows) -> dict:
     record = {
         "spec": ic.format_spec(dec, spec),
@@ -375,13 +382,9 @@ def cmd_dual(cfg: RunConfig, warnings: list) -> list:
 def cmd_classify(cfg: RunConfig, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
-    codes = _codes(dec, _with_duals(dec, _load_specs(cfg, dec, warnings)))
-    for (spec, R, pivots), (_, Rd, pivots_d) in zip(codes, codes):
-        rows, dual_rows = R[:len(pivots)], Rd[:len(pivots_d)]
-        record = _spec_record(dec, spec, rows)
-        stacked = np.vstack([rows, dual_rows])
-        hull_dim = (rows.shape[0] + dual_rows.shape[0]
-                    - linalg.rank(dec.alphabet, stacked))
+    for spec, R, pivots in _codes(dec, _load_specs(cfg, dec, warnings)):
+        record = _spec_record(dec, spec, R[:len(pivots)])
+        hull_dim = ic.ideal_dimension(dec, du.hull_spec(dec, spec))
         record["hull_dimension"] = hull_dim
         record["lcd"] = hull_dim == 0
         segments = record["spec"].split("; ")
@@ -450,24 +453,18 @@ def cmd_css_search(cfg: RunConfig, warnings: list) -> list:
 def _dual_mismatches(dec, specs) -> int:
     """How many specs' closed-form duals differ from the oracle's.
 
-    The codes and their closed-form duals, reduced by ``_codes``, are
-    zero-padded into two (count, |G|, |G|) stacks, and one oracle call
-    dualises the codes of each stack of VERIFY_BATCH_CELLS // |G|^2 specs.
-    Both sides are RREFs, so equal row spaces are equal pivots and rows.
+    One oracle call dualises the codes of each batch of
+    VERIFY_BATCH_CELLS // |G|^2 specs, built with their closed-form duals
+    by ``codes_with_duals``.  Both sides are RREFs, so equal row spaces
+    are equal pivots and rows; the oracle's (B, |G|, |G|) stack has no
+    nonzero row past the largest dimension when the pivots agree.
     """
-    n = dec.length
-    step = max(1, VERIFY_BATCH_CELLS // n ** 2)
+    step = max(1, VERIFY_BATCH_CELLS // dec.length ** 2)
     mismatch = 0
-    for start in range(0, len(specs), step):
-        batch = specs[start:start + step]
-        stacks = np.zeros((2, len(batch), n, n), dtype=dec.alphabet.add_t.dtype)
-        dual_pivots = []
-        for k, (_, R, pivots) in enumerate(_codes(dec, _with_duals(dec, batch))):
-            stacks[k % 2, k // 2, :len(pivots)] = R[:len(pivots)]
-            if k % 2:
-                dual_pivots.append(pivots)
-        ref, ref_pivots = _oracle_dual(dec, stacks[0])
-        same = (ref == stacks[1]).all(axis=(1, 2))
+    for batch in _batches(specs, step):
+        (R, _), (Rd, dual_pivots) = du.codes_with_duals(dec, batch)
+        ref, ref_pivots = _oracle_dual(dec, R)
+        same = (ref[:, :Rd.shape[1]] == Rd).all(axis=(1, 2))
         mismatch += sum(not (ok and p == d)
                         for ok, p, d in zip(same, ref_pivots, dual_pivots))
     return mismatch

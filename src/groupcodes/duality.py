@@ -1,7 +1,8 @@
 """Dual codes of group-algebra ideals, computed block by block.
 
 For each block kind the dual of an ideal spec is again an ideal spec, and
-the transformation is an explicit involution on the per-slot labels.  The
+the transformation is an explicit involution on the per-slot labels; so is
+the hull, the ideal's intersection with its dual, a slotwise meet.  The
 bilinear form is the coefficientwise pairing on the group algebra; in
 hermitian mode the second argument is twisted by the conjugation of the
 quadratic subfield pair.
@@ -29,7 +30,13 @@ from .quaternion_algebra import (
     B_SIDE_KINDS,
     B_UNIT,
 )
-from .ideals_codes import _line, slot_ideal_options, spec_contains
+from .ideals_codes import (
+    SpecBatch,
+    _line,
+    ideal_to_code,
+    slot_ideal_options,
+    spec_contains,
+)
 
 _ZERO_FULL = {"zero": "full", "full": "zero"}
 
@@ -110,6 +117,33 @@ def dual_spec(dec: Decomposition, spec) -> tuple:
     for block, ideals in _block_ideals(dec, spec):
         out.extend(dual_block(dec, block, ideals))
     return tuple(out)
+
+
+def hull_spec(dec: Decomposition, spec) -> tuple:
+    """Spec of the hull, the ideal's meet with its dual, slot by slot: the
+    ideals of a slot are zero, full and its proper ideals ("mid" or the
+    lines), so "full" meets x in x, x meets itself in x, and any other
+    pair meets in "zero"."""
+    hull = []
+    for a, b in zip(spec, dual_spec(dec, spec)):
+        if a == "full" or a == b:
+            hull.append(b)
+        elif b == "full":
+            hull.append(a)
+        else:
+            hull.append("zero")
+    return tuple(hull)
+
+
+def codes_with_duals(dec: Decomposition, specs):
+    """The codes of the specs and the codes of their duals, as two stacked
+    RREFs (R, pivots), code i of each being ``R[i, :len(pivots[i])]``.
+
+    One ``ideal_to_code`` builds them all, each spec followed by its dual.
+    """
+    R, pivots = ideal_to_code(
+        dec, SpecBatch(x for s in specs for x in (s, dual_spec(dec, s))))
+    return (R[0::2], pivots[0::2]), (R[1::2], pivots[1::2])
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,13 @@ import numpy as np
 
 from . import linalg
 from .dihedral_algebra import HERMITIAN, Decomposition
-from .duality import NotSelfOrthogonalError, dual_spec, is_self_orthogonal
+from .duality import (
+    NotSelfOrthogonalError,
+    codes_with_duals,
+    is_self_orthogonal,
+)
 from .fields import Subfield
-from .ideals_codes import SpecBatch, ideal_to_code
+from .ideals_codes import SpecBatch
 
 DEFAULT_WORK = 2 * 10 ** 8  # codewords one search may enumerate
 BATCH = 16384              # words weighed per step of either scan
@@ -514,18 +518,16 @@ def css_hermitian(dec: Decomposition, spec, *, max_weight: int | None = None):
     """Quantum parameters of a hermitian self-orthogonal ideal spec, or
     the list of one record per spec of a ``SpecBatch``.
 
-    One ``ideal_to_code`` call builds the codes of the specs and of their
-    duals.  The self-dual specs share one stacked search and the others
-    another, each guarded once.
+    ``codes_with_duals`` builds the codes of the specs and of their duals.
+    The self-dual specs share one stacked search and the others another,
+    each guarded once.
     """
     if dec.mode != HERMITIAN:
         raise ValueError("stabilizer construction needs a hermitian-mode algebra")
     batch = spec if isinstance(spec, SpecBatch) else SpecBatch((spec,))
     for s in batch:
         check_self_orthogonal(dec, s)
-    R, pivots = ideal_to_code(
-        dec, SpecBatch(x for s in batch for x in (s, dual_spec(dec, s))))
-    (Rs, small), (Rb, big) = (R[0::2], pivots[0::2]), (R[1::2], pivots[1::2])
+    (Rs, small), (Rb, big) = codes_with_duals(dec, batch)
     n, auto = dec.length, code_automorphism(dec)
     self_dual = [i for i, p in enumerate(small) if n == 2 * len(p)]
     proper = [i for i, p in enumerate(small) if n != 2 * len(p)]

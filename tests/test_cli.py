@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -199,7 +200,7 @@ def test_css_search_builds_each_code_once(capsys, monkeypatch):
         return original(dec, spec)
 
     monkeypatch.setattr(ic, "ideal_to_code", counting)
-    monkeypatch.setattr(wq, "ideal_to_code", counting)
+    monkeypatch.setattr(cli.du, "ideal_to_code", counting)
     doc = run_json(capsys, "css-search", "--q", "4", "--n", "7",
                    "--metric", "hermitian")
     assert len(doc["results"]) == 20
@@ -217,8 +218,22 @@ def test_css_search_builds_each_code_once(capsys, monkeypatch):
     # witness: the hermitian oracle's one and the nullspace's), three for
     # the decomposition
     ("enumerate", 201, 43),
+    # the same over a file of the 201 specs: one stacked RREF per batch of
+    # codes (2 batches, 167 specs to the first), two per nonzero
+    # self-orthogonal record (2 * 19, the witness) and three for the
+    # decomposition, 2 + 38 + 3; the hulls come from the specs, so no dual
+    # code is built and no rank taken
+    ("classify", 201, 43),
 ])
-def test_rref_calls_per_run(capsys, monkeypatch, command, records, rrefs):
+def test_rref_calls_per_run(capsys, monkeypatch, tmp_path, command, records,
+                            rrefs):
+    argv = [command, "--q", "4", "--n", "7", "--metric", "hermitian"]
+    if command == "classify":
+        dec = cli.build_system(cli.DIHEDRAL, 7, 4, "hermitian")
+        path = tmp_path / "specs.txt"
+        path.write_text("".join(ic.format_spec(dec, spec) + "\n"
+                                for spec in ic.enumerate_specs(dec)))
+        argv += ["--spec", str(path)]
     calls = []
     original = linalg.rref
 
@@ -227,8 +242,7 @@ def test_rref_calls_per_run(capsys, monkeypatch, command, records, rrefs):
         return original(sub, A)
 
     monkeypatch.setattr(linalg, "rref", counting)
-    doc = run_json(capsys, command, "--q", "4", "--n", "7",
-                   "--metric", "hermitian")
+    doc = run_json(capsys, *argv)
     assert len(doc["results"]) == records
     assert len(calls) == rrefs
 
@@ -427,6 +441,15 @@ def test_verify_rref_calls_per_system(capsys, monkeypatch, limit):
     assert len(calls) == 6
 
 
+@pytest.mark.parametrize("metric", ["euclidean", "hermitian"])
+def test_dual_mismatches_on_zero_and_full_specs(metric):
+    # a batch of zero codes, of one full code, and a mixed batch
+    dec = cli.build_system(cli.DIHEDRAL, 7, 4, metric)
+    zero, full = ic.zero_spec(dec), ic.full_spec(dec)
+    for batch in ([zero], [full], [zero, full, zero]):
+        assert cli._dual_mismatches(dec, batch) == 0
+
+
 def test_verify_block_field_beyond_dense_tables(capsys):
     # GF(4)[D_43] has a GF(16384) block field, too large for dense index
     # tables; only the alphabet's tables are ever read
@@ -498,6 +521,18 @@ def test_text_render(capsys):
     assert "self_orthogonal: 20" in out
 
 
+# per command, the flags it needs to run and the flags it does not read
+UNREAD_FLAGS = [
+    ("decompose", (), ("--isd-weight", "--seed", "--spec", "--limit")),
+    ("count", (), ("--isd-weight", "--seed", "--spec", "--limit")),
+    ("enumerate", (), ("--isd-weight", "--seed", "--spec")),
+    ("dual", ("--spec", os.devnull), ("--isd-weight", "--seed")),
+    ("classify", ("--spec", os.devnull), ("--isd-weight", "--seed")),
+    ("css-search", (), ("--seed",)),
+    ("verify", ("--limit", "1"), ("--isd-weight", "--spec")),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "--q", "10", "--n", "7"),
     ("count", "--q", "4"),
@@ -530,6 +565,10 @@ def test_text_render(capsys):
     # information weight 0 bounds nothing
     ("css-search", "--q", "4", "--n", "7", "--metric", "hermitian",
      "--isd-weight", "0"),
+    # a command refuses each flag it does not read
+    *[(command, "--q", "4", "--n", "7", "--metric", "hermitian", *needed,
+       flag, os.devnull if flag == "--spec" else "1")
+      for command, needed, flags in UNREAD_FLAGS for flag in flags],
 ])
 def test_error_exits(capsys, argv):
     code, _ = run(capsys, *argv)

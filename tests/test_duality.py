@@ -123,6 +123,74 @@ def test_dual_on_every_d7_ideal():
 
 
 # ---------------------------------------------------------------------------
+# the closed hull against the rank route
+
+
+def rank_route_hulls(dec, specs):
+    """dim C + dim C^perp - rank [C; C^perp] for each spec's code C, its
+    dual C^perp from the oracle's nullspace: no closed form involved."""
+    R, pivots = ic.ideal_to_code(dec, ic.SpecBatch(specs))
+    D, dual_pivots = cli._oracle_dual(dec, R)
+    _, both = linalg.rref(dec.alphabet, np.concatenate([R, D], axis=1))
+    return [len(p) + len(d) - len(b)
+            for p, d, b in zip(pivots, dual_pivots, both)]
+
+
+def every_spec(dec):
+    return list(ic.enumerate_specs(dec))
+
+
+def sampled_specs(dec):
+    """200 random specs, the zero and full specs and up to 100 specs of the
+    self-orthogonal census."""
+    rng = np.random.default_rng(dec.length)
+    census = list(du.enumerate_selforth(dec))
+    picks = rng.choice(len(census), min(100, len(census)), replace=False)
+    return ([ic.random_spec(dec, rng) for _ in range(200)]
+            + [ic.zero_spec(dec), ic.full_spec(dec)]
+            + [census[int(i)] for i in picks])
+
+
+@pytest.mark.parametrize("system,specs", [
+    ((cli.DIHEDRAL, 7, 4, da.HERMITIAN), every_spec),
+    ((cli.DIHEDRAL, 7, 4, da.EUCLIDEAN), every_spec),
+    ((cli.DIHEDRAL, 9, 2, da.EUCLIDEAN), every_spec),   # a C2 block
+    ((cli.QUATERNION, 3, 7, da.EUCLIDEAN), every_spec),
+    ((cli.DIHEDRAL, 10, 9, da.HERMITIAN), sampled_specs),
+    ((cli.DIHEDRAL, 5, 16, da.HERMITIAN), sampled_specs),
+    ((cli.DIHEDRAL, 16, 9, da.HERMITIAN), sampled_specs),
+    ((cli.DIHEDRAL, 16, 9, da.EUCLIDEAN), sampled_specs),
+])
+def test_hull_spec_matches_the_rank_route(system, specs):
+    dec = cli.build_system(*system)
+    specs = specs(dec)
+    hulls = [du.hull_spec(dec, spec) for spec in specs]
+    assert [ic.ideal_dimension(dec, h) for h in hulls] == \
+        rank_route_hulls(dec, specs)
+    for spec, hull in zip(specs, hulls):
+        dual = du.dual_spec(dec, spec)
+        assert ic.spec_contains(spec, hull) and ic.spec_contains(dual, hull)
+        if du.is_self_orthogonal(dec, spec)[0]:
+            assert hull == spec
+
+
+def test_codes_with_duals_matches_each_code():
+    dec = dihedral(10, 9, da.HERMITIAN)
+    rng = np.random.default_rng(5)
+    specs = [ic.zero_spec(dec), ic.random_spec(dec, rng), ic.full_spec(dec),
+             ic.random_spec(dec, rng), ic.zero_spec(dec)]
+    codes, duals = du.codes_with_duals(dec, specs)
+    for (R, pivots), side in ((codes, specs),
+                              (duals, [du.dual_spec(dec, s) for s in specs])):
+        assert len(R) == len(pivots) == len(specs)
+        for spec, Ri, p in zip(side, R, pivots):
+            want = ic.ideal_to_code(dec, spec)
+            assert len(p) == ic.ideal_dimension(dec, spec)
+            assert np.array_equal(Ri[:len(p)], want[:len(p)])
+            assert not Ri[len(p):].any()
+
+
+# ---------------------------------------------------------------------------
 # self-orthogonal censuses
 
 

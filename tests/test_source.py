@@ -16,3 +16,55 @@ def test_no_bare_asserts():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert SOURCES and not found, found
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in SOURCES}
+
+
+def test_no_unused_imports():
+    """No module imports a name it never reads, as a removal may leave."""
+    found = []
+    for name, tree in _trees().items():
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            found += [f"{name}:{node.lineno} {alias.name}"
+                      for alias in node.names
+                      if (alias.asname or alias.name.split(".")[0])
+                      not in read]
+    assert not found, found
+
+
+def test_private_names_are_read():
+    """Every module-level private name is read somewhere in the package
+    besides its definition."""
+    trees = _trees()
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, ast.Assign):
+                targets = [t.id for t in node.targets
+                           if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target.id]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {t}" for t in targets
+                      if t.startswith("_") and not t.startswith("__")
+                      and t not in read]
+    assert not found, found
