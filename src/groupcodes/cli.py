@@ -17,6 +17,7 @@ serialization used by the spec parser.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import io
 import itertools
@@ -258,18 +259,14 @@ def _oracle_dual(dec, codes):
     return oracle.euclid_dual_basis(dec.alphabet, codes)
 
 
-def _selforth_flags(dec, spec, rows) -> dict:
-    ok, _ = du.is_self_orthogonal(dec, spec)
-    flags = {"self_orthogonal": ok}
-    if ok and rows.shape[0]:
-        # independent witness through the dense nullspace oracle
-        R, pivots = _oracle_dual(dec, rows)
-        if not linalg.in_row_space(dec.alphabet, R, pivots, rows).all():
+def _witness_selforth(dec, R) -> None:
+    """Check through the dense oracle that every code of the stack of
+    RREFs R (B, m, |G|) lies in its dual: one stacked oracle dual and one
+    stacked membership test for the whole stack."""
+    if len(R):
+        dual, pivots = _oracle_dual(dec, R)
+        if not linalg.in_row_space(dec.alphabet, dual, pivots, R).all():
             raise AssertionError("self-orthogonality witness failed")
-    dual_spec = du.dual_spec(dec, spec)
-    flags["self_dual"] = dual_spec == spec
-    flags["dual_dim"] = ic.ideal_dimension(dec, dual_spec)
-    return flags
 
 
 # ---------------------------------------------------------------------------
@@ -330,28 +327,34 @@ def _batches(specs, size: int):
         yield batch
 
 
-def _codes(dec, specs):
-    """(spec, R, pivots) for each spec in turn, its code being
-    ``R[:len(pivots)]``: the codes are built in batches of
-    CODE_BATCH_CELLS // |G|^2 specs, one ``ideal_to_code`` each."""
+def _spec_records(dec, specs):
+    """(record, dual spec) for each spec in turn.  The record holds the
+    spec's dimension and self-orthogonality flags; each spec is dualised
+    once.  The codes are built in batches of CODE_BATCH_CELLS // |G|^2
+    specs, one ``ideal_to_code`` each, and the nonzero self-orthogonal
+    codes of a batch are witnessed together (``_witness_selforth``)."""
     for batch in _batches(specs, max(1, CODE_BATCH_CELLS // dec.length ** 2)):
         R, pivots = ic.ideal_to_code(dec, ic.SpecBatch(batch))
-        yield from zip(batch, R, pivots)
-
-
-def _spec_record(dec, spec, rows) -> dict:
-    record = {
-        "spec": ic.format_spec(dec, spec),
-        "length": dec.length,
-        "dimension": rows.shape[0],
-    }
-    record.update(_selforth_flags(dec, spec, rows))
-    return record
+        duals = [du.dual_spec(dec, spec) for spec in batch]
+        # an ideal is self-orthogonal when its dual contains it
+        selforth = [ic.spec_contains(dual, spec)
+                    for spec, dual in zip(batch, duals)]
+        _witness_selforth(dec, R[[i for i, ok in enumerate(selforth)
+                                  if ok and pivots[i]]])
+        for spec, dual, ok, piv in zip(batch, duals, selforth, pivots):
+            record = {
+                "spec": ic.format_spec(dec, spec),
+                "length": dec.length,
+                "dimension": len(piv),
+                "self_orthogonal": ok,
+                "self_dual": dual == spec,
+                "dual_dim": ic.ideal_dimension(dec, dual),
+            }
+            yield record, dual
 
 
 def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
-    results = []
     # with an explicit --limit the stream stops early, so the safety budget
     # on the total ideal count is unnecessary
     budget = None if cfg.limit is not None else ic.DEFAULT_ENUM_BUDGET
@@ -361,17 +364,14 @@ def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
         if len(specs) > cfg.limit:
             warnings.append(f"enumeration truncated at --limit {cfg.limit}")
             del specs[cfg.limit:]
-    for spec, R, pivots in _codes(dec, specs):
-        results.append(_spec_record(dec, spec, R[:len(pivots)]))
-    return results
+    return [record for record, _ in _spec_records(dec, specs)]
 
 
 def cmd_dual(cfg: RunConfig, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
-    for spec, R, pivots in _codes(dec, _load_specs(cfg, dec, warnings)):
-        record = _spec_record(dec, spec, R[:len(pivots)])
-        dual = du.dual_spec(dec, spec)
+    specs = _load_specs(cfg, dec, warnings)
+    for spec, (record, dual) in zip(specs, _spec_records(dec, specs)):
         record["dual_spec"] = ic.format_spec(dec, dual)
         if du.dual_spec(dec, dual) != spec:
             raise AssertionError("dual involution failed on this spec")
@@ -382,9 +382,9 @@ def cmd_dual(cfg: RunConfig, warnings: list) -> list:
 def cmd_classify(cfg: RunConfig, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
-    for spec, R, pivots in _codes(dec, _load_specs(cfg, dec, warnings)):
-        record = _spec_record(dec, spec, R[:len(pivots)])
-        hull_dim = ic.ideal_dimension(dec, du.hull_spec(dec, spec))
+    specs = _load_specs(cfg, dec, warnings)
+    for spec, (record, dual) in zip(specs, _spec_records(dec, specs)):
+        hull_dim = ic.ideal_dimension(dec, du.spec_meet(spec, dual))
         record["hull_dimension"] = hull_dim
         record["lcd"] = hull_dim == 0
         segments = record["spec"].split("; ")
@@ -470,6 +470,14 @@ def _dual_mismatches(dec, specs) -> int:
     return mismatch
 
 
+def _count(items) -> int:
+    """How many items an iterator yields, consumed without a Python step
+    per item: each is paired with the next number of a counter."""
+    counter = itertools.count()
+    collections.deque(zip(items, counter), maxlen=0)
+    return next(counter)
+
+
 def _verify_system(group, n, Q, metric, rng, count, warnings) -> dict:
     dec = build_system(group, n, Q, metric)
     checks = {}
@@ -487,7 +495,7 @@ def _verify_system(group, n, Q, metric, rng, count, warnings) -> dict:
 
     census = du.count_selforth(dec)
     if census <= 200_000:
-        enum = sum(1 for _ in du.enumerate_selforth(dec))
+        enum = _count(du.enumerate_selforth(dec))
         checks["census_formula_vs_enumeration"] = 0 if enum == census else 1
     else:
         warnings.append(

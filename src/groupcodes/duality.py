@@ -119,20 +119,25 @@ def dual_spec(dec: Decomposition, spec) -> tuple:
     return tuple(out)
 
 
-def hull_spec(dec: Decomposition, spec) -> tuple:
-    """Spec of the hull, the ideal's meet with its dual, slot by slot: the
-    ideals of a slot are zero, full and its proper ideals ("mid" or the
-    lines), so "full" meets x in x, x meets itself in x, and any other
-    pair meets in "zero"."""
-    hull = []
-    for a, b in zip(spec, dual_spec(dec, spec)):
+def spec_meet(spec_a, spec_b) -> tuple:
+    """Spec of the intersection of two ideals, slot by slot: the ideals of
+    a slot are zero, full and its proper ideals ("mid" or the lines), so
+    "full" meets x in x, x meets itself in x, and any other pair meets in
+    "zero"."""
+    meet = []
+    for a, b in zip(spec_a, spec_b):
         if a == "full" or a == b:
-            hull.append(b)
+            meet.append(b)
         elif b == "full":
-            hull.append(a)
+            meet.append(a)
         else:
-            hull.append("zero")
-    return tuple(hull)
+            meet.append("zero")
+    return tuple(meet)
+
+
+def hull_spec(dec: Decomposition, spec) -> tuple:
+    """Spec of the hull, the ideal's meet with its dual."""
+    return spec_meet(spec, dual_spec(dec, spec))
 
 
 def codes_with_duals(dec: Decomposition, specs):
@@ -179,10 +184,29 @@ def selforth_block_options(dec: Decomposition, block: Block) -> list[tuple]:
 
 
 def enumerate_selforth(dec: Decomposition):
-    """Iterate over every self-orthogonal ideal spec."""
-    per_block = [selforth_block_options(dec, b) for b in dec.blocks]
-    for combo in itertools.product(*per_block):
-        yield tuple(itertools.chain.from_iterable(combo))
+    """Iterate over every self-orthogonal ideal spec, in the order of the
+    product of the blocks' options.
+
+    The product is walked depth first: ``heads[i]`` joins the options
+    chosen in the blocks before i, so an option is joined onto its head
+    once, and each spec is one head joined with an option of the last
+    block.  ``rest[i]`` holds the options of block i not yet taken.
+    """
+    *outer, last = [selforth_block_options(dec, b) for b in dec.blocks]
+    heads, rest = [()], [iter(block) for block in outer[:1]]
+    while True:
+        if len(heads) > len(outer):
+            head = heads.pop()
+            for option in last:
+                yield head + option
+        while rest and (option := next(rest[-1], None)) is None:
+            rest.pop()
+            heads.pop()
+        if not rest:
+            return
+        heads.append(heads[-1] + option)
+        if len(rest) < len(outer):
+            rest.append(iter(outer[len(rest)]))
 
 
 def count_selforth(dec: Decomposition) -> int:

@@ -40,7 +40,8 @@ class PowerBasis:
     def to_digits(self) -> np.ndarray:
         """(d e, m) float64: row j e + k holds the digits of beta_k tau^j."""
         F, A = self.block.master, self.alphabet
-        beta = A.pack_t[_powers(A.p, A.degree).astype(np.intp)].astype(np.int64)
+        beta = A.pack_t.take(_powers(A.p, A.degree).astype(np.intp))
+        beta = beta.astype(np.int64)
         logs = (beta - 1) * A.step + np.arange(self.d)[:, None] * self.block.gen
         return _quotients(F, logs.reshape(-1, 1) % F.mult_order)[..., 0] % F.p
 
@@ -50,11 +51,11 @@ class PowerBasis:
         elimination runs in the alphabet, where c in GF(p) is ``pack_t[c]``."""
         A, m, n = self.alphabet, self.block.master.m, len(self.to_digits)
         aug = np.hstack([self.to_digits, np.eye(n)]).astype(np.intp)
-        R, pivots = linalg.rref(A, A.pack_t[aug])
+        R, pivots = linalg.rref(A, A.pack_t.take(aug))
         if pivots[-1] >= m:
             raise AssertionError("power basis does not span the block field")
         out = np.zeros((m, n))
-        out[list(pivots)] = A.coord_t[R[:, m:], 0]
+        out[list(pivots)] = A.coord_t.take(R[:, m:], axis=0)[..., 0]
         return out
 
     def flatten(self, x) -> np.ndarray:
@@ -109,7 +110,7 @@ def to_elements(alphabet: Subfield, C: np.ndarray, to_digits: np.ndarray) -> np.
     """Master elements (r, k), int64, with digits coords(C) @ to_digits
     mod p, for alphabet indices C (r, n)."""
     F, p, (n, mk) = alphabet.master, alphabet.p, to_digits.shape
-    digits = alphabet.coord_t[C].reshape(len(C), n) @ to_digits
+    digits = alphabet.coord_t.take(C, axis=0).reshape(len(C), n) @ to_digits
     digits -= p * np.floor(digits / p)
     packed = _powers(p, F.m) @ digits.reshape(len(C), F.m, mk // F.m)
     return F.log[packed.astype(np.intp)].astype(np.int64)
@@ -123,4 +124,4 @@ def to_coords(alphabet: Subfield, x, from_digits: np.ndarray) -> np.ndarray:
     coords = _quotients(F, x).reshape(len(x), mk) @ from_digits
     coords -= p * np.floor(coords / p)
     codes = coords.reshape(len(x), n // e, e) @ _powers(p, e)
-    return alphabet.pack_t[codes.astype(np.intp)]
+    return alphabet.pack_t.take(codes.astype(np.intp))

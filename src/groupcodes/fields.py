@@ -305,6 +305,9 @@ def _build_exp_table(p: int, m: int, modulus: tuple[int, ...]) -> np.ndarray:
     return exp
 
 
+_BUILD_BLOCK = 2 ** 16
+
+
 @lru_cache(maxsize=None)
 def build_field(p: int, m: int, budget: int = DEFAULT_FIELD_BUDGET) -> FieldTable:
     """Construct (and cache) the GF(p^m) tables."""
@@ -320,21 +323,23 @@ def build_field(p: int, m: int, budget: int = DEFAULT_FIELD_BUDGET) -> FieldTabl
     modulus = smallest_primitive_modulus(p, m)
     exp = _build_exp_table(p, m, modulus)
 
+    # block by block, so that beside its three tables a large field's
+    # build holds only temporaries of _BUILD_BLOCK entries
+    n, step = order - 1, _BUILD_BLOCK
     log = np.full(order, ZERO, dtype=np.int32)
-    log[exp] = np.arange(order - 1, dtype=np.int32)
-    if int((log != ZERO).sum()) != order - 1:
+    for s in range(0, n, step):
+        log[exp[s:s + step]] = np.arange(s, min(s + step, n), dtype=np.int32)
+    if sum(np.count_nonzero(log[s:s + step] != ZERO)
+           for s in range(0, order, step)) != n:
         raise RuntimeError("exp table is not a full multiplicative orbit")
 
     # zech[k] = log(1 + xi^k); adding 1 only touches the constant
-    # coefficient.  In place, so that a large field's build holds at most
-    # four tables of its size at once.
-    c0 = exp % p
-    packed = exp - c0
-    c0 += 1
-    c0 %= p
-    packed += c0
-    del c0
-    zech = log[packed]
+    # coefficient
+    zech = np.empty(n, dtype=np.int32)
+    for s in range(0, n, step):
+        packed = exp[s:s + step]
+        c0 = packed % p
+        zech[s:s + step] = log[packed - c0 + (c0 + 1) % p]
     return FieldTable(p, m, modulus, exp, log, zech)
 
 
@@ -343,7 +348,9 @@ def build_field(p: int, m: int, budget: int = DEFAULT_FIELD_BUDGET) -> FieldTabl
 
 
 MAX_TABLE_ORDER = 4096
-_TABLES = ("add_t", "mul_t", "neg_t", "inv_t", "coord_t", "mulmat_t", "pack_t")
+_GATHER_BLOCK = 2 ** 14
+_COORD_TABLES = ("coord_t", "mulmat_t", "pack_t")
+_TABLES = ("add_t", "mul_t", "neg_t", "inv_t") + _COORD_TABLES
 
 
 class Subfield:
@@ -357,9 +364,15 @@ class Subfield:
     e x e matrix M with coords(x * i) = coords(x) @ M, and pack_t maps the
     base-p number of a coordinate vector (first coordinate least
     significant) back to its index.  The coordinate tables are float64 so
-    products of them go straight to BLAS.  All seven are built on first
-    access, so block fields, which only need ``elements`` / ``dlog`` /
-    ``contains``, never pay for them.
+    products of them go straight to BLAS.  The four index tables are built
+    on the first access to any of them, the three coordinate tables on the
+    first access to any of those, so block fields, which only need
+    ``elements`` / ``dlog`` / ``contains``, never pay for them, and an
+    alphabet that takes no product never builds coordinates.
+
+    Arrays of indices are added, multiplied, negated and inverted entrywise
+    by ``add``, ``mul``, ``neg`` and ``inv``, the one path every table
+    lookup outside this module takes.
     """
 
     def __init__(self, master: FieldTable, q: int):
@@ -406,13 +419,61 @@ class Subfield:
             return None
         return self.index(a) - 1
 
+    # -- array arithmetic ----------------------------------------------------
+    # Each is one ``take`` on the flattened table, which numpy runs several
+    # times faster than indexing the table with index arrays.  A pair a, b
+    # reads entry a q + b, computed as intp: q^2 overflows int16 from
+    # q = 182 on.  The operands broadcast; the results are int16.
+
+    def add(self, A, B) -> np.ndarray:
+        """A + B, entrywise, for index arrays A and B."""
+        return self._gather_pairs(self.add_t, A, B)
+
+    def mul(self, A, B) -> np.ndarray:
+        """A B, entrywise, for index arrays A and B."""
+        return self._gather_pairs(self.mul_t, A, B)
+
+    def neg(self, A) -> np.ndarray:
+        """-A, entrywise, for an index array A."""
+        return self.neg_t.take(A)
+
+    def inv(self, A) -> np.ndarray:
+        """A^-1, entrywise, for an index array A of nonzero indices."""
+        return self.inv_t.take(A)
+
+    def _gather_pairs(self, table, A, B) -> np.ndarray:
+        """The entries table[a, b] of the pairs of A and B.  A broadcast
+        that outgrows both operands together and _GATHER_BLOCK entries is
+        gathered a block of its first axis at a time, so that its intp
+        index, four times the size of the int16 result, stays small."""
+        flat = np.multiply(A, self.q, dtype=np.intp)
+        if flat.shape == np.shape(B):
+            flat += B
+            return table.take(flat)
+        # the broadcast has at most size(A) size(B) entries
+        if flat.size * np.size(B) <= _GATHER_BLOCK:
+            return table.take(flat + B)
+        both = np.broadcast(flat, B)
+        shape, size = both.shape, both.size
+        if size <= _GATHER_BLOCK or size <= flat.size + np.size(B):
+            return table.take(flat + B)
+        flat, B = np.broadcast_to(flat, shape), np.broadcast_to(B, shape)
+        out = np.empty(shape, dtype=table.dtype)
+        step = max(1, _GATHER_BLOCK * shape[0] // size)
+        for s in range(0, shape[0], step):
+            out[s:s + step] = table.take(flat[s:s + step] + B[s:s + step])
+        return out
+
     # -- numpy tables --------------------------------------------------------
 
     def __getattr__(self, name):
-        # only reached while the tables are missing: build all at once
+        # only reached while a table is missing: build its group of tables
         if name not in _TABLES:
             raise AttributeError(name)
-        self._build_tables()
+        if name in _COORD_TABLES:
+            self._build_coordinate_tables()
+        else:
+            self._build_tables()
         return getattr(self, name)
 
     def _build_tables(self):
@@ -438,7 +499,6 @@ class Subfield:
         self.neg_t = self.mul_t[self.index(self.master.minus_one)].copy()
         self.inv_t = np.zeros(q, dtype=np.int16)
         self.inv_t[1:] = (-e) % m + 1
-        self._build_coordinate_tables()
 
     def _build_coordinate_tables(self):
         """The regular representation over GF(p).

@@ -2,8 +2,9 @@
 
 Matrices here are numpy integer arrays whose entries are *indices* into
 a :class:`~groupcodes.fields.Subfield` (0 = zero, i >= 1 = gen^(i-1)), so
-row reduction runs through the subfield's dense lookup tables instead of
-per-scalar Python arithmetic.
+row reduction runs through the subfield's entrywise arithmetic
+(``Subfield.add`` / ``mul`` / ``neg`` / ``inv``, one gather from a dense
+table each) instead of per-scalar Python arithmetic.
 
 Products use the regular representation of GF(p^e) over GF(p): A @ B
 expands A to its (m, n e) coordinates and B to (n e, l e) blocks of
@@ -17,11 +18,11 @@ Products broadcast over leading stack axes.  Membership is one product: a
 row v lies in the row space of an RREF R with pivots P exactly when
 v == v[P] @ R, and a stack of RREFs tests a stack of row blocks with one
 stacked product.  ``rref`` reduces a matrix or a whole stack (..., m, n)
-of them with one column loop, a matrix being a stack of one (blocked
-elimination over small fields in the manner of Dumas, Giorgi & Pernet,
-ACM TOMS 35, 2008).  A member that is already reduced, found by
-a constant number of whole-stack checks, comes back as a copy without
-elimination.
+of them with one Gauss-Jordan loop over the columns, a matrix being a
+stack of one: at each column every member picks its pivot row, and the
+rows of the whole stack that hold a nonzero entry there are updated at
+once, by one product and one sum of arrays.  A member that is already reduced, found by a constant number of
+whole-stack checks, comes back as a copy without elimination.
 """
 
 from __future__ import annotations
@@ -50,12 +51,13 @@ def matmul(sub: Subfield, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     (m, n), l, e, p = A.shape[-2:], B.shape[-1], sub.degree, sub.p
     if n * e * (p - 1) ** 2 >= 2 ** 53:
         raise AssertionError("the expanded product would not be exact")
-    X = sub.coord_t[A].reshape(*A.shape[:-2], m, n * e)
-    Y = sub.mulmat_t[B].swapaxes(-3, -2).reshape(*B.shape[:-2], n * e, l * e)
+    X = sub.coord_t.take(A, axis=0).reshape(*A.shape[:-2], m, n * e)
+    Y = (sub.mulmat_t.take(B, axis=0).swapaxes(-3, -2)
+         .reshape(*B.shape[:-2], n * e, l * e))
     C = X @ Y
     C -= p * np.floor(C / p)
     codes = C.reshape(*C.shape[:-1], l, e) @ (float(p) ** np.arange(e))
-    return sub.pack_t[codes.astype(np.intp)]
+    return sub.pack_t.take(codes.astype(np.intp))
 
 
 def _reduced_pivots(S: np.ndarray) -> list[tuple[int, ...] | None]:
@@ -84,19 +86,32 @@ def _reduced_pivots(S: np.ndarray) -> list[tuple[int, ...] | None]:
             for p, r, good in zip(lead, live.sum(axis=1), ok)]
 
 
+# below this many entries (rows times remaining columns), updating every
+# row beats gathering the rows that change
+_SPARSE_UPDATE = 2 ** 12
+
+
 def _eliminate(sub: Subfield, R: np.ndarray) -> tuple[np.ndarray, list]:
     """The RREF of every matrix of the stack R (B, m, n) and its pivots,
     by one column loop for the whole stack.
 
     Rows are not swapped.  At column c, each matrix with a nonzero entry
     there in a row that holds no pivot yet takes the first such row as its
-    pivot row; a matrix without one adds zero multiples of a row.  At the
-    end the pivot rows are sorted by their leading columns, and the other
-    rows, all zero by then, follow.
+    pivot row, and the rows with a nonzero entry at c in those matrices
+    are updated: only they, gathered, when they are under half the rows
+    of a stack whose remaining columns hold _SPARSE_UPDATE entries or
+    more, else every row.  At the end the pivot rows are sorted by their
+    leading columns, and the other rows, all zero by then, follow.
+
+    The stack is held as intp through the loop, so each row update is two
+    gathers whose flat indices need no conversion; the result has R's
+    dtype.
     """
     B, m, n = R.shape
-    R = R.reshape(B * m, n)
+    dtype = R.dtype
+    R = R.reshape(B * m, n).astype(np.intp)
     first = np.arange(B) * m                 # row 0 of each matrix
+    owner = np.repeat(np.arange(B), m)       # the matrix of each row
     free = np.ones(B * m, dtype=bool)        # rows holding no pivot yet
     for c in range(n):
         col = R[:, c]
@@ -106,23 +121,32 @@ def _eliminate(sub: Subfield, R: np.ndarray) -> tuple[np.ndarray, list]:
         k = np.count_nonzero(found)
         if not k:
             continue
-        lead = R[at]
-        lead = sub.mul_t[lead, sub.inv_t[lead[:, c]][:, None]]
+        # the pivot row is zero left of c, so columns left of c stay
+        lead = R[at, c:]
+        lead = sub.mul(lead, sub.inv(lead[:, 0])[:, None])
         # the pivot row cancels itself here, and takes the lead row below
-        fac = sub.neg_t[col]
+        fac = sub.neg(col)
         if k < B:
             fac.reshape(B, m)[~found] = 0
-        # the lead row is zero left of c, so columns left of c stay
-        R[:, c:] = sub.add_t[R[:, c:], sub.mul_t[fac.reshape(B, m, 1),
-                                                 lead[:, None, c:]]
-                             .reshape(B * m, n - c)]
+        if (B * m * (n - c) >= _SPARSE_UPDATE
+                and 2 * np.count_nonzero(fac) < B * m):
+            # most rows of a large stack stay: gather the others
+            live = np.flatnonzero(fac)
+            R[live, c:] = sub.add(R[live, c:], sub.mul(fac[live, None],
+                                                       lead[owner[live]]))
+        else:
+            # update every row, each matrix's lead row broadcast over its
+            # rows
+            R[:, c:] = sub.add(R[:, c:], sub.mul(fac.reshape(B, m, 1),
+                                                 lead[:, None])
+                               .reshape(B * m, n - c))
         if k < B:
             at, lead = at[found], lead[found]
-        R[at] = lead
+        R[at, c:] = lead
         free[at] = False
         if c >= m - 1 and not free.any():
             break
-    R = R.reshape(B, m, n)
+    R = R.reshape(B, m, n).astype(dtype)
     free = free.reshape(B, m)
     key = np.where(free, n, (R != 0).argmax(axis=2))
     order = np.arange(B)[:, None], key.argsort(axis=1, kind="stable")
@@ -181,7 +205,7 @@ def nullspace(sub: Subfield, A: np.ndarray) -> np.ndarray:
         Pb[list(piv)] = Rb[:len(piv)]
     # I - P has 1 - P[c, c] on its diagonal: 0 at a pivot, 1 (the index
     # of the element 1) elsewhere
-    out = sub.neg_t[P.transpose(0, 2, 1)].astype(A.dtype, copy=False)
+    out = sub.neg(P.transpose(0, 2, 1)).astype(A.dtype, copy=False)
     diag = np.arange(n)
     out[:, diag, diag] = P[:, diag, diag] == 0
     if stack:
@@ -251,4 +275,4 @@ def entrywise_pow(sub: Subfield, A: np.ndarray, e: int) -> np.ndarray:
     m = sub.q - 1
     table = np.zeros(sub.q, dtype=sub.add_t.dtype)
     table[1:] = 1 + np.arange(m) * (e % m) % m
-    return table[A]
+    return table.take(A)

@@ -68,7 +68,7 @@ def group_mul(sub: Subfield, table: np.ndarray, U: np.ndarray,
     # V[..., moved[g]][k] = v_h with gh = k
     moved = np.argsort(table, axis=1)
     for g in range(table.shape[0]):
-        W = sub.add_t[W, sub.mul_t[U[..., g, None], V[..., moved[g]]]]
+        W = sub.add(W, sub.mul(U[..., g, None], V[..., moved[g]]))
     return W
 
 

@@ -177,8 +177,8 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
         # significant
         L = np.zeros((1, width), dtype=G.dtype)
         for row in G[k - low:]:
-            scaled = sub.mul_t[np.arange(q)[:, None], row[None, :]]
-            L = sub.add_t[L[:, None, :], scaled[None, :, :]].reshape(-1, width)
+            scaled = sub.mul(np.arange(q)[:, None], row[None, :])
+            L = sub.add(L[:, None, :], scaled[None, :, :]).reshape(-1, width)
         step = BATCH // len(L)
         for start in range(0, q ** high, step):
             stop = min(start + step, q ** high)
@@ -186,13 +186,13 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
             msgs[:, 0] = 1
             msgs[:, 1:] = _mixed_radix(start, stop, high, q)
             H = linalg.matmul(sub, msgs, G[lead:k - low])
-            zeros = _zero_counts(sub.neg_t[H], L)
+            zeros = _zero_counts(sub.neg(H), L)
             i = int(zeros.argmax())
             weight = width - int(zeros.flat[i])
             if best is None or weight < best:
                 a, b = divmod(i, len(L))
                 best = weight
-                witness = tuple(int(x) for x in sub.add_t[H[a, :n], L[b, :n]])
+                witness = tuple(int(x) for x in sub.add(H[a, :n], L[b, :n]))
     return DistanceResult(best, EXACT, witness)
 
 
@@ -319,8 +319,8 @@ class _Search:
         red = np.zeros((self.k, self.wr), dtype=self.Gs.dtype)
         red[:, :redundancy] = self.Gs[:, order[:redundancy]]
         units = np.arange(1, sub.q, dtype=self.Gs.dtype)
-        self.scaled = sub.mul_t[units[None, :, None], red[:, None, :]]
-        self.neg_scaled = sub.neg_t[self.scaled]
+        self.scaled = sub.mul(units[None, :, None], red[:, None, :])
+        self.neg_scaled = sub.neg(self.scaled)
         self.max_weight = max_weight
         self.work = 0
 
@@ -393,7 +393,7 @@ class _Search:
         if keep.size:
             s, p, u = np.unravel_index(keep, weights.shape)
             words = np.zeros((keep.size, self.wr + self.k), dtype=P.dtype)
-            words[:, :self.wr] = sub.add_t[P[s, p], sub.neg_t[L[s, u]]]
+            words[:, :self.wr] = sub.add(P[s, p], sub.neg(L[s, u]))
             # the coefficients on the pivots: 1 on the leading row, then
             # the unit digits of p and u (the unit of index i is i + 1)
             coef = np.ones((keep.size, w), dtype=P.dtype)
@@ -412,7 +412,7 @@ class _Search:
             return np.zeros((len(heads), 1, self.wr), dtype=self.scaled.dtype)
         P = self.scaled[heads[:, 0], :1]
         for col in heads[:, 1:].T:
-            P = self.sub.add_t[P[:, :, None, :], self.scaled[col][:, None, :, :]]
+            P = self.sub.add(P[:, :, None, :], self.scaled[col][:, None, :, :])
             P = P.reshape(len(heads), P.shape[1] * P.shape[2], self.wr)
         return P
 

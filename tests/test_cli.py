@@ -214,16 +214,14 @@ def test_css_search_builds_each_code_once(capsys, monkeypatch):
     # two block fields, GF(4) and GF(64), and the inverse of its matrix)
     ("css-search", 20, 4),
     # one stacked RREF per batch of codes (201 specs, 167 to a batch of
-    # 2^15 // 14^2), two per nonzero self-orthogonal record (19, the
-    # witness: the hermitian oracle's one and the nullspace's), three for
-    # the decomposition
-    ("enumerate", 201, 43),
-    # the same over a file of the 201 specs: one stacked RREF per batch of
-    # codes (2 batches, 167 specs to the first), two per nonzero
-    # self-orthogonal record (2 * 19, the witness) and three for the
-    # decomposition, 2 + 38 + 3; the hulls come from the specs, so no dual
-    # code is built and no rank taken
-    ("classify", 201, 43),
+    # 2^15 // 14^2), two per batch holding a nonzero self-orthogonal record
+    # (the witness of all 19 of them, in the first batch: the hermitian
+    # oracle's one and the nullspace's), three for the decomposition,
+    # 2 + 2 + 3
+    ("enumerate", 201, 7),
+    # the same over a file of the 201 specs; the hulls come from the
+    # specs, so no dual code is built and no rank taken
+    ("classify", 201, 7),
 ])
 def test_rref_calls_per_run(capsys, monkeypatch, tmp_path, command, records,
                             rrefs):
@@ -280,8 +278,9 @@ def test_matmul_calls_per_run(capsys, monkeypatch):
     # the 11 excluded subcodes, since every search here closes after
     # information weight 1, whose k supports are one chunk: 2 + 12 + 11
     ("css-search", 20, 25),
-    # one batch per nonzero self-orthogonal record (19, the witness)
-    ("enumerate", 201, 19),
+    # one stacked test per batch of codes holding a nonzero
+    # self-orthogonal record: all 19 of them, in the first batch
+    ("enumerate", 201, 1),
 ])
 def test_in_row_space_calls_per_run(capsys, monkeypatch, command, records,
                                     tests):
@@ -622,6 +621,20 @@ def test_bad_witness_exit(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "internal error: distance witness has the wrong weight"]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "hermitian"])
+def test_selforth_witness_catches_a_wrong_flag(capsys, monkeypatch, metric):
+    # with every spec taken for self-orthogonal, the one stacked oracle
+    # witness of a batch meets the codes that are not, and says so
+    monkeypatch.setattr(cli.ic, "spec_contains", lambda a, b: True)
+    code = cli.main(["enumerate", "--q", "4", "--n", "7",
+                     "--metric", metric])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: self-orthogonality witness failed"]
 
 
 def test_bad_spec_token_reports_error(capsys, tmp_path):

@@ -255,6 +255,29 @@ def test_census_q7_f11():
     assert selforth_by_blocks(dec) == 3999
 
 
+def product_order(dec):
+    """The census in the order of the product of the blocks' options, each
+    combination flattened: the order ``css-search`` emits its census in."""
+    per_block = [du.selforth_block_options(dec, b) for b in dec.blocks]
+    return [tuple(itertools.chain.from_iterable(combo))
+            for combo in itertools.product(*per_block)]
+
+
+@pytest.mark.parametrize("dec", [
+    lambda: dihedral(7, 4, da.HERMITIAN),
+    lambda: dihedral(10, 9, da.HERMITIAN),
+    lambda: dihedral(16, 9, da.HERMITIAN),
+    lambda: quaternion(7, 11),
+    lambda: dihedral(1, 4, da.HERMITIAN),   # a single block
+], ids=["d7-f4-herm", "d10-f9-herm", "d16-f9-herm", "q7-f11-eucl",
+        "d1-f4-herm"])
+def test_census_order_is_the_block_product_order(dec):
+    dec = dec()
+    specs = list(du.enumerate_selforth(dec))
+    assert specs == product_order(dec)
+    assert len(specs) == du.count_selforth(dec)
+
+
 def test_census_euclidean():
     dec = dihedral(16, 9, da.EUCLIDEAN)
     assert du.count_selforth(dec) == 3 ** 5

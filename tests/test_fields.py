@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from groupcodes.embeddings import PowerBasis, to_elements
 from groupcodes.fields import (
     DEFAULT_FIELD_BUDGET,
     ZERO,
+    _BUILD_BLOCK,
+    _COORD_TABLES,
     _TABLES,
     _build_exp_table,
     FieldBudgetError,
@@ -62,6 +65,19 @@ def test_tables_consistent(p, m):
     for k in range(N):
         lhs = F.add(F.one, k)
         assert lhs == (int(F.zech[k]) if F.zech[k] != ZERO else ZERO)
+
+
+@pytest.mark.parametrize("p,m", [(2, 17), (3, 11), (11, 6)])
+def test_tables_built_by_blocks_match_whole_array_formulas(p, m):
+    # fields past one build block, the last block short or full
+    F = build_field(p, m)
+    n = F.mult_order
+    assert n > _BUILD_BLOCK
+    log = np.full(F.order, ZERO, dtype=np.int64)
+    log[F.exp] = np.arange(n)
+    c0 = F.exp % p
+    assert np.array_equal(F.log, log)
+    assert np.array_equal(F.zech, log[F.exp - c0 + (c0 + 1) % p])
 
 
 def int64_exp_table(p, m, modulus):
@@ -218,7 +234,8 @@ def test_tables_match_scalar_ops(p, m, q):
 
 def test_tables_built_lazily():
     # a block field used only through elements / dlog / contains builds
-    # none of the seven tables; the first table access builds them all
+    # none of the seven tables; a coordinate table needs the products, so
+    # its first access builds them all
     S = Subfield(build_field(3, 4), 81)
     elems = list(S.elements())
     assert [S.dlog(a) for a in elems[1:4]] == [0, 1, 2]
@@ -226,6 +243,68 @@ def test_tables_built_lazily():
     assert not set(_TABLES) & set(vars(S))
     assert S.coord_t.shape == (81, 4)
     assert set(_TABLES) <= set(vars(S))
+
+
+@pytest.mark.parametrize("name", ["add_t", "mul_t", "neg_t", "inv_t"])
+def test_index_tables_build_no_coordinate_table(name):
+    # arithmetic on indices alone never pays for the regular
+    # representation
+    S = Subfield(build_field(3, 4), 9)
+    getattr(S, name)
+    built = set(vars(S)) & set(_TABLES)
+    assert built == set(_TABLES) - set(_COORD_TABLES)
+    S.add(np.arange(9), 1)
+    assert not set(_COORD_TABLES) & set(vars(S))
+    assert S.pack_t.shape == (9,)
+    assert set(_TABLES) <= set(vars(S))
+
+
+# (p, m) of a master field for each alphabet; at q = 4096 a flat index
+# a q + b passes 2^15, so held in int16 it would wrap
+_HELPER_MASTERS = {2: (2, 1), 4: (2, 4), 9: (3, 4), 11: (11, 1),
+                   25: (5, 2), 81: (3, 4), 4096: (2, 12)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(q=st.sampled_from(sorted(_HELPER_MASTERS)),
+       shapes=hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=3,
+                                                max_side=5),
+       dtypes=st.tuples(*[st.sampled_from([np.int16, np.intp])] * 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_array_arithmetic_matches_the_tables(q, shapes, dtypes, seed):
+    # the flat gathers equal the 2-D table lookups, broadcasting as they do
+    S = build_field(*_HELPER_MASTERS[q]).subfield(q)
+    rng = np.random.default_rng(seed)
+    A, B = (rng.integers(0, q, shape).astype(dtype)
+            for shape, dtype in zip(shapes.input_shapes, dtypes))
+    for got, want in [(S.add(A, B), S.add_t[A, B]),
+                      (S.mul(A, B), S.mul_t[A, B]),
+                      (S.neg(A), S.neg_t[A]),
+                      (S.inv(A | (A == 0)), S.inv_t[A | (A == 0)])]:
+        assert np.shape(got) == np.shape(want)
+        assert got.dtype == np.int16
+        assert (got == want).all()
+    # the extremes of the flat index
+    top = np.array([q - 1], dtype=np.int16)
+    assert S.add(top, top)[0] == S.add_t[q - 1, q - 1]
+    assert S.mul(top, top)[0] == S.mul_t[q - 1, q - 1]
+
+
+@pytest.mark.parametrize("q", [9, 4096])
+def test_large_broadcast_is_gathered_in_blocks(q):
+    # a broadcast past _GATHER_BLOCK entries and past its operands is
+    # gathered a block of rows at a time; blocks of one row when a row
+    # alone is larger
+    S = build_field(*_HELPER_MASTERS[q]).subfield(q)
+    rng = np.random.default_rng(q)
+    for a_shape, b_shape in [((700, 1, 40), (1, 9, 40)),
+                             ((3, 1, 1), (1, 300, 400)),
+                             ((2, 1, 1), (1, 70000, 1))]:
+        A = rng.integers(0, q, a_shape).astype(np.int16)
+        B = rng.integers(0, q, b_shape).astype(np.int16)
+        assert (S.add(A, B) == S.add_t[A, B]).all()
+        assert (S.mul(A, B) == S.mul_t[A, B]).all()
+        assert (S.mul(B, A) == S.mul_t[B, A]).all()
 
 
 def test_dropped_field_is_freed_without_gc():

@@ -432,3 +432,45 @@ def test_stacked_products_match_per_member(q, members, rows, cols, vrows,
     for b in range(members):
         assert (got[b] == linalg.in_row_space(S, R[b], pivots[b], V[b])).all()
         assert got[b][kind[b] > 0].all()
+
+
+def scalar_nullspace(S, A):
+    """The kernel basis read off the scalar RREF: for each free column f in
+    turn, 1 at f and minus the RREF's column f at the pivots."""
+    R, pivots = scalar_rref(S, A)
+    F, n = S.master, A.shape[1]
+    rows = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = np.zeros(n, dtype=A.dtype)
+        v[f] = 1
+        for i, c in enumerate(pivots):
+            v[c] = S.index(F.neg(S.element(int(R[i, f]))))
+        rows.append(v)
+    return np.array(rows, dtype=A.dtype).reshape(len(rows), n)
+
+
+# the largest alphabets with tables, GF(2^12) and the prime GF(4093): q^2
+# passes 2^15 there, so a flat table index a q + b held in int16 would wrap
+_BIG = {4096: (2, 12), 4093: (4093, 1)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from(sorted(_BIG)), rows=st.integers(1, 5),
+       cols=st.integers(1, 7), zeros=st.sampled_from([0.0, 0.5, 0.8]),
+       extra=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_big_alphabets_match_scalar_arithmetic(q, rows, cols, zeros, extra,
+                                               seed):
+    S = build_field(*_BIG[q]).subfield(q)
+    rng = np.random.default_rng(seed)
+    A = sparse_idx(rng, S, (rows, cols), zeros)
+    # the top indices, whose flat indices are the largest
+    A[rng.random((rows, cols)) < 0.2] = q - 1
+    R, pivots = linalg.rref(S, A)
+    R_want, pivots_want = scalar_rref(S, A)
+    assert pivots == pivots_want
+    assert (R == R_want).all()
+    assert (linalg.nullspace(S, A) == scalar_nullspace(S, A)).all()
+    V = np.vstack([scalar_matmul(S, random_idx(rng, S, (extra, rows)), A),
+                   random_idx(rng, S, (extra, cols))])
+    got = linalg.in_row_space(S, R, pivots, V)
+    assert got.tolist() == [scalar_in_row_space(S, R_want, v) for v in V]

@@ -68,3 +68,23 @@ def test_private_names_are_read():
                       if t.startswith("_") and not t.startswith("__")
                       and t not in read]
     assert not found, found
+
+
+_TABLE_NAMES = {"add_t", "mul_t", "neg_t", "inv_t", "coord_t", "mulmat_t",
+                "pack_t"}
+
+
+def test_tables_are_read_through_one_path():
+    """Outside ``fields`` no alphabet table is indexed: entrywise
+    arithmetic goes through ``Subfield.add`` / ``mul`` / ``neg`` / ``inv``,
+    and the coordinate tables are read with ``take``."""
+    found = []
+    for name, tree in _trees().items():
+        if name == "fields.py":
+            continue
+        found += [f"{name}:{node.lineno} {node.value.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Attribute)
+                  and node.value.attr in _TABLE_NAMES]
+    assert not found, found
