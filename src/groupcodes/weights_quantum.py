@@ -21,32 +21,37 @@ witness after them, each membership check one stacked test per dimension.
 
 Both scans weigh words by comparison: coordinate j of H + L vanishes
 exactly when L[j] = -H[j], so the weights of all sums H[a] + L[b] of two
-blocks of words take one comparison per coordinate (`_zero_counts`), and
-only a word that may be the lightest is ever added up.  The matches are
-counted a word at a time: the comparison's True bytes, 8 coordinates to a
-uint64, are the set bits that `np.bitwise_count` counts.  Zero columns,
-which add no weight, pad the compared coordinates to a multiple of 8, so a
-weight is the padded length less the zeros.  Witnesses, membership tests
-and the orbit bound keep the true length n.  A step of either scan weighs
-about BATCH = 16,384 words.
+blocks of words are counts of matches between the rows of -H and of L, and
+only a word that may be the lightest is ever added up.  One kernel counts
+them (`_zero_counts`), on rows packed by `_pack`: each coordinate is a
+lane, one byte while q <= 256 and two above (the alphabet stops at 4096),
+and a row is whole uint64 words.  The XOR of two rows' words has a zero
+lane where they match; the zero lanes become True bytes, whose set bits
+`np.bitwise_count` counts a word at a time.  A scan packs its fixed
+operand once, the enumeration its negated row multiples per search and the
+exhaustive scan its low table per leading row, and packs only the moving
+block at each step.  Zero columns, which add no weight, pad the compared
+coordinates to a multiple of 8, so a weight is the padded length less the
+zeros.  Witnesses, membership tests and the orbit bound keep the true
+length n.  A step of either scan weighs about BATCH = 16,384 words.
 
 The enumeration keeps its code in one column layout: the n - k columns
 off the pivots first, zero-padded to wr, then the k pivot columns, where
 the basis is the identity.  A word of information weight w is its w unit
 coefficients on the pivots, so it weighs w plus the nonzeros of its wr
 redundancy coordinates, and only those are compared.  The weight-w
-supports come in combinations order, in chunks of about BATCH words.  The
-prefixes of a support (the leading row, then unit multiples of the rows up
-to the last) depend only on its head, the support less its last row, and
-supports sharing a head are neighbours; so a chunk builds each distinct
-head's prefixes once (a head of one row is a single gather), one gather
-per head position from a table of every unit multiple of every row, hands
-them to the head's supports, and compares the last row's negated
-multiples against them.  Only a word kept for `_take` is put together at
-full width, its pivot coordinates being its coefficients, and moved back
-to the natural column order.  Words come in support order, then unit
-tuples with the first scalar most significant; the first lightest word is
-the witness.
+supports come in combinations order, in chunks of about BATCH words, each
+chunk one array of supports.  The prefixes of a support (the leading row,
+then unit multiples of the rows up to the last) depend only on its head,
+the support less its last row, and supports sharing a head are
+neighbours; so a chunk builds each distinct head's prefixes once (a head
+of one row is a single gather), one gather per head position from a table
+of every unit multiple of every row, hands them to the head's supports,
+and compares the last row's negated multiples against them.  Only a word
+kept for `_take` is put together at full width, its pivot coordinates
+being its coefficients, and moved back to the natural column order.
+Words come in support order, then unit tuples with the first scalar most
+significant; the first lightest word is the witness.
 
 The exhaustive reference scans one codeword per projective message of a
 row-reduced basis: a leading 1 at each position in turn, then every choice
@@ -64,6 +69,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,30 +119,42 @@ def _pad_columns(G: np.ndarray) -> np.ndarray:
     return out
 
 
-def _zero_counts(neg: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """zeros[..., a, b]: coordinates where neg[..., a, :] == L[..., b, :].
+def _pack(X: np.ndarray, q: int) -> np.ndarray:
+    """Rows of alphabet indices as the lanes `_zero_counts` compares:
+    uint8 while q <= 256, uint16 above, with zero lanes up to a multiple
+    of 8, so that a row is whole uint64 words."""
+    n = X.shape[-1]
+    out = np.zeros((*X.shape[:-1], _padded(n)),
+                   dtype=np.uint8 if q <= 256 else np.uint16)
+    out[..., :n] = X
+    return out
 
-    With neg = -H that is the number of zeros of H[a] + L[b].  Each match
-    is one True byte, so the matches of 8 coordinates are the set bits of
-    one uint64 word.  A length that is not a multiple of 8 is compared
-    into rows padded with False.  The count is int16, which holds any
+
+def _zero_counts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """zeros[..., i, j]: lanes where a[..., i, :] == b[..., j, :], for
+    rows packed by `_pack`.
+
+    With a = -H and b = L, that is the number of zeros of H[i] + L[j].
+    Lanes are equal where the XOR of their words has a zero lane.  The
+    words are taken one position at a time, each XOR broadcast over every
+    pair of rows; the zero lanes become True bytes, one count word per
+    lane word (uint64 for uint8 lanes, uint32 for uint16), whose set bits
+    `np.bitwise_count` counts.  The count is int16, which holds any
     length below 2^15.
     """
-    n = neg.shape[-1]
-    a, b = neg[..., :, None, :], L[..., None, :, :]
-    if n % 8:
-        *lead, _ = np.broadcast_shapes(a.shape, b.shape)
-        eq = np.zeros((*lead, _padded(n)), dtype=bool)
-        np.equal(a, b, out=eq[..., :n])
-    else:
-        eq = np.equal(a, b, order="C")
-    words = eq.view(np.uint64)
-    if not words.shape[-1]:   # no coordinates: nothing matches
-        return np.zeros(words.shape[:-1], dtype=np.int16)
-    # numpy adds whole word columns faster than it reduces a short axis
-    zeros = np.bitwise_count(words[..., 0]).astype(np.int16)
-    for j in range(1, words.shape[-1]):
-        zeros += np.bitwise_count(words[..., j])
+    A = a.view(np.uint64)[..., :, None, :]
+    B = b.view(np.uint64)[..., None, :, :]
+    if not A.shape[-1]:   # no lanes: nothing matches
+        return np.zeros(np.broadcast_shapes(A.shape, B.shape)[:-1],
+                        dtype=np.int16)
+    count = np.uint64 if a.itemsize == 1 else np.uint32
+    for j in range(A.shape[-1]):
+        x = np.bitwise_xor(A[..., j], B[..., j], order="C")
+        c = np.bitwise_count(np.equal(x.view(a.dtype), 0).view(count))
+        if j:
+            zeros += c
+        else:
+            zeros = c.astype(np.int16)
     return zeros
 
 
@@ -179,6 +197,7 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
         for row in G[k - low:]:
             scaled = sub.mul(np.arange(q)[:, None], row[None, :])
             L = sub.add(L[:, None, :], scaled[None, :, :]).reshape(-1, width)
+        packed = _pack(L, q)
         step = BATCH // len(L)
         for start in range(0, q ** high, step):
             stop = min(start + step, q ** high)
@@ -186,7 +205,7 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
             msgs[:, 0] = 1
             msgs[:, 1:] = _mixed_radix(start, stop, high, q)
             H = linalg.matmul(sub, msgs, G[lead:k - low])
-            zeros = _zero_counts(sub.neg(H), L)
+            zeros = _zero_counts(_pack(sub.neg(H), q), packed)
             i = int(zeros.argmax())
             weight = width - int(zeros.flat[i])
             if best is None or weight < best:
@@ -315,12 +334,12 @@ class _Search:
         self.pos[order] = np.arange(self.n)
         self.pos[order[redundancy:]] += self.wr - redundancy
         # scaled[i, u - 1] = u Gs[i] on the redundancy part, for every
-        # unit u, and its negative
+        # unit u, and its negative packed for _zero_counts
         red = np.zeros((self.k, self.wr), dtype=self.Gs.dtype)
         red[:, :redundancy] = self.Gs[:, order[:redundancy]]
         units = np.arange(1, sub.q, dtype=self.Gs.dtype)
         self.scaled = sub.mul(units[None, :, None], red[:, None, :])
-        self.neg_scaled = sub.neg(self.scaled)
+        self.neg_scaled = _pack(sub.neg(self.scaled), sub.q)
         self.max_weight = max_weight
         self.work = 0
 
@@ -357,13 +376,18 @@ class _Search:
     def _enumerate_weight(self, w: int) -> bool:
         """All codewords of information weight w; False when out of budget."""
         cost = (self.sub.q - 1) ** (w - 1)   # words per support
+        size, total = max(1, BATCH // cost), math.comb(self.k, w)
         supports = itertools.combinations(range(self.k), w)
-        while chunk := list(itertools.islice(supports, max(1, BATCH // cost))):
+        for start in range(0, total, size):
+            m = min(size, total - start)
+            chunk = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(supports, m)),
+                dtype=np.intp, count=m * w).reshape(m, w)
             room = (DEFAULT_WORK - self.work) // cost
             if room:
-                self._weigh(np.array(chunk[:room]))
-                self.work += cost * min(room, len(chunk))
-            if room < len(chunk):
+                self._weigh(chunk[:room])
+                self.work += cost * min(room, m)
+            if room < m:
                 return False
         return True
 
@@ -380,11 +404,11 @@ class _Search:
             P = self._prefixes(head[new])[np.cumsum(new) - 1]
         else:   # a head of at most one row costs one gather: nothing to share
             P = self._prefixes(head)
-        # the last row's negated unit multiples; a leading row alone is
-        # taken once, unscaled
+        # the last row's negated unit multiples, packed; a leading row
+        # alone is taken once, unscaled
         L = self.neg_scaled[C[:, -1], :1 if w == 1 else None]
         # on the pivots a word is its w unit coefficients
-        weights = w + self.wr - _zero_counts(P, L)
+        weights = w + self.wr - _zero_counts(_pack(P, sub.q), L)
         cap = self.best_any if self.best_any is not None else self.n + 1
         if self.exclude is not None:
             cap = (self.n + 1 if self.best_out is None
@@ -393,7 +417,7 @@ class _Search:
         if keep.size:
             s, p, u = np.unravel_index(keep, weights.shape)
             words = np.zeros((keep.size, self.wr + self.k), dtype=P.dtype)
-            words[:, :self.wr] = sub.add(P[s, p], sub.neg(L[s, u]))
+            words[:, :self.wr] = sub.add(P[s, p], self.scaled[C[s, -1], u])
             # the coefficients on the pivots: 1 on the leading row, then
             # the unit digits of p and u (the unit of index i is i + 1)
             coef = np.ones((keep.size, w), dtype=P.dtype)
@@ -548,4 +572,17 @@ def css_hermitian(dec: Decomposition, spec, *, max_weight: int | None = None):
     records = [QuantumRecord(n, n - 2 * len(p), dec.q, *distances[i],
                              n == 2 * len(p))
                for i, p in enumerate(small)]
+    for r in records:
+        _check_singleton(r)
     return records if isinstance(spec, SpecBatch) else records[0]
+
+
+def _check_singleton(r: QuantumRecord) -> None:
+    """An exact [[n, k, d]] record obeys the quantum Singleton bound
+    k <= n - 2d + 2 (for a self-dual one, k = 0: d <= n/2 + 1).  An
+    upper_bound record bounds d only from above, so it is not checked."""
+    d = r.distance.value
+    if r.distance.status == EXACT and r.logical_dim > r.length - 2 * d + 2:
+        raise AssertionError(
+            f"[[{r.length}, {r.logical_dim}, {d}]] breaks the quantum "
+            f"Singleton bound")

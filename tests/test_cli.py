@@ -623,6 +623,27 @@ def test_bad_witness_exit(capsys, monkeypatch):
         "internal error: distance witness has the wrong weight"]
 
 
+@pytest.mark.parametrize("status,exit_code", [(wq.EXACT, 3),
+                                              (wq.UPPER_BOUND, 0)])
+def test_singleton_guard_exit(capsys, monkeypatch, status, exit_code):
+    # every search forged to d = 9 on the length 14: [[14, k, 9]] breaks
+    # k <= n - 2d + 2 for every k, but only an exact record claims it
+    def forged(sub, G, *exclude, **kwargs):
+        searches = len(G[1]) * (1 + len(exclude))   # floors, then outside
+        return (wq.DistanceResult(9, status),) * searches
+
+    monkeypatch.setattr(wq, "min_distance_isd", forged)
+    monkeypatch.setattr(wq, "min_distance_isd_excluding", forged)
+    code = cli.main(["css-search", "--q", "4", "--n", "7",
+                     "--metric", "hermitian"])
+    captured = capsys.readouterr()
+    assert code == exit_code
+    if exit_code:
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "internal error: [[14, 14, 9]] breaks the quantum Singleton bound"]
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "hermitian"])
 def test_selforth_witness_catches_a_wrong_flag(capsys, monkeypatch, metric):
     # with every spec taken for self-orthogonal, the one stacked oracle

@@ -88,3 +88,30 @@ def test_tables_are_read_through_one_path():
                   and isinstance(node.value, ast.Attribute)
                   and node.value.attr in _TABLE_NAMES]
     assert not found, found
+
+
+_KERNEL = {("weights_quantum.py", "_zero_counts"),
+           ("weights_quantum.py", "_pack")}
+
+
+def test_words_are_counted_in_one_kernel():
+    """Only the zero-count kernel and its packer reinterpret buffers
+    (``.view``) or count bits (``bitwise_count``), so that the two distance
+    scans weigh words through one kernel."""
+    found = []
+    for name, tree in _trees().items():
+        skip = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef)
+                and (name, fn.name) in _KERNEL
+                for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if (isinstance(node, ast.Attribute)
+                    and node.attr == "bitwise_count"):
+                found.append(f"{name}:{node.lineno} bitwise_count")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "view"):
+                found.append(f"{name}:{node.lineno} view")
+    assert not found, found

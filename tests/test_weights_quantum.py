@@ -61,19 +61,27 @@ def reference_zero_counts(neg, L):
        a=st.integers(1, 30), b=st.integers(1, 30),
        rows=st.sampled_from(["random", "all equal", "no match"]),
        dtype=st.sampled_from([np.int16, np.intp]),
+       q=st.sampled_from([4, 256, 257, 1024, 4096]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_zero_counts_match_reference(n, lead, a, b, rows, dtype, seed):
-    # L lacks the first leading axis, which it is broadcast over
+def test_zero_counts_match_reference(n, lead, a, b, rows, dtype, q, seed):
+    # L lacks the first leading axis, which it is broadcast over; indices
+    # run up to q - 1, past one byte from q = 257 on
     rng = np.random.default_rng(seed)
-    neg = rng.integers(0, 4, size=(*lead, a, n)).astype(dtype)
-    L = rng.integers(0, 4, size=(*lead[1:], b, n)).astype(dtype)
+    neg = rng.integers(0, q, size=(*lead, a, n)).astype(dtype)
+    L = rng.integers(0, q, size=(*lead[1:], b, n)).astype(dtype)
     if rows == "all equal":
         neg[...] = L[...] = neg.reshape(-1, n)[0].copy()
     elif rows == "no match":
-        L += 4
-    got = wq._zero_counts(neg, L)
+        neg %= q // 2
+        L = L % (q // 2) + q // 2
+    packed = wq._pack(neg, q)
+    assert packed.dtype == (np.uint8 if q <= 256 else np.uint16)
+    assert packed.shape == (*lead, a, wq._padded(n))
+    got = wq._zero_counts(packed, wq._pack(L, q))
     assert got.dtype == np.int16
     assert got.shape == (*lead, a, b)
+    # the zero lanes that pad both rows to whole words match as well
+    got -= wq._padded(n) - n
     assert (got == reference_zero_counts(neg, L)).all()
     if rows == "all equal":
         assert (got == n).all()
@@ -84,12 +92,14 @@ def test_zero_counts_match_reference(n, lead, a, b, rows, dtype, seed):
 @pytest.mark.parametrize("n", [2048, 2053])
 def test_zero_counts_of_long_rows(n):
     rng = np.random.default_rng(n)
-    neg = rng.integers(0, 2, size=(24, n)).astype(np.int16)
-    L = rng.integers(0, 2, size=(30, n)).astype(np.intp)
-    L[3] = neg[5]
-    got = wq._zero_counts(neg, L)
-    assert (got == reference_zero_counts(neg, L)).all()
-    assert got[5, 3] == n
+    for q in (2, 4096):
+        neg = rng.integers(0, q, size=(24, n)).astype(np.int16)
+        L = rng.integers(0, q, size=(30, n)).astype(np.intp)
+        L[3] = neg[5]
+        got = wq._zero_counts(wq._pack(neg, q), wq._pack(L, q))
+        got -= wq._padded(n) - n
+        assert (got == reference_zero_counts(neg, L)).all()
+        assert got[5, 3] == n
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +189,26 @@ def test_isd_matches_exhaustive(system, max_dim, seed):
     assert floor.status == outside.status == wq.EXACT
     assert (floor.value, outside.value) == brute_floor_and_outside(
         dec, code, small)
+
+
+@settings(max_examples=20, deadline=None)
+@given(q=st.sampled_from([1024, 4096]), n=st.integers(2, 16),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_isd_matches_exhaustive_on_wide_alphabets(q, n, seed):
+    # indices past 255 need two-byte lanes: one-byte lanes would wrap and
+    # match unequal coordinates
+    sub = build_field(2, q.bit_length() - 1).subfield(q)
+    rng = np.random.default_rng(seed)
+    G = rng.integers(0, q, size=(2, n)).astype(np.int16)
+    G[0, 0], G[1, 0] = 1, 0   # rank 2
+    G[1, 1 + int(rng.integers(n - 1))] = 1
+    want = wq.min_distance_exhaustive(sub, G)
+    got = wq.min_distance_isd(sub, G)
+    assert (got.value, got.status) == (want.value, wq.EXACT)
+    w = np.array(got.witness, dtype=G.dtype)
+    assert np.count_nonzero(w) == want.value
+    R, piv = linalg.rref(sub, G)
+    assert linalg.in_row_space(sub, R, piv, w[None])[0]
 
 
 def test_repetition_ideal_distance():
@@ -553,8 +583,9 @@ def test_heads_and_layout_match_per_support(monkeypatch, case, batch):
 def test_padded_searches_keep_their_witnesses(monkeypatch, n, Q):
     # the lengths 14 and 20 are padded to 16 and 24 in the exhaustive scan,
     # and the information-set search pads each code's n - k redundancy
-    # columns; unpadded, with the reduction kernel and 4,096 words a step,
-    # every search must give the same values, statuses and witnesses
+    # columns; unpadded, with the packer leaving rows at their length, the
+    # reduction kernel comparing its lanes and 4,096 words a step, every
+    # search must give the same values, statuses and witnesses
     dec = dihedral(n, Q, da.HERMITIAN)
     sub, pi = dec.alphabet, wq.code_automorphism(dec)
     pairs = list(css_pairs(dec, n, 6))
@@ -576,7 +607,7 @@ def test_padded_searches_keep_their_witnesses(monkeypatch, n, Q):
     assert got == searches()
     # both scans really ran unpadded
     assert all(wq._pad_columns(small).shape == small.shape
-               for _, small in pairs)
+               == wq._pack(small, Q).shape for _, small in pairs)
     assert any(wq._Search(sub, big, None, None).wr % 8 for big, _ in pairs)
     assert any(r.value is not None and r.witness for r in got)
 
