@@ -39,19 +39,22 @@ The enumeration keeps its code in one column layout: the n - k columns
 off the pivots first, zero-padded to wr, then the k pivot columns, where
 the basis is the identity.  A word of information weight w is its w unit
 coefficients on the pivots, so it weighs w plus the nonzeros of its wr
-redundancy coordinates, and only those are compared.  The weight-w
-supports come in combinations order, in chunks of about BATCH words, each
-chunk one array of supports.  The prefixes of a support (the leading row,
-then unit multiples of the rows up to the last) depend only on its head,
-the support less its last row, and supports sharing a head are
-neighbours; so a chunk builds each distinct head's prefixes once (a head
-of one row is a single gather), one gather per head position from a table
-of every unit multiple of every row, hands them to the head's supports,
-and compares the last row's negated multiples against them.  Only a word
-kept for `_take` is put together at full width, its pivot coordinates
-being its coefficients, and moved back to the natural column order.
-Words come in support order, then unit tuples with the first scalar most
-significant; the first lightest word is the witness.
+redundancy coordinates, and only those are compared.  The words of
+information weight 1 are the basis rows themselves, each weighing its
+nonzeros.  Above it the enumeration walks heads: a weight-w support is a
+head, its first w - 1 rows, and a tail, its last row, and its prefixes
+(the leading row, then unit multiples of the rows up to the last) depend
+only on the head.  The heads are the (w - 1)-subsets of the rows but the
+last, drawn from one combinations stream in blocks whose prefix table
+holds about BATCH rows of 8 lanes; a block builds and packs its prefixes
+once.  Its supports, each head followed by every later row as tail, are
+laid out by index arithmetic in combinations order, in chunks of about
+BATCH words; a chunk gathers its heads' packed prefixes and its tails'
+negated unit multiples and compares them in one kernel call.  Only a
+word kept for `_take` is put together at full width, its pivot
+coordinates being its coefficients, and moved back to the natural column
+order.  Words come in support order, then unit tuples with the first
+scalar most significant; the first lightest word is the witness.
 
 The exhaustive reference scans one codeword per projective message of a
 row-reduced basis: a leading 1 at each position in turn, then every choice
@@ -375,40 +378,58 @@ class _Search:
 
     def _enumerate_weight(self, w: int) -> bool:
         """All codewords of information weight w; False when out of budget."""
-        cost = (self.sub.q - 1) ** (w - 1)   # words per support
-        size, total = max(1, BATCH // cost), math.comb(self.k, w)
-        supports = itertools.combinations(range(self.k), w)
-        for start in range(0, total, size):
-            m = min(size, total - start)
-            chunk = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(supports, m)),
-                dtype=np.intp, count=m * w).reshape(m, w)
-            room = (DEFAULT_WORK - self.work) // cost
-            if room:
-                self._weigh(chunk[:room])
-                self.work += cost * min(room, m)
-            if room < m:
-                return False
+        if w == 1:
+            return self._weigh_rows()
+        q = self.sub.q
+        cost = (q - 1) ** (w - 1)   # words per support
+        size = max(1, BATCH // cost)   # supports per chunk
+        # heads per block: its prefix table holds about BATCH * 8 lanes
+        # (BATCH rows of 8), as building it takes intp indices eight times
+        # the size of the table
+        block = max(1, BATCH * 8 // max(8, self.wr) // (q - 1) ** (w - 2))
+        # the heads: every (w - 1)-subset of the rows but the last, in
+        # combinations order, drawn a block at a time
+        heads = itertools.combinations(range(self.k - 1), w - 1)
+        for _ in range(0, math.comb(self.k - 1, w - 1), block):
+            H = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(heads, block)),
+                dtype=np.intp).reshape(-1, w - 1)
+            packed = _pack(self._prefixes(H), q)
+            # head j has the tails H[j, -1] + 1 .. k - 1, and its run of
+            # supports ends at ends[j]
+            ends = np.cumsum(self.k - 1 - H[:, -1])
+            total = int(ends[-1])
+            for first in range(0, total, size):
+                m = min(size, total - first)
+                room = (DEFAULT_WORK - self.work) // cost
+                if room:
+                    i = np.arange(first, first + min(room, m))
+                    h = np.searchsorted(ends, i, side="right")
+                    self._weigh(packed, H, h, i + self.k - ends[h])
+                    self.work += cost * min(room, m)
+                if room < m:
+                    return False
         return True
 
-    def _weigh(self, C: np.ndarray) -> None:
-        """Pass the words of the supports C (one per row) that are lighter
-        than a current best to _take, in enumeration order."""
-        sub, w = self.sub, C.shape[1]
-        # supports sharing a head (all rows but the last) are neighbours:
-        # build each head's prefixes once and hand them to its supports
-        head = C[:, :-1]
-        if w > 2:
-            new = np.ones(len(C), dtype=bool)
-            new[1:] = (head[1:] != head[:-1]).any(axis=1)
-            P = self._prefixes(head[new])[np.cumsum(new) - 1]
-        else:   # a head of at most one row costs one gather: nothing to share
-            P = self._prefixes(head)
-        # the last row's negated unit multiples, packed; a leading row
-        # alone is taken once, unscaled
-        L = self.neg_scaled[C[:, -1], :1 if w == 1 else None]
-        # on the pivots a word is its w unit coefficients
-        weights = w + self.wr - _zero_counts(_pack(P, sub.q), L)
+    def _weigh_rows(self) -> bool:
+        """The words of information weight 1, the basis rows, to _take,
+        each weighing its nonzeros; False when out of budget."""
+        room = DEFAULT_WORK - self.work
+        rows = self.Gs[:room]
+        if len(rows):
+            self._take(rows, np.count_nonzero(rows, axis=1))
+        self.work += len(rows)
+        return room >= self.k
+
+    def _weigh(self, packed: np.ndarray, H: np.ndarray, h: np.ndarray,
+               tail: np.ndarray) -> None:
+        """Pass the words of the supports (H[h], tail), one per entry, that
+        are lighter than a current best to _take, in enumeration order;
+        packed holds the prefixes of the heads H, packed."""
+        sub, w = self.sub, H.shape[1] + 1
+        # the prefixes of each support's head against its tail's negated
+        # unit multiples; on the pivots a word is its w unit coefficients
+        weights = w + self.wr - _zero_counts(packed[h], self.neg_scaled[tail])
         cap = self.best_any if self.best_any is not None else self.n + 1
         if self.exclude is not None:
             cap = (self.n + 1 if self.best_out is None
@@ -416,24 +437,25 @@ class _Search:
         keep = np.flatnonzero(weights < cap)
         if keep.size:
             s, p, u = np.unravel_index(keep, weights.shape)
-            words = np.zeros((keep.size, self.wr + self.k), dtype=P.dtype)
-            words[:, :self.wr] = sub.add(P[s, p], self.scaled[C[s, -1], u])
+            h, tail = h[s], tail[s]
+            dtype = self.scaled.dtype
+            words = np.zeros((keep.size, self.wr + self.k), dtype=dtype)
+            words[:, :self.wr] = sub.add(packed[h, p], self.scaled[tail, u])
             # the coefficients on the pivots: 1 on the leading row, then
             # the unit digits of p and u (the unit of index i is i + 1)
-            coef = np.ones((keep.size, w), dtype=P.dtype)
+            coef = np.ones((keep.size, w), dtype=dtype)
             if w > 2:
                 digits = np.unravel_index(p, (sub.q - 1,) * (w - 2))
                 coef[:, 1:-1] = np.stack(digits, axis=1) + 1
             coef[:, -1] = u + 1
-            words[np.arange(keep.size)[:, None], self.wr + C[s]] = coef
+            support = np.column_stack((H[h], tail))
+            words[np.arange(keep.size)[:, None], self.wr + support] = coef
             self._take(words[:, self.pos], weights.ravel()[keep])
 
     def _prefixes(self, heads: np.ndarray) -> np.ndarray:
         """P[h, p]: the redundancy part of the leading row of heads[h] plus
         the p-th tuple of unit multiples of its other rows, the first
-        scalar most significant; the zero word for an empty head."""
-        if not heads.shape[1]:
-            return np.zeros((len(heads), 1, self.wr), dtype=self.scaled.dtype)
+        scalar most significant."""
         P = self.scaled[heads[:, 0], :1]
         for col in heads[:, 1:].T:
             P = self.sub.add(P[:, :, None, :], self.scaled[col][:, None, :, :])

@@ -115,3 +115,30 @@ def test_words_are_counted_in_one_kernel():
                   and node.func.attr == "view"):
                 found.append(f"{name}:{node.lineno} view")
     assert not found, found
+
+
+def _calls_by_scope(tree, attr):
+    """The scopes (``Class.method``, ``function`` or ``<module>``) of the
+    calls of ``attr`` in a module, one entry per call site."""
+    scopes = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef):
+                    scopes.update((id(n), f"{node.name}.{fn.name}")
+                                  for n in ast.walk(fn))
+        elif isinstance(node, ast.FunctionDef):
+            scopes.update((id(n), node.name) for n in ast.walk(node))
+    return [scopes.get(id(node), "<module>") for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and attr in (getattr(node.func, "attr", None),
+                         getattr(node.func, "id", None))]
+
+
+def test_supports_come_from_one_head_stream():
+    """``itertools.combinations`` has one call site, the head stream of the
+    information-set search, so that supports are laid out by index
+    arithmetic rather than built as tuples chunk by chunk."""
+    found = [f"{name} {scope}" for name, tree in _trees().items()
+             for scope in _calls_by_scope(tree, "combinations")]
+    assert found == ["weights_quantum.py _Search._enumerate_weight"], found

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -553,30 +554,142 @@ _LAYOUT_CODES = list(layout_codes())
 @pytest.mark.parametrize("case", range(len(_LAYOUT_CODES)),
                          ids=[name for name, _, _ in _LAYOUT_CODES])
 def test_heads_and_layout_match_per_support(monkeypatch, case, batch):
-    # information weights 4 and 5, in chunks that start inside a group of
-    # supports sharing a head; the words, weights and order must be the
-    # per-support walk's, and so must values, witnesses and work
+    # information weights 4 and 5, in chunks that start inside a head's
+    # run of supports and in head blocks that start inside a weight; the
+    # words, weights and order must be the per-support walk's, and so must
+    # values, witnesses and work
     _, sub, G = _LAYOUT_CODES[case]
     monkeypatch.setattr(wq, "BATCH", batch)
-    starts = []
+    starts, blocks = [], []
     weigh = wq._Search._weigh
 
-    def watch(search, C):
-        starts.append(tuple(C[0]))
-        weigh(search, C)
+    def watch(search, packed, H, h, tail):
+        # the chunk's first support, and the first head of its block
+        starts.append((*H[h[0]].tolist(), int(tail[0])))
+        blocks.append(tuple(H[0].tolist()))
+        weigh(search, packed, H, h, tail)
 
     monkeypatch.setattr(wq._Search, "_weigh", watch)
     _matches_per_support(sub, G, 5)
     if batch < wq.BATCH:
-        # some chunk's first support shares its head with the one before
-        assert any(a[:-1] == b[:-1] and len(a) > 2
-                   for b, a in zip(starts, starts[1:]))
+        # some chunk's first support is not the first of its head's run
+        assert any(len(s) > 2 and s[-1] > s[-2] + 1 for s in starts)
+    if batch == 40:
+        # some head block of weight 4 or 5 begins after the first head of
+        # its weight
+        assert any(len(b) > 2 and b != tuple(range(len(b))) for b in blocks)
     for exclude in (None, G[:2]):
         for max_weight in (4, 5):
             want = _PerSupport(sub, G, exclude, None, max_weight)
             got = wq._Search(sub, G, exclude, None, max_weight)
             assert got.run() == want.run()
             assert got.work == want.work
+
+
+def _work_through(k, q, w):
+    """Words of information weight at most w in a code of dimension k."""
+    return sum(math.comb(k, v) * (q - 1) ** (v - 1) for v in range(1, w + 1))
+
+
+def random_code(sub, k, n, seed):
+    rng = np.random.default_rng(seed)
+    while True:
+        G = rng.integers(0, sub.q, size=(k, n)).astype(np.int16)
+        if linalg.rank(sub, G) == k:
+            return G
+
+
+@pytest.mark.parametrize("q,k,n", [(4, 9, 18), (9, 7, 14)])
+def test_budget_cuts_inside_head_blocks(monkeypatch, q, k, n):
+    # at 40 words a step, information weights 3 and 4 take several head
+    # blocks; budgets that end the search one word short of a block's
+    # edge, on it, just past it, a support into the next block and in the
+    # middle of the first must cut where the per-support walk cuts
+    sub = build_field(*{4: (2, 2), 9: (3, 2)}[q]).subfield(q)
+    G = random_code(sub, k, n, q)
+    monkeypatch.setattr(wq, "BATCH", 40)
+    blocks = []
+    prefixes = wq._Search._prefixes
+
+    def watch(search, heads):
+        blocks.append(heads.copy())
+        return prefixes(search, heads)
+
+    with monkeypatch.context() as m:
+        m.setattr(wq._Search, "_prefixes", watch)
+        full = wq._Search(sub, G, None, None)
+        full.run()
+    assert full.work == _work_through(k, q, 4)   # it ends after weight 4
+    for w in (3, 4):
+        first, *more = [H for H in blocks if H.shape[1] == w - 1]
+        assert more   # the weight takes more than one block
+        edge = int((k - 1 - first[:, -1]).sum())   # the first's supports
+        base, cost = _work_through(k, q, w - 1), (q - 1) ** (w - 1)
+        for budget in (base + cost * edge - 1, base + cost * edge,
+                       base + cost * edge + cost - 1,
+                       base + cost * (edge + 1), base + cost * (edge // 2) + 1):
+            monkeypatch.setattr(wq, "DEFAULT_WORK", budget)
+            for exclude in (None, G[:2]):
+                want = _PerSupport(sub, G, exclude, None)
+                got = wq._Search(sub, G, exclude, None)
+                result = got.run()
+                assert result == want.run()
+                assert got.work == want.work <= budget
+                assert result[0].status == wq.UPPER_BOUND
+
+
+def test_weight_one_reads_the_basis_rows(monkeypatch):
+    dec = dihedral(7, 4, da.HERMITIAN)
+    sub, pi = dec.alphabet, wq.code_automorphism(dec)
+    for big, small in css_pairs(dec, 1, 4):
+        R, piv = linalg.rref(sub, big)
+        k = len(piv)
+        rows = np.count_nonzero(R[:k], axis=1)
+        # --isd-weight 1: the basis rows alone, in and off the subcode
+        for exclude in (None, small):
+            want = _PerSupport(sub, big, exclude, pi, 1)
+            got = wq._Search(sub, big, exclude, pi, 1)
+            assert got.run() == want.run()
+            assert got.work == want.work == k
+            assert got.best_any == rows.min()
+        # a budget below k: an upper bound from the first rows only
+        with monkeypatch.context() as m:
+            m.setattr(wq, "DEFAULT_WORK", k - 2)
+            want = _PerSupport(sub, big, small, pi)
+            got = wq._Search(sub, big, small, pi)
+            floor, outside = got.run()
+            assert (floor, outside) == want.run()
+            assert got.work == want.work == k - 2
+            assert floor.status == outside.status == wq.UPPER_BOUND
+            assert floor.value == rows[:k - 2].min()
+            assert floor.witness in set(map(tuple, R[:k - 2].tolist()))
+        # a subcode holding every basis row: nothing lies off it yet
+        got = wq._Search(sub, big, big, None)
+        assert got._enumerate_weight(1)
+        assert got.best_out is None and got.best_any == rows.min()
+        want = _PerSupport(sub, big, big, None, 3)
+        got = wq._Search(sub, big, big, None, 3)
+        assert got.run() == want.run()
+        assert got.work == want.work
+
+
+def test_heads_are_streamed(monkeypatch):
+    # the budget ends a binary [300, 200] search just inside information
+    # weight 4, whose supports have C(199, 3) = 1,293,699 heads: drawn a
+    # block at a time, they are never all held at once
+    sub = build_field(2, 1).subfield(2)
+    code = linalg.rref(sub, random_code(sub, 200, 300, 20))
+    budget = _work_through(200, 2, 3) + 1000
+    monkeypatch.setattr(wq, "DEFAULT_WORK", budget)
+    search = wq._Search(sub, code, None, None, 4)
+    tracemalloc.start()
+    try:
+        floor, _ = search.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert floor.status == wq.UPPER_BOUND and search.work == budget
+    assert peak < 24 * 2 ** 20
 
 
 @pytest.mark.parametrize("n,Q", [(7, 4), (10, 9)])
