@@ -241,10 +241,18 @@ def _load_specs(cfg: RunConfig, dec, warnings: list) -> list:
     with open(cfg.spec) as fh:
         lines = [line.strip() for line in fh]
     lines = [line for line in lines if line and not line.startswith("#")]
-    if cfg.limit is not None and len(lines) > cfg.limit:
-        warnings.append(f"spec file truncated at --limit {cfg.limit}")
-        del lines[cfg.limit:]
-    return [ic.parse_spec(dec, line) for line in lines]
+    return [ic.parse_spec(dec, line)
+            for line in _first(lines, cfg.limit, warnings, "spec file")]
+
+
+def _first(items, limit: int | None, warnings: list, what: str) -> list:
+    """The first ``limit`` items, all of them when ``limit`` is None, with a
+    "<what> truncated at --limit N" warning when there were more."""
+    kept = list(itertools.islice(items, None if limit is None else limit + 1))
+    if limit is not None and len(kept) > limit:
+        warnings.append(f"{what} truncated at --limit {limit}")
+        del kept[limit:]
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -358,12 +366,8 @@ def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
     # with an explicit --limit the stream stops early, so the safety budget
     # on the total ideal count is unnecessary
     budget = None if cfg.limit is not None else ic.DEFAULT_ENUM_BUDGET
-    specs = ic.enumerate_specs(dec, budget=budget)
-    if cfg.limit is not None:
-        specs = list(itertools.islice(specs, cfg.limit + 1))
-        if len(specs) > cfg.limit:
-            warnings.append(f"enumeration truncated at --limit {cfg.limit}")
-            del specs[cfg.limit:]
+    specs = _first(ic.enumerate_specs(dec, budget=budget), cfg.limit,
+                   warnings, "enumeration")
     return [record for record, _ in _spec_records(dec, specs)]
 
 
@@ -415,13 +419,8 @@ def cmd_css_search(cfg: RunConfig, warnings: list) -> list:
     if cfg.spec is not None:
         specs = _selforth_only(dec, _load_specs(cfg, dec, warnings), warnings)
     else:
-        specs = []
-        for spec in du.enumerate_selforth(dec):
-            if cfg.limit is not None and len(specs) >= cfg.limit:
-                warnings.append(
-                    f"css search truncated at --limit {cfg.limit}")
-                break
-            specs.append(spec)
+        specs = _first(du.enumerate_selforth(dec), cfg.limit, warnings,
+                       "css search")
     results = []
     # one css_hermitian call per batch builds the codes of its specs and of
     # their duals, CODE_BATCH_CELLS cells in all, and searches them

@@ -99,10 +99,6 @@ def slot_one(slot: Slot):
     return (one, ZERO) if slot.kind == C2_SLOT else (one, ZERO, ZERO, one)
 
 
-def slot_zero(slot: Slot):
-    return ZERO if slot.kind == FIELD_SLOT else (ZERO,) * slot.ncomp
-
-
 def slot_mul(slot: Slot, x, y):
     F = slot.basis.block.master
     if slot.kind == FIELD_SLOT:
@@ -112,17 +108,6 @@ def slot_mul(slot: Slot, x, y):
         return (F.add(F.mul(x[0], y[0]), F.mul(x[1], y[1])),
                 F.add(F.mul(x[0], y[1]), F.mul(x[1], y[0])))
     return m2_mul(F, x, y)
-
-
-def slot_pow(slot: Slot, x, e: int):
-    out = slot_one(slot)
-    base = x
-    while e:
-        if e & 1:
-            out = slot_mul(slot, out, base)
-        base = slot_mul(slot, base, base)
-        e >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +159,6 @@ class Block:
     slots: tuple[Slot, ...]
     factors: tuple[Factor, ...]
     data: dict = dataclass_field(default_factory=dict)
-    index: int = 0
 
     @property
     def width(self) -> int:
@@ -313,8 +297,7 @@ def _assemble(group: str, n: int, mode: str, Q: int, q: int | None,
               F: FieldTable, alphabet: Subfield, factors, blocks: list[Block],
               a_order: int) -> Decomposition:
     offset = 0
-    for bi, b in enumerate(blocks):
-        b.index = bi
+    for b in blocks:
         for s in b.slots:
             s.offset = offset
             offset += s.width

@@ -135,11 +135,6 @@ def spec_meet(spec_a, spec_b) -> tuple:
     return tuple(meet)
 
 
-def hull_spec(dec: Decomposition, spec) -> tuple:
-    """Spec of the hull, the ideal's meet with its dual."""
-    return spec_meet(spec, dual_spec(dec, spec))
-
-
 def codes_with_duals(dec: Decomposition, specs):
     """The codes of the specs and the codes of their duals, as two stacked
     RREFs (R, pivots), code i of each being ``R[i, :len(pivots[i])]``.

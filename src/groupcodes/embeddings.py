@@ -64,12 +64,6 @@ class PowerBasis:
         flat = to_coords(self.alphabet, x.reshape(-1, 1), self.from_digits)
         return flat.reshape(*x.shape, self.d)
 
-    def unflatten(self, coords) -> np.ndarray:
-        """Block-field elements with the given alphabet-index coordinates."""
-        C = np.asarray(coords)
-        return to_elements(self.alphabet, C.reshape(-1, self.d),
-                           self.to_digits).reshape(C.shape[:-1])
-
 
 def block_maps(bases: list[PowerBasis]) -> tuple[np.ndarray, np.ndarray]:
     """``to_digits`` and ``from_digits`` of k entries side by side: entry j

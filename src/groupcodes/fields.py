@@ -238,23 +238,6 @@ class FieldTable:
 
     # -- structure ----------------------------------------------------------
 
-    def element_from_packed(self, packed: int) -> int:
-        return int(self.log[packed])
-
-    def packed(self, a: int) -> int:
-        if a == ZERO:
-            return 0
-        return int(self.exp[a])
-
-    def prime_coords(self, a: int) -> tuple[int, ...]:
-        """Coefficients of a over the prime-field power basis (length m)."""
-        v = self.packed(a)
-        out = []
-        for _ in range(self.m):
-            out.append(v % self.p)
-            v //= self.p
-        return tuple(out)
-
     def from_prime_scalar(self, c: int) -> int:
         """Embed an integer (mod p) as a field element."""
         c %= self.p
@@ -309,16 +292,18 @@ _BUILD_BLOCK = 2 ** 16
 
 
 @lru_cache(maxsize=None)
-def build_field(p: int, m: int, budget: int = DEFAULT_FIELD_BUDGET) -> FieldTable:
-    """Construct (and cache) the GF(p^m) tables."""
+def build_field(p: int, m: int) -> FieldTable:
+    """Construct (and cache) the GF(p^m) tables, refusing a field of more
+    than ``DEFAULT_FIELD_BUDGET`` elements."""
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
     if m < 1:
         raise ValueError("extension degree must be >= 1")
     order = p**m
-    if order > budget:
+    if order > DEFAULT_FIELD_BUDGET:
         raise FieldBudgetError(
-            f"GF({p}^{m}) has {order} elements, over the table budget {budget}")
+            f"GF({p}^{m}) has {order} elements, over the table budget "
+            f"{DEFAULT_FIELD_BUDGET}")
 
     modulus = smallest_primitive_modulus(p, m)
     exp = _build_exp_table(p, m, modulus)

@@ -95,14 +95,6 @@ def random_spec(dec: Decomposition, rng: np.random.Generator) -> tuple:
                  for s in dec.slots())
 
 
-def zero_spec(dec: Decomposition) -> tuple:
-    return tuple("zero" for _ in dec.slots())
-
-
-def full_spec(dec: Decomposition) -> tuple:
-    return tuple("full" for _ in dec.slots())
-
-
 def _slot_ideal_dim(slot: Slot, ideal) -> int:
     """Dimension over the code alphabet of one slot's contribution: a
     proper ideal ("mid" or a line) fills half of the slot's entries."""

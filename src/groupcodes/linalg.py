@@ -183,12 +183,6 @@ def row_basis(sub: Subfield, A: np.ndarray) -> np.ndarray:
     return R[: len(pivots)]
 
 
-def rank(sub: Subfield, A: np.ndarray) -> int:
-    if A.size == 0:
-        return 0
-    return len(rref(sub, A)[1])
-
-
 def nullspace(sub: Subfield, A: np.ndarray) -> np.ndarray:
     """Rows form a basis of {x : A @ x = 0} (the kernel of x -> Ax).
 

@@ -45,21 +45,6 @@ def poly_eval(F: FieldTable, f: tuple[int, ...], x: int) -> int:
     return acc
 
 
-def reciprocal_poly(F: FieldTable, f: tuple[int, ...]) -> tuple[int, ...]:
-    """Monic reciprocal f*(x) = f(0)^-1 x^deg(f) f(1/x); needs f(0) != 0."""
-    rev = tuple(reversed(f))
-    lead = rev[-1]
-    if lead == ZERO:
-        raise ValueError("reciprocal of a polynomial divisible by x")
-    s = F.inv(lead)
-    return tuple(F.mul(c, s) for c in rev)
-
-
-def conjugate_poly(F: FieldTable, f: tuple[int, ...], q: int) -> tuple[int, ...]:
-    """Apply x -> x^q to every coefficient."""
-    return tuple(F.pow(c, q) if c != ZERO else ZERO for c in f)
-
-
 # ---------------------------------------------------------------------------
 # cosets and factors
 
@@ -256,8 +241,3 @@ def classify_hermitian(factors: list[Factor], q: int) -> list[HermitianClass]:
     return out
 
 
-def product_of_factors(F: FieldTable, factors: list[Factor]) -> tuple[int, ...]:
-    poly = (F.one,)
-    for f in factors:
-        poly = poly_mul(F, poly, f.coeffs)
-    return poly

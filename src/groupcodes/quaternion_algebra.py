@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .dihedral_algebra import (Block, Decomposition, PowerBasis, Slot,
-                               _assemble, _euclid_blocks, _resolve_root,
+                               _assemble, _euclid_blocks,
                                m2_antidiag, m2_diag, transport, FIELD_SLOT,
                                MAT_SLOT, EUCLIDEAN)
 from .fields import (ZERO, FieldTable, Subfield,
@@ -98,9 +98,8 @@ def _b_unit_block(F: FieldTable, alphabet: Subfield, factor, q: int) -> Block:
     return Block(B_UNIT, (slot,), (factor,), {"i": i})
 
 
-def _b_selfrec_block(F: FieldTable, alphabet: Subfield, cls, q: int,
-                     root_choices: dict | None) -> Block:
-    beta = _resolve_root(F, (cls.f,), root_choices)
+def _b_selfrec_block(F: FieldTable, alphabet: Subfield, cls, q: int) -> Block:
+    beta = cls.f.root
     s = cls.degree // 2
     half = F.subfield(q**s)
     basis = PowerBasis(half, alphabet)
@@ -136,10 +135,9 @@ def _b_selfrec_block(F: FieldTable, alphabet: Subfield, cls, q: int,
                  {"t": t, "i": i, "u": u, "v": v})
 
 
-def _b_pair_block(F: FieldTable, alphabet: Subfield, cls, q: int,
-                  root_choices: dict | None) -> Block:
+def _b_pair_block(F: FieldTable, alphabet: Subfield, cls, q: int) -> Block:
     family = (cls.f, cls.partner)
-    beta = _resolve_root(F, family, root_choices)
+    beta = cls.f.root
     basis = PowerBasis(F.subfield(q**cls.degree), alphabet)
     gen_a = m2_diag(beta, F.inv(beta))
     gen_b = (ZERO, F.minus_one, F.one, ZERO)
@@ -147,10 +145,7 @@ def _b_pair_block(F: FieldTable, alphabet: Subfield, cls, q: int,
     return Block(B_PAIR, (slot,), family)
 
 
-def build_quaternion_decomposition(n: int, q: int, *,
-                                   root_choices: dict | None = None,
-                                   master: FieldTable | None = None
-                                   ) -> Decomposition:
+def build_quaternion_decomposition(n: int, q: int) -> Decomposition:
     """Decompose GF(q)[Q_n] (group order 4n) for q = 3 (mod 4) and odd n."""
     if n < 2:
         raise ValueError("quaternion half-rotation order must be at least 2")
@@ -161,18 +156,12 @@ def build_quaternion_decomposition(n: int, q: int, *,
         raise DelegateToDihedral(n, q)
     if math.gcd(p, n) != 1:
         raise ValueError(f"alphabet characteristic {p} divides the rotation order {n}")
-    m = e * math.lcm(mult_order(q, 2 * n), 2)
-    if master is not None:
-        if master.p != p or master.m % m:
-            raise ValueError("supplied master field does not cover the block fields")
-        F = master
-    else:
-        F = build_field(p, m)
+    F = build_field(p, e * math.lcm(mult_order(q, 2 * n), 2))
     alphabet = F.subfield(q)
 
     minus_factors = factor_x_pow_n_minus_1(F, q, n)
     blocks = _euclid_blocks(F, alphabet, classify_euclidean(minus_factors),
-                            root_choices)
+                            None)
 
     plus_factors = factor_x_pow_n_plus_1(F, q, n)
     rank = {MINUS_ONE: 0, SELF_RECIPROCAL: 1, RECIPROCAL_PAIR: 2}
@@ -182,9 +171,9 @@ def build_quaternion_decomposition(n: int, q: int, *,
         if cls.kind == MINUS_ONE:
             blocks.append(_b_unit_block(F, alphabet, cls.f, q))
         elif cls.kind == SELF_RECIPROCAL:
-            blocks.append(_b_selfrec_block(F, alphabet, cls, q, root_choices))
+            blocks.append(_b_selfrec_block(F, alphabet, cls, q))
         elif cls.kind == RECIPROCAL_PAIR:
-            blocks.append(_b_pair_block(F, alphabet, cls, q, root_choices))
+            blocks.append(_b_pair_block(F, alphabet, cls, q))
         else:  # pragma: no cover - x - 1 cannot divide x^n + 1
             raise AssertionError("unexpected unit factor on the x^n + 1 side")
 

@@ -1,0 +1,91 @@
+"""Shared test helpers: the session's large alphabets, and small reference
+definitions that several tests use and the package itself does not need."""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from groupcodes import linalg
+from groupcodes.dihedral_algebra import FIELD_SLOT, slot_mul, slot_one
+from groupcodes.embeddings import to_elements
+from groupcodes.fields import ZERO, build_field
+from groupcodes.polyfactor import poly_mul
+
+
+@functools.cache
+def subfield(p: int, m: int, q: int):
+    """GF(q) inside GF(p^m), kept for the whole session.  A master field
+    holds its subfields weakly, so without this each example of a property
+    test would build the q x q tables of its alphabet again."""
+    return build_field(p, m).subfield(q)
+
+
+def zero_spec(dec) -> tuple:
+    return tuple("zero" for _ in dec.slots())
+
+
+def full_spec(dec) -> tuple:
+    return tuple("full" for _ in dec.slots())
+
+
+def slot_zero(slot):
+    return ZERO if slot.kind == FIELD_SLOT else (ZERO,) * slot.ncomp
+
+
+def slot_pow(slot, x, e: int):
+    """x^e in a slot's ring, by repeated squaring."""
+    out = slot_one(slot)
+    base = x
+    while e:
+        if e & 1:
+            out = slot_mul(slot, out, base)
+        base = slot_mul(slot, base, base)
+        e >>= 1
+    return out
+
+
+def rank(sub, A: np.ndarray) -> int:
+    if A.size == 0:
+        return 0
+    return len(linalg.rref(sub, A)[1])
+
+
+def prime_coords(F, a: int) -> tuple[int, ...]:
+    """Coefficients of a over the prime-field power basis (length m)."""
+    v = 0 if a == ZERO else int(F.exp[a])
+    out = []
+    for _ in range(F.m):
+        out.append(v % F.p)
+        v //= F.p
+    return tuple(out)
+
+
+def unflatten(basis, coords) -> np.ndarray:
+    """Block-field elements with the given alphabet-index coordinates."""
+    C = np.asarray(coords)
+    return to_elements(basis.alphabet, C.reshape(-1, basis.d),
+                       basis.to_digits).reshape(C.shape[:-1])
+
+
+def reciprocal_poly(F, f: tuple[int, ...]) -> tuple[int, ...]:
+    """Monic reciprocal f*(x) = f(0)^-1 x^deg(f) f(1/x); needs f(0) != 0."""
+    rev = tuple(reversed(f))
+    lead = rev[-1]
+    if lead == ZERO:
+        raise ValueError("reciprocal of a polynomial divisible by x")
+    s = F.inv(lead)
+    return tuple(F.mul(c, s) for c in rev)
+
+
+def conjugate_poly(F, f: tuple[int, ...], q: int) -> tuple[int, ...]:
+    """Apply x -> x^q to every coefficient."""
+    return tuple(F.pow(c, q) if c != ZERO else ZERO for c in f)
+
+
+def product_of_factors(F, factors) -> tuple[int, ...]:
+    poly = (F.one,)
+    for f in factors:
+        poly = poly_mul(F, poly, f.coeffs)
+    return poly

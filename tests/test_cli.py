@@ -12,6 +12,8 @@ from groupcodes import cli, linalg
 from groupcodes import ideals_codes as ic
 from groupcodes import weights_quantum as wq
 
+from helpers import full_spec, zero_spec
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -444,7 +446,7 @@ def test_verify_rref_calls_per_system(capsys, monkeypatch, limit):
 def test_dual_mismatches_on_zero_and_full_specs(metric):
     # a batch of zero codes, of one full code, and a mixed batch
     dec = cli.build_system(cli.DIHEDRAL, 7, 4, metric)
-    zero, full = ic.zero_spec(dec), ic.full_spec(dec)
+    zero, full = zero_spec(dec), full_spec(dec)
     for batch in ([zero], [full], [zero, full, zero]):
         assert cli._dual_mismatches(dec, batch) == 0
 

@@ -9,6 +9,8 @@ from groupcodes import dihedral_algebra as da
 from groupcodes import linalg, oracle
 from groupcodes.fields import ZERO
 
+from helpers import slot_pow, slot_zero
+
 SYSTEMS = [(16, 9), (7, 4), (3, 25), (10, 9), (5, 9)]
 
 _cache: dict = {}
@@ -90,10 +92,10 @@ def test_generator_relations(n, Q, mode):
     dec = dec_for(n, Q, mode)
     for s in dec.slots():
         one = da.slot_one(s)
-        assert da.slot_pow(s, s.gen_a, n) == one
+        assert slot_pow(s, s.gen_a, n) == one
         assert da.slot_mul(s, s.gen_b, s.gen_b) == one
         bab = da.slot_mul(s, da.slot_mul(s, s.gen_b, s.gen_a), s.gen_b)
-        assert bab == da.slot_pow(s, s.gen_a, n - 1)
+        assert bab == slot_pow(s, s.gen_a, n - 1)
 
 
 @pytest.mark.parametrize("n,Q", SYSTEMS)
@@ -201,7 +203,7 @@ def test_slot_flatten_round_trip():
 @pytest.mark.parametrize("n,Q,mode", [(16, 9, da.HERMITIAN), (7, 4, da.EUCLIDEAN)])
 def test_rho_of_zero_rows(n, Q, mode):
     dec = dec_for(n, Q, mode)
-    zeros = [da.slot_zero(s) for s in dec.slots()]
+    zeros = [slot_zero(s) for s in dec.slots()]
     assert dec.rho(np.zeros((2, dec.length), dtype=np.int32)) == [zeros] * 2
     assert np.array_equal(dec.rho_inv([zeros]),
                           np.zeros((1, dec.length), dtype=np.int32))

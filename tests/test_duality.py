@@ -15,6 +15,8 @@ from groupcodes import ideals_codes as ic
 from groupcodes import linalg, oracle
 from groupcodes.fields import ZERO
 
+from helpers import full_spec, zero_spec
+
 _cache: dict = {}
 
 
@@ -64,7 +66,7 @@ def test_dual_spec_matches_oracle(idx):
     dec = all_decs()[idx]
     rng = np.random.default_rng(idx + 31)
     specs = [ic.random_spec(dec, rng) for _ in range(25)]
-    specs += [ic.zero_spec(dec), ic.full_spec(dec)]
+    specs += [zero_spec(dec), full_spec(dec)]
     for spec in specs:
         code = ic.ideal_to_code(dec, spec)
         want = oracle_dual(dec, code)
@@ -147,7 +149,7 @@ def sampled_specs(dec):
     census = list(du.enumerate_selforth(dec))
     picks = rng.choice(len(census), min(100, len(census)), replace=False)
     return ([ic.random_spec(dec, rng) for _ in range(200)]
-            + [ic.zero_spec(dec), ic.full_spec(dec)]
+            + [zero_spec(dec), full_spec(dec)]
             + [census[int(i)] for i in picks])
 
 
@@ -164,7 +166,7 @@ def sampled_specs(dec):
 def test_hull_spec_matches_the_rank_route(system, specs):
     dec = cli.build_system(*system)
     specs = specs(dec)
-    hulls = [du.hull_spec(dec, spec) for spec in specs]
+    hulls = [du.spec_meet(spec, du.dual_spec(dec, spec)) for spec in specs]
     assert [ic.ideal_dimension(dec, h) for h in hulls] == \
         rank_route_hulls(dec, specs)
     for spec, hull in zip(specs, hulls):
@@ -177,8 +179,8 @@ def test_hull_spec_matches_the_rank_route(system, specs):
 def test_codes_with_duals_matches_each_code():
     dec = dihedral(10, 9, da.HERMITIAN)
     rng = np.random.default_rng(5)
-    specs = [ic.zero_spec(dec), ic.random_spec(dec, rng), ic.full_spec(dec),
-             ic.random_spec(dec, rng), ic.zero_spec(dec)]
+    specs = [zero_spec(dec), ic.random_spec(dec, rng), full_spec(dec),
+             ic.random_spec(dec, rng), zero_spec(dec)]
     codes, duals = du.codes_with_duals(dec, specs)
     for (R, pivots), side in ((codes, specs),
                               (duals, [du.dual_spec(dec, s) for s in specs])):
@@ -297,7 +299,7 @@ def test_census_euclidean():
 
     dec = dihedral(5, 3, da.EUCLIDEAN)  # odd-char self-reciprocal block: only 0
     assert du.count_selforth(dec) == 1
-    assert list(du.enumerate_selforth(dec)) == [ic.zero_spec(dec)]
+    assert list(du.enumerate_selforth(dec)) == [zero_spec(dec)]
 
 
 def test_selforth_witness_block():

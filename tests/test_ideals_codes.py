@@ -14,6 +14,8 @@ from groupcodes import ideals_codes as ic
 from groupcodes import linalg, oracle
 from groupcodes.fields import ZERO
 
+from helpers import full_spec, slot_zero, zero_spec
+
 _cache: dict = {}
 
 
@@ -90,8 +92,8 @@ def test_enumerate_matches_count():
     specs = list(ic.enumerate_specs(dec))
     assert len(specs) == 201
     assert len(set(specs)) == 201
-    assert specs[0] == ic.zero_spec(dec)
-    assert specs[-1] == ic.full_spec(dec)
+    assert specs[0] == zero_spec(dec)
+    assert specs[-1] == full_spec(dec)
 
 
 def test_every_d7_ideal_really_is_one():
@@ -119,7 +121,7 @@ def translate_code(dec, spec):
 
     def generator(slot, ideal):
         if ideal == "zero":
-            return da.slot_zero(slot)
+            return slot_zero(slot)
         if ideal == "full":
             return da.slot_one(slot)
         if ideal == "mid":
@@ -149,7 +151,7 @@ def test_batch_codes_equal_the_translate_route(system):
         rng = np.random.default_rng(dec.length)
         specs = [ic.random_spec(dec, rng) for _ in range(25)]
         specs += [du.dual_spec(dec, s) for s in specs]
-        specs += [ic.zero_spec(dec), ic.full_spec(dec)]
+        specs += [zero_spec(dec), full_spec(dec)]
     R, pivots = ic.ideal_to_code(dec, ic.SpecBatch(specs))
     assert R.shape == (len(specs), max(map(len, pivots)), dec.length)
     for i, spec in enumerate(specs):
@@ -183,11 +185,11 @@ def test_spec_code_round_trip(idx):
         assert code.shape[0] == ic.ideal_dimension(dec, spec)
         assert ic.code_to_ideal(dec, code) == spec
     # zero and full
-    assert ic.code_to_ideal(dec, ic.ideal_to_code(dec, ic.zero_spec(dec))) == \
-        ic.zero_spec(dec)
-    full = ic.ideal_to_code(dec, ic.full_spec(dec))
+    assert ic.code_to_ideal(dec, ic.ideal_to_code(dec, zero_spec(dec))) == \
+        zero_spec(dec)
+    full = ic.ideal_to_code(dec, full_spec(dec))
     assert full.shape[0] == dec.length
-    assert ic.code_to_ideal(dec, full) == ic.full_spec(dec)
+    assert ic.code_to_ideal(dec, full) == full_spec(dec)
 
 
 def test_generated_codes_are_group_invariant():
@@ -216,13 +218,13 @@ def test_rejects_non_ideals():
     slots = dec.slots()
     # a single matrix of rank one spans too little to be an ideal
     j = next(i for i, s in enumerate(slots) if s.kind == da.MAT_SLOT)
-    values = [da.slot_zero(s) for s in slots]
+    values = [slot_zero(s) for s in slots]
     values[j] = (dec.F.one, ZERO, ZERO, ZERO)
     with pytest.raises(ic.NotAnIdealError):
         ic.code_to_ideal(dec, dec.rho_inv([values]))
 
     dec2 = dihedral(7, 4, da.EUCLIDEAN)
-    values = [da.slot_zero(s) for s in dec2.slots()]
+    values = [slot_zero(s) for s in dec2.slots()]
     values[0] = (dec2.F.one, ZERO)  # wrong line inside the local slot
     with pytest.raises(ic.NotAnIdealError, match="line"):
         ic.code_to_ideal(dec2, dec2.rho_inv([values]))
@@ -238,8 +240,8 @@ def test_spec_contains_matches_row_spaces():
     specs = [ic.random_spec(dec, rng) for _ in range(12)]
     codes = {s: ic.ideal_to_code(dec, s) for s in specs}
     for a in specs:
-        assert ic.spec_contains(a, ic.zero_spec(dec))
-        assert ic.spec_contains(ic.full_spec(dec), a)
+        assert ic.spec_contains(a, zero_spec(dec))
+        assert ic.spec_contains(full_spec(dec), a)
         for b in specs:
             left = ic.spec_contains(a, b)
             right = linalg.row_space_contains(dec.alphabet, codes[a], codes[b])
@@ -280,6 +282,6 @@ def test_parse_rejects_malformed():
     with pytest.raises(ValueError, match="not valid for a c2 slot"):
         ic.parse_spec(dec, "b0:row(0); b1:zero")
     field_dec = dihedral(10, 9, da.HERMITIAN)   # b0 holds two field slots
-    text = ic.format_spec(field_dec, ic.zero_spec(field_dec))
+    text = ic.format_spec(field_dec, zero_spec(field_dec))
     with pytest.raises(ValueError, match="not valid for a field slot"):
         ic.parse_spec(field_dec, text.replace("zero", "e01", 1))

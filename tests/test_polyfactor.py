@@ -7,6 +7,8 @@ import pytest
 from groupcodes import polyfactor as pf
 from groupcodes.fields import ZERO, build_field, mult_order
 
+from helpers import conjugate_poly, product_of_factors, reciprocal_poly
+
 
 def master_for(q, n, *, hermitian=False, plus=False):
     """Smallest master field containing all roots and block fields."""
@@ -38,7 +40,7 @@ def test_product_recovers_x_pow_n_minus_1(q, n):
     F = master_for(q, n)
     factors = pf.factor_x_pow_n_minus_1(F, q, n)
     assert sum(f.degree for f in factors) == n
-    prod = pf.product_of_factors(F, factors)
+    prod = product_of_factors(F, factors)
     assert prod == x_pow_n_const(F, n, F.minus_one if F.p != 2 else F.one)
     # every claimed root really is a root
     for f in factors:
@@ -50,7 +52,7 @@ def test_product_recovers_x_pow_n_plus_1(q, n):
     F = master_for(q, n, plus=True)
     factors = pf.factor_x_pow_n_plus_1(F, q, n)
     assert sum(f.degree for f in factors) == n
-    assert pf.product_of_factors(F, factors) == x_pow_n_const(F, n, F.one)
+    assert product_of_factors(F, factors) == x_pow_n_const(F, n, F.one)
     for f in factors:
         assert pf.poly_eval(F, f.coeffs, f.root) == ZERO
         assert all(e % 2 == 1 for e in f.coset)
@@ -75,10 +77,10 @@ def test_reciprocal_and_conjugate_polys():
     for f in factors:
         # reciprocal poly has exactly the inverse roots
         mate = by_coset[f.recip_coset()]
-        assert pf.reciprocal_poly(F, f.coeffs) == mate.coeffs
+        assert reciprocal_poly(F, f.coeffs) == mate.coeffs
         # conjugate poly has the q-th power roots
         cmate = by_coset[f.conj_coset(9)]
-        assert pf.conjugate_poly(F, f.coeffs, 9) == cmate.coeffs
+        assert conjugate_poly(F, f.coeffs, 9) == cmate.coeffs
 
 
 def test_cyclotomic_cosets_basic():

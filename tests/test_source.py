@@ -1,11 +1,16 @@
-"""Checks on the package source itself."""
+"""Checks on the package source itself and on the README's example."""
 
 import ast
+import collections
+import contextlib
+import io
+import tokenize
 from pathlib import Path
 
 import groupcodes
 
 SOURCES = sorted(Path(groupcodes.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_bare_asserts():
@@ -142,3 +147,95 @@ def test_supports_come_from_one_head_stream():
     found = [f"{name} {scope}" for name, tree in _trees().items()
              for scope in _calls_by_scope(tree, "combinations")]
     assert found == ["weights_quantum.py _Search._enumerate_weight"], found
+
+
+# documented API that nothing in the package or the benchmark calls, with
+# the reason each one stays
+_UNCALLED_API = {
+    "ideals_codes.py code_to_ideal":
+        "the README's round trip from a generator matrix to its descriptor",
+    "oracle.py is_left_ideal":
+        "the oracle's definition-level test that a code is a left ideal",
+    "duality.py lambda_solution_set":
+        "the slot-equation solution sets that criterion 9 counts",
+}
+
+
+def _bound(fn):
+    """The names a function or lambda binds: its arguments and the names
+    it assigns."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    return names | {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Store)}
+
+
+def _reads(node, bound=frozenset()):
+    """(node, name) for each read in a tree: an attribute load, or a load of
+    a name that no enclosing function binds."""
+    if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+        bound = bound | _bound(node)
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        yield node, node.attr
+    elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+          and node.id not in bound):
+        yield node, node.id
+    for child in ast.iter_child_nodes(node):
+        yield from _reads(child, bound)
+
+
+def _public_definitions(tree):
+    """(name, node) for each public module-level def, class and assignment
+    and each public method, a method named ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, ast.Assign):
+            yield from ((t.id, node) for t in node.targets
+                        if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign):
+            yield node.target.id, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
+def test_public_names_have_a_caller():
+    """Every public name of the package is read by the package or the
+    benchmark outside its own definition, or is documented API on the
+    allowlist, which holds only names that exist and have no reader.  A
+    method counts as read where any attribute of its name is."""
+    package = _trees()
+    bench = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    readers = collections.defaultdict(set)
+    for tree in [*package.values(), *bench]:
+        for node, name in _reads(tree):
+            readers[name].add(id(node))
+    unread = []
+    for module, tree in package.items():
+        for name, node in _public_definitions(tree):
+            short = name.rsplit(".", 1)[-1]
+            own = {id(n) for n in ast.walk(node)}
+            if not short.startswith("_") and not readers[short] - own:
+                unread.append(f"{module} {name}")
+    extra = sorted(set(unread) - set(_UNCALLED_API))
+    stale = sorted(set(_UNCALLED_API) - set(unread))
+    assert not extra and not stale, (extra, stale)
+
+
+def test_readme_quick_start_prints_what_it_states():
+    """The README's Python quick start runs and prints, line by line, what
+    its indented or trailing ``# ...`` comments state."""
+    readme = (ROOT / "README.md").read_text()
+    block = (readme.split("## Quick start (Python)")[1]
+             .split("```python\n")[1].split("```")[0])
+    stated = [tok.string[1:].strip() for tok in
+              tokenize.generate_tokens(io.StringIO(block).readline)
+              if tok.type == tokenize.COMMENT and tok.start[1] > 0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    assert stated and out.getvalue().splitlines() == stated

@@ -20,6 +20,8 @@ from groupcodes import linalg
 from groupcodes import weights_quantum as wq
 from groupcodes.fields import ZERO, build_field
 
+from helpers import full_spec, rank, subfield, zero_spec
+
 _cache: dict = {}
 
 
@@ -198,7 +200,7 @@ def test_isd_matches_exhaustive(system, max_dim, seed):
 def test_isd_matches_exhaustive_on_wide_alphabets(q, n, seed):
     # indices past 255 need two-byte lanes: one-byte lanes would wrap and
     # match unequal coordinates
-    sub = build_field(2, q.bit_length() - 1).subfield(q)
+    sub = subfield(2, q.bit_length() - 1, q)
     rng = np.random.default_rng(seed)
     G = rng.integers(0, q, size=(2, n)).astype(np.int16)
     G[0, 0], G[1, 0] = 1, 0   # rank 2
@@ -224,9 +226,9 @@ def test_repetition_ideal_distance():
 
 def test_full_and_zero_codes():
     dec = dihedral(7, 4, da.EUCLIDEAN)
-    full = ic.ideal_to_code(dec, ic.full_spec(dec))
+    full = ic.ideal_to_code(dec, full_spec(dec))
     assert wq.min_distance_isd(dec.alphabet, full).value == 1
-    zero = ic.ideal_to_code(dec, ic.zero_spec(dec))
+    zero = ic.ideal_to_code(dec, zero_spec(dec))
     with pytest.raises(ValueError, match="zero code"):
         wq.min_distance_isd(dec.alphabet, zero)
     with pytest.raises(ValueError, match="zero code"):
@@ -235,7 +237,7 @@ def test_full_and_zero_codes():
 
 def test_exhaustive_budget_guard():
     dec = dihedral(16, 9, da.EUCLIDEAN)
-    code = ic.ideal_to_code(dec, ic.full_spec(dec))
+    code = ic.ideal_to_code(dec, full_spec(dec))
     with pytest.raises(ValueError, match="budget"):
         wq.min_distance_exhaustive(dec.alphabet, code, budget=1000)
 
@@ -310,7 +312,7 @@ def test_information_set_is_first_independent_columns(system):
         # raises the rank
         want: list[int] = []
         for col in range(G.shape[1]):
-            if linalg.rank(sub, G[:, want + [col]]) == len(want) + 1:
+            if rank(sub, G[:, want + [col]]) == len(want) + 1:
                 want.append(col)
         assert list(search.info) == want
         k = G.shape[0]
@@ -538,12 +540,12 @@ def layout_codes():
         yield name, dec.alphabet, code[:, perm]
     while True:
         full = rng.integers(0, 4, size=(7, 7)).astype(np.int16)
-        if linalg.rank(gf4, full) == 7:
+        if rank(gf4, full) == 7:
             break
     yield "full", gf4, full
     for name, (k, n) in (("redundancy-11", (6, 17)), ("redundancy-8", (5, 13))):
         G = rng.integers(0, 9, size=(k, n)).astype(np.int16)
-        assert linalg.rank(gf9, G) == k
+        assert rank(gf9, G) == k
         yield name, gf9, G
 
 
@@ -595,7 +597,7 @@ def random_code(sub, k, n, seed):
     rng = np.random.default_rng(seed)
     while True:
         G = rng.integers(0, sub.q, size=(k, n)).astype(np.int16)
-        if linalg.rank(sub, G) == k:
+        if rank(sub, G) == k:
             return G
 
 
@@ -750,7 +752,7 @@ def test_stacked_searches_match_per_code(n, Q, step):
     dec = dihedral(n, Q, da.HERMITIAN)
     sub, pi = dec.alphabet, wq.code_automorphism(dec)
     batch, small, big = census_batch(dec, step)
-    assert ic.zero_spec(dec) in batch
+    assert zero_spec(dec) in batch
     B = len(batch)
     for max_weight in (None, 1):
         floors = wq.min_distance_isd(sub, big, automorphism=pi,
@@ -790,7 +792,7 @@ def test_css_batch_matches_per_spec(n, Q, step):
     assert any(rec.self_dual for rec in want) == (n == 7)
     assert wq.css_hermitian(dec, ic.SpecBatch(batch)) == want
     with pytest.raises(du.NotSelfOrthogonalError):
-        wq.css_hermitian(dec, ic.SpecBatch(batch + [ic.full_spec(dec)]))
+        wq.css_hermitian(dec, ic.SpecBatch(batch + [full_spec(dec)]))
 
 
 def permuted_member(sub, stack, b, perm):
@@ -829,13 +831,13 @@ def test_permuted_member_breaks_the_stack():
 def test_css_requires_hermitian_mode():
     dec = dihedral(7, 4, da.EUCLIDEAN)
     with pytest.raises(ValueError, match="hermitian"):
-        wq.css_hermitian(dec, ic.zero_spec(dec))
+        wq.css_hermitian(dec, zero_spec(dec))
 
 
 def test_css_rejects_non_selforth():
     dec = dihedral(7, 4, da.HERMITIAN)
     with pytest.raises(du.NotSelfOrthogonalError):
-        wq.css_hermitian(dec, ic.full_spec(dec))
+        wq.css_hermitian(dec, full_spec(dec))
 
 
 def test_css_records_d7():
