@@ -41,8 +41,8 @@ import numpy as np
 
 from . import linalg, oracle
 from .embeddings import PowerBasis, block_maps, to_coords, to_elements
-from .fields import (ZERO, FieldTable, Subfield, build_field, mult_order,
-                     split_prime_power)
+from .fields import (MAP_CELL_BUDGET, ZERO, FieldTable, Subfield,
+                     build_field, mult_order, split_prime_power)
 from .polyfactor import (BOTH_FIXED, CONJ_FIXED, CROSS_FIXED, FREE,
                          MINUS_ONE, ONE, RECIP_FIXED, RECIPROCAL_PAIR,
                          SELF_RECIPROCAL, Factor, classify_euclidean,
@@ -252,9 +252,6 @@ class Decomposition:
     def slots(self) -> list[Slot]:
         return [s for b in self.blocks for s in b.slots]
 
-    def group_index(self, i: int, j: int) -> int:
-        return (j % 2) * self.a_order + (i % self.a_order)
-
     @cached_property
     def mul_table(self) -> np.ndarray:
         """Read-only ``table[g, h]`` = index of gh, built on first use."""
@@ -291,6 +288,15 @@ def _entries(slots: list[Slot], values) -> list[list]:
     """The block-field entries of per-slot values, one list per element."""
     return [[c for s, v in zip(slots, vals)
              for c in ((v,) if s.kind == FIELD_SLOT else v)] for vals in values]
+
+
+def _check_length(length: int) -> None:
+    """Refuse, before any table is built, a group algebra whose dense
+    length x length block maps would exceed ``MAP_CELL_BUDGET`` cells."""
+    if length ** 2 > MAP_CELL_BUDGET:
+        raise ValueError(
+            f"the group algebra's {length} x {length} block maps exceed "
+            f"the budget of {MAP_CELL_BUDGET} cells")
 
 
 def _assemble(group: str, n: int, mode: str, Q: int, q: int | None,
@@ -382,8 +388,7 @@ def _hermitian_blocks(F: FieldTable, alphabet: Subfield, q: int, classes,
             basis = PowerBasis(F.subfield(q**r), alphabet)
             slot1, d1 = _selfrec_slot(F, basis, alpha)
             slot2, d2 = _selfrec_slot(F, basis, F.pow(alpha, q))
-            data = {"t": d1["t"], "t_conj": d2["t"], "z": d1["z"],
-                    "z_conj": d2["z"], "r": r}
+            data = {"t": d1["t"], "t_conj": d2["t"], "z": d1["z"], "r": r}
             blocks.append(Block(RECIP_FIXED, (slot1, slot2), cls.members, data))
         elif cls.kind in (CONJ_FIXED, CROSS_FIXED):
             basis = PowerBasis(F.subfield(q**(2 * r)), alphabet)
@@ -418,6 +423,7 @@ def build_dihedral_decomposition(n: int, Q: int, mode: str = EUCLIDEAN, *,
         if e % 2:
             raise ValueError("hermitian mode needs a square alphabet size")
         q = p**(e // 2)
+    _check_length(2 * n)
     order = mult_order(Q, n)
     m = e * order
     if master is not None:

@@ -182,26 +182,14 @@ def enumerate_selforth(dec: Decomposition):
     """Iterate over every self-orthogonal ideal spec, in the order of the
     product of the blocks' options.
 
-    The product is walked depth first: ``heads[i]`` joins the options
-    chosen in the blocks before i, so an option is joined onto its head
-    once, and each spec is one head joined with an option of the last
-    block.  ``rest[i]`` holds the options of block i not yet taken.
+    A head, one option of every block but the last, is joined once, and
+    each spec is a head joined with an option of the last block.
     """
     *outer, last = [selforth_block_options(dec, b) for b in dec.blocks]
-    heads, rest = [()], [iter(block) for block in outer[:1]]
-    while True:
-        if len(heads) > len(outer):
-            head = heads.pop()
-            for option in last:
-                yield head + option
-        while rest and (option := next(rest[-1], None)) is None:
-            rest.pop()
-            heads.pop()
-        if not rest:
-            return
-        heads.append(heads[-1] + option)
-        if len(rest) < len(outer):
-            rest.append(iter(outer[len(rest)]))
+    for combo in itertools.product(*outer):
+        head = tuple(itertools.chain.from_iterable(combo))
+        for option in last:
+            yield head + option
 
 
 def count_selforth(dec: Decomposition) -> int:

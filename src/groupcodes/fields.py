@@ -33,6 +33,9 @@ ZERO = -1
 
 # Hard ceiling on master-field size: the exp/log/zech tables are O(p^m).
 DEFAULT_FIELD_BUDGET = 2**24
+# Hard ceiling on the cells of a group algebra's dense length x length
+# block maps (``Decomposition.mat`` and ``mat_inv``): length <= 4096.
+MAP_CELL_BUDGET = 2**24
 
 
 class FieldBudgetError(ValueError):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .dihedral_algebra import (Block, Decomposition, PowerBasis, Slot,
-                               _assemble, _euclid_blocks,
+                               _assemble, _check_length, _euclid_blocks,
                                m2_antidiag, m2_diag, transport, FIELD_SLOT,
                                MAT_SLOT, EUCLIDEAN)
 from .fields import (ZERO, FieldTable, Subfield,
@@ -156,6 +156,7 @@ def build_quaternion_decomposition(n: int, q: int) -> Decomposition:
         raise DelegateToDihedral(n, q)
     if math.gcd(p, n) != 1:
         raise ValueError(f"alphabet characteristic {p} divides the rotation order {n}")
+    _check_length(4 * n)
     F = build_field(p, e * math.lcm(mult_order(q, 2 * n), 2))
     alphabet = F.subfield(q)
 

@@ -30,16 +30,15 @@ lane where they match; the zero lanes become True bytes, whose set bits
 `np.bitwise_count` counts a word at a time.  A scan packs its fixed
 operand once, the enumeration its negated row multiples per search and the
 exhaustive scan its low table per leading row, and packs only the moving
-block at each step.  Zero columns, which add no weight, pad the compared
-coordinates to a multiple of 8, so a weight is the padded length less the
-zeros.  Witnesses, membership tests and the orbit bound keep the true
-length n.  A step of either scan weighs about BATCH = 16,384 words.
+block at each step.  Only `_pack` pads: the zero lanes that fill a row to
+whole words match in both operands, so a weight is the padded length less
+the zeros.  Everything else works at the code's length n.  A step of
+either scan weighs about BATCH = 16,384 words.
 
-The enumeration keeps its code in one column layout: the n - k columns
-off the pivots first, zero-padded to wr, then the k pivot columns, where
-the basis is the identity.  A word of information weight w is its w unit
-coefficients on the pivots, so it weighs w plus the nonzeros of its wr
-redundancy coordinates, and only those are compared.  The words of
+The enumeration splits the columns into the k pivots, where the basis is
+the identity, and the n - k others, the redundancy.  A word of information
+weight w is its w unit coefficients on the pivots, so it weighs w plus the
+nonzeros of its redundancy, and only that is compared.  The words of
 information weight 1 are the basis rows themselves, each weighing its
 nonzeros.  Above it the enumeration walks heads: a weight-w support is a
 head, its first w - 1 rows, and a tail, its last row, and its prefixes
@@ -51,10 +50,11 @@ once.  Its supports, each head followed by every later row as tail, are
 laid out by index arithmetic in combinations order, in chunks of about
 BATCH words; a chunk gathers its heads' packed prefixes and its tails'
 negated unit multiples and compares them in one kernel call.  Only a
-word kept for `_take` is put together at full width, its pivot
-coordinates being its coefficients, and moved back to the natural column
-order.  Words come in support order, then unit tuples with the first
-scalar most significant; the first lightest word is the witness.
+word kept for `_take` is put together, in the natural column order: its
+redundancy from its prefix and its tail's multiple, and its pivot
+coordinates its coefficients.  Words come in support order, then unit
+tuples with the first scalar most significant; the first lightest word
+is the witness.
 
 The exhaustive reference scans one codeword per projective message of a
 row-reduced basis: a leading 1 at each position in turn, then every choice
@@ -62,10 +62,10 @@ of the trailing digits.  It splits the trailing rows in two.  The low part,
 the last l rows with q^l <= BATCH, is tabulated once as a table L of all
 q^l combinations.  The high part is walked in steps, each giving a block H
 of words (the leading row plus a high combination), weighed against L by
-comparison over every column of the code, padded to a multiple of 8.  It
-takes nothing from an information set on purpose: it is the independent
-reference the enumeration is tested against.  The first lightest word in
-message order is the witness.
+comparison over every column of the code.  It takes nothing from an
+information set on purpose: it is the independent reference the enumeration
+is tested against.  The first lightest word in message order is the
+witness.
 """
 
 from __future__ import annotations
@@ -113,13 +113,6 @@ class QuantumRecord:
 def _padded(n: int) -> int:
     """The least multiple of 8 that is at least n."""
     return -(-n // 8) * 8
-
-
-def _pad_columns(G: np.ndarray) -> np.ndarray:
-    """G with zero columns up to a multiple of 8, which add no weight."""
-    out = np.zeros((len(G), _padded(G.shape[1])), dtype=G.dtype)
-    out[:, :G.shape[1]] = G
-    return out
 
 
 def _pack(X: np.ndarray, q: int) -> np.ndarray:
@@ -185,8 +178,7 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
     total = (q ** k - 1) // (q - 1)
     if total > budget:
         raise ValueError(f"{total} projective messages exceed budget {budget}")
-    G = _pad_columns(G)
-    width = G.shape[1]
+    width = _padded(n)   # the lanes of a packed word
     best, witness = None, None
     for lead in range(k):
         free = k - 1 - lead
@@ -196,10 +188,10 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
         high = free - low
         # all q^low combinations of the last `low` rows, first row most
         # significant
-        L = np.zeros((1, width), dtype=G.dtype)
+        L = np.zeros((1, n), dtype=G.dtype)
         for row in G[k - low:]:
             scaled = sub.mul(np.arange(q)[:, None], row[None, :])
-            L = sub.add(L[:, None, :], scaled[None, :, :]).reshape(-1, width)
+            L = sub.add(L[:, None, :], scaled[None, :, :]).reshape(-1, n)
         packed = _pack(L, q)
         step = BATCH // len(L)
         for start in range(0, q ** high, step):
@@ -214,7 +206,7 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
             if best is None or weight < best:
                 a, b = divmod(i, len(L))
                 best = weight
-                witness = tuple(int(x) for x in sub.add(H[a, :n], L[b, :n]))
+                witness = tuple(int(x) for x in sub.add(H[a], L[b]))
     return DistanceResult(best, EXACT, witness)
 
 
@@ -223,12 +215,13 @@ def min_distance_exhaustive(sub: Subfield, G: np.ndarray, *,
 
 
 def code_automorphism(dec: Decomposition) -> np.ndarray:
-    """Left translations by the generators a and b, one permutation per row.
+    """Left translations by the generators a (index 1) and b (index
+    ``a_order``), one permutation per row.
 
     The row of g sends coordinate h to the index of g h.  Together the
     rows generate the left-regular action, which fixes every left ideal.
     """
-    return dec.mul_table[[dec.group_index(1, 0), dec.group_index(0, 1)]]
+    return dec.mul_table[[1, dec.a_order]]
 
 
 def _is_transitive(perms: np.ndarray) -> bool:
@@ -324,24 +317,20 @@ class _Search:
     def __init__(self, sub, G, exclude, automorphism, max_weight=None):
         R, piv = _reduced(sub, G)
         # the pivots are an information set, and Gs is the identity there
-        self.sub, self.Gs, self.info = sub, R[:len(piv)], piv
+        self.sub, self.Gs = sub, R[:len(piv)]
+        self.info = np.array(piv, dtype=np.intp)
         self.k, self.n = self.Gs.shape
-        # the layout: the n - k non-pivot columns, zero columns up to wr,
-        # then the pivot columns; pos[j] is the place of column j in it
-        pivot = np.zeros(self.n, dtype=bool)
-        pivot[list(piv)] = True
-        order = np.argsort(pivot, kind="stable")
-        redundancy = self.n - self.k
-        self.wr = _padded(redundancy)
-        self.pos = np.empty(self.n, dtype=np.intp)
-        self.pos[order] = np.arange(self.n)
-        self.pos[order[redundancy:]] += self.wr - redundancy
-        # scaled[i, u - 1] = u Gs[i] on the redundancy part, for every
-        # unit u, and its negative packed for _zero_counts
-        red = np.zeros((self.k, self.wr), dtype=self.Gs.dtype)
-        red[:, :redundancy] = self.Gs[:, order[:redundancy]]
+        # the redundancy: the n - k columns off the pivots, which a packed
+        # word holds in wr lanes
+        off = np.ones(self.n, dtype=bool)
+        off[self.info] = False
+        self.red = np.flatnonzero(off)
+        self.wr = _padded(len(self.red))
+        # scaled[i, u - 1] = u Gs[i] on the redundancy, for every unit u,
+        # and its negative packed for _zero_counts
         units = np.arange(1, sub.q, dtype=self.Gs.dtype)
-        self.scaled = sub.mul(units[None, :, None], red[:, None, :])
+        self.scaled = sub.mul(units[None, :, None],
+                              self.Gs[:, None, self.red])
         self.neg_scaled = _pack(sub.neg(self.scaled), sub.q)
         self.max_weight = max_weight
         self.work = 0
@@ -428,7 +417,8 @@ class _Search:
         packed holds the prefixes of the heads H, packed."""
         sub, w = self.sub, H.shape[1] + 1
         # the prefixes of each support's head against its tail's negated
-        # unit multiples; on the pivots a word is its w unit coefficients
+        # unit multiples, whose padding lanes match too; on the pivots a
+        # word is its w unit coefficients
         weights = w + self.wr - _zero_counts(packed[h], self.neg_scaled[tail])
         cap = self.best_any if self.best_any is not None else self.n + 1
         if self.exclude is not None:
@@ -438,28 +428,30 @@ class _Search:
         if keep.size:
             s, p, u = np.unravel_index(keep, weights.shape)
             h, tail = h[s], tail[s]
-            dtype = self.scaled.dtype
-            words = np.zeros((keep.size, self.wr + self.k), dtype=dtype)
-            words[:, :self.wr] = sub.add(packed[h, p], self.scaled[tail, u])
+            # each word in the natural column order: on the redundancy its
+            # prefix, from the first n - k lanes, plus its tail's multiple
+            words = np.zeros((keep.size, self.n), dtype=self.scaled.dtype)
+            words[:, self.red] = sub.add(packed[h, p, :len(self.red)],
+                                         self.scaled[tail, u])
             # the coefficients on the pivots: 1 on the leading row, then
             # the unit digits of p and u (the unit of index i is i + 1)
-            coef = np.ones((keep.size, w), dtype=dtype)
+            coef = np.ones((keep.size, w), dtype=words.dtype)
             if w > 2:
                 digits = np.unravel_index(p, (sub.q - 1,) * (w - 2))
                 coef[:, 1:-1] = np.stack(digits, axis=1) + 1
             coef[:, -1] = u + 1
             support = np.column_stack((H[h], tail))
-            words[np.arange(keep.size)[:, None], self.wr + support] = coef
-            self._take(words[:, self.pos], weights.ravel()[keep])
+            words[np.arange(keep.size)[:, None], self.info[support]] = coef
+            self._take(words, weights.ravel()[keep])
 
     def _prefixes(self, heads: np.ndarray) -> np.ndarray:
-        """P[h, p]: the redundancy part of the leading row of heads[h] plus
-        the p-th tuple of unit multiples of its other rows, the first
-        scalar most significant."""
+        """P[h, p]: the redundancy of the leading row of heads[h] plus the
+        p-th tuple of unit multiples of its other rows, the first scalar
+        most significant, n - k coordinates each."""
         P = self.scaled[heads[:, 0], :1]
         for col in heads[:, 1:].T:
             P = self.sub.add(P[:, :, None, :], self.scaled[col][:, None, :, :])
-            P = P.reshape(len(heads), P.shape[1] * P.shape[2], self.wr)
+            P = P.reshape(len(heads), P.shape[1] * P.shape[2], len(self.red))
         return P
 
     def _done(self, lb: int) -> bool:

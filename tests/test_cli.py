@@ -570,6 +570,9 @@ UNREAD_FLAGS = [
     *[(command, "--q", "4", "--n", "7", "--metric", "hermitian", *needed,
        flag, os.devnull if flag == "--spec" else "1")
       for command, needed, flags in UNREAD_FLAGS for flag in flags],
+    # GF(2)[D_2097151] is under the field budget, but its block maps
+    # would take 2^44 cells each
+    ("count", "--q", "2", "--n", "2097151"),
 ])
 def test_error_exits(capsys, argv):
     code, _ = run(capsys, *argv)
@@ -583,6 +586,10 @@ def test_error_exits(capsys, argv):
      "verify --group needs --q and --n"),
     (("verify", "--metric", "hermitian", "--limit", "1"),
      "verify --metric needs --q and --n"),
+    # refused before the field tables: GF(7)[Q_1025] is 4,100 long
+    (("count", "--q", "7", "--n", "1025", "--group", "quaternion"),
+     "the group algebra's 4100 x 4100 block maps exceed the budget of "
+     "16777216 cells"),
 ])
 def test_input_error_message(capsys, argv, message):
     # one stderr line and no output, not a record that bounds nothing or

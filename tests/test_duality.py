@@ -271,8 +271,11 @@ def product_order(dec):
     lambda: dihedral(16, 9, da.HERMITIAN),
     lambda: quaternion(7, 11),
     lambda: dihedral(1, 4, da.HERMITIAN),   # a single block
+    # ten blocks, the last of three options: each head of nine blocks
+    # joins three specs
+    lambda: dihedral(40, 7, da.EUCLIDEAN),
 ], ids=["d7-f4-herm", "d10-f9-herm", "d16-f9-herm", "q7-f11-eucl",
-        "d1-f4-herm"])
+        "d1-f4-herm", "d40-f7-eucl"])
 def test_census_order_is_the_block_product_order(dec):
     dec = dec()
     specs = list(du.enumerate_selforth(dec))

@@ -149,6 +149,18 @@ def test_supports_come_from_one_head_stream():
     assert found == ["weights_quantum.py _Search._enumerate_weight"], found
 
 
+def test_lanes_are_padded_in_one_place():
+    """``_padded`` is called only where rows are packed (``_pack``) and
+    where the packed width enters a weight (``_Search.__init__``,
+    ``min_distance_exhaustive``), so that both scans build their words at
+    the code's length and leave the padding lanes to the packer."""
+    found = sorted(f"{name} {scope}" for name, tree in _trees().items()
+                   for scope in _calls_by_scope(tree, "_padded"))
+    assert found == ["weights_quantum.py _Search.__init__",
+                     "weights_quantum.py _pack",
+                     "weights_quantum.py min_distance_exhaustive"], found
+
+
 # documented API that nothing in the package or the benchmark calls, with
 # the reason each one stays
 _UNCALLED_API = {
