@@ -44,10 +44,9 @@ from .embeddings import PowerBasis, block_maps, to_coords, to_elements
 from .fields import (MAP_CELL_BUDGET, ZERO, FieldTable, Subfield,
                      build_field, mult_order, split_prime_power)
 from .polyfactor import (BOTH_FIXED, CONJ_FIXED, CROSS_FIXED, FREE,
-                         MINUS_ONE, ONE, RECIP_FIXED, RECIPROCAL_PAIR,
-                         SELF_RECIPROCAL, Factor, classify_euclidean,
-                         classify_hermitian, factor_x_pow_n_minus_1,
-                         poly_eval)
+                         MINUS_ONE, ONE, RECIP_FIXED, SELF_RECIPROCAL,
+                         Factor, classify_euclidean, classify_hermitian,
+                         factor_x_pow_n_minus_1, poly_eval)
 
 EUCLIDEAN = "euclidean"
 HERMITIAN = "hermitian"
@@ -165,43 +164,46 @@ class Block:
         return sum(s.width for s in self.slots)
 
 
-def _field_pair_block(F: FieldTable, unit_basis: PowerBasis, factor: Factor,
-                      sign_a: int) -> Block:
-    slots = (Slot(FIELD_SLOT, unit_basis, sign_a, F.one, root=sign_a),
-             Slot(FIELD_SLOT, unit_basis, sign_a, F.minus_one, root=sign_a))
+def _unit_block(F: FieldTable, unit_basis: PowerBasis, factor: Factor,
+                sign: int) -> Block:
+    """Block of x - sign: the local ring GF(Q)[C_2] in characteristic 2,
+    else two 1x1 slots, one per character of b."""
+    if F.p == 2:
+        slot = Slot(C2_SLOT, unit_basis, (F.one, ZERO), (ZERO, F.one), root=F.one)
+        return Block(C2_BLOCK, (slot,), (factor,))
+    slots = (Slot(FIELD_SLOT, unit_basis, sign, F.one, root=sign),
+             Slot(FIELD_SLOT, unit_basis, sign, F.minus_one, root=sign))
     return Block(FIELD_PAIR, slots, (factor,))
 
 
-def _c2_block(F: FieldTable, unit_basis: PowerBasis, factor: Factor) -> Block:
-    slot = Slot(C2_SLOT, unit_basis, (F.one, ZERO), (ZERO, F.one), root=F.one)
-    return Block(C2_BLOCK, (slot,), (factor,))
-
-
-def _selfrec_slot(F: FieldTable, basis: PowerBasis, alpha: int) -> tuple[Slot, dict]:
+def _selfrec_slot(F: FieldTable, basis: PowerBasis, alpha: int,
+                  c: int) -> tuple[Slot, dict]:
     """2x2 slot for a self-reciprocal factor: basis change pushes diag(alpha,
-    alpha^-1) and the antidiagonal swap into matrices over the half field."""
+    alpha^-1) and the antidiagonal [[0, c], [c, 0]] into matrices over the
+    half field.  c is 1 for a reflection, i where b^2 = -1."""
     K = basis.block
     ainv = F.inv(alpha)
     t = F.add(alpha, ainv)
     if not K.contains(t) or K.contains(alpha):
         raise AssertionError("self-reciprocal root must be quadratic over the slot field")
-    z = (F.one, F.neg(alpha), F.one, F.neg(ainv))
+    z = (c, F.neg(alpha), c, F.neg(ainv))
     gen_a = transport(F, z, m2_diag(alpha, ainv))
-    gen_b = transport(F, z, m2_antidiag(F.one, F.one))
-    if gen_a != (ZERO, F.one, F.minus_one, t):
+    gen_b = transport(F, z, m2_antidiag(c, c))
+    if gen_a != (ZERO, F.inv(c), F.neg(c), t):
         raise AssertionError("unexpected transported rotation image")
-    if gen_b != (F.one, F.neg(t), ZERO, F.minus_one):
+    if gen_b != (c, F.neg(t), ZERO, F.neg(c)):
         raise AssertionError("unexpected transported reflection image")
     slot = Slot(MAT_SLOT, basis, gen_a, gen_b, root=alpha)
     return slot, {"t": t, "z": z}
 
 
-def _pair_slot(F: FieldTable, basis: PowerBasis, alpha: int) -> Slot:
-    """2x2 slot for a reciprocal pair: rotation acts as diag(alpha, alpha^-1)."""
+def _pair_slot(F: FieldTable, basis: PowerBasis, alpha: int, top: int) -> Slot:
+    """2x2 slot for a reciprocal pair: rotation acts as diag(alpha, alpha^-1)
+    and b as [[0, top], [1, 0]], top being 1, or -1 where b^2 = -1."""
     if not basis.block.contains(alpha):
         raise AssertionError("pair root must lie in the slot field")
     gen_a = m2_diag(alpha, F.inv(alpha))
-    gen_b = m2_antidiag(F.one, F.one)
+    gen_b = m2_antidiag(top, F.one)
     return Slot(MAT_SLOT, basis, gen_a, gen_b, root=alpha)
 
 
@@ -290,12 +292,12 @@ def _entries(slots: list[Slot], values) -> list[list]:
              for c in ((v,) if s.kind == FIELD_SLOT else v)] for vals in values]
 
 
-def _check_length(length: int) -> None:
-    """Refuse, before any table is built, a group algebra whose dense
-    length x length block maps would exceed ``MAP_CELL_BUDGET`` cells."""
-    if length ** 2 > MAP_CELL_BUDGET:
+def _check_maps(rows: int, cols: int, what: str) -> None:
+    """Refuse, before they are built, a group algebra's dense rows x cols
+    ``what`` maps when they would exceed ``MAP_CELL_BUDGET`` cells."""
+    if rows * cols > MAP_CELL_BUDGET:
         raise ValueError(
-            f"the group algebra's {length} x {length} block maps exceed "
+            f"the group algebra's {rows} x {cols} {what} maps exceed "
             f"the budget of {MAP_CELL_BUDGET} cells")
 
 
@@ -312,6 +314,8 @@ def _assemble(group: str, n: int, mode: str, Q: int, q: int | None,
         raise AssertionError(f"block widths sum to {offset}, expected {length}")
 
     slots = [s for b in blocks for s in b.slots]
+    _check_maps(length * alphabet.degree,
+                F.m * sum(s.ncomp for s in slots), "digit")
     # one change of basis per distinct block field
     shared: dict[Subfield, PowerBasis] = {}
     to_digits, from_digits = block_maps(
@@ -342,62 +346,49 @@ def _euclid_blocks(F: FieldTable, alphabet: Subfield, classes,
     """Euclidean-mode blocks; also the recipe for rotation-side quaternion blocks."""
     Q = alphabet.q
     unit_basis = PowerBasis(alphabet, alphabet)
-    rank = {ONE: 0, MINUS_ONE: 1, SELF_RECIPROCAL: 2, RECIPROCAL_PAIR: 3}
-    ordered = sorted(classes, key=lambda c: (rank[c.kind], c.f.coset))
     blocks = []
-    for cls in ordered:
-        if cls.kind == ONE:
-            if F.p == 2:
-                blocks.append(_c2_block(F, unit_basis, cls.f))
-            else:
-                blocks.append(_field_pair_block(F, unit_basis, cls.f, F.one))
-        elif cls.kind == MINUS_ONE:
-            blocks.append(_field_pair_block(F, unit_basis, cls.f, F.minus_one))
-        elif cls.kind == SELF_RECIPROCAL:
-            family = (cls.f,)
-            alpha = _resolve_root(F, family, root_choices)
+    for cls in classes:
+        if cls.kind in (ONE, MINUS_ONE):
+            sign = F.one if cls.kind == ONE else F.minus_one
+            blocks.append(_unit_block(F, unit_basis, cls.f, sign))
+            continue
+        alpha = _resolve_root(F, cls.members, root_choices)
+        if cls.kind == SELF_RECIPROCAL:
             basis = PowerBasis(F.subfield(Q**(cls.degree // 2)), alphabet)
-            slot, data = _selfrec_slot(F, basis, alpha)
-            blocks.append(Block(SELFREC, (slot,), family, data))
+            slot, data = _selfrec_slot(F, basis, alpha, F.one)
+            blocks.append(Block(SELFREC, (slot,), cls.members, data))
         else:
-            family = (cls.f, cls.partner)
-            alpha = _resolve_root(F, family, root_choices)
             basis = PowerBasis(F.subfield(Q**cls.degree), alphabet)
-            slot = _pair_slot(F, basis, alpha)
-            blocks.append(Block(RECIP_PAIR, (slot,), family))
+            slot = _pair_slot(F, basis, alpha, F.one)
+            blocks.append(Block(RECIP_PAIR, (slot,), cls.members))
     return blocks
 
 
 def _hermitian_blocks(F: FieldTable, alphabet: Subfield, q: int, classes,
                       root_choices: dict | None) -> list[Block]:
     unit_basis = PowerBasis(alphabet, alphabet)
-    rank = {BOTH_FIXED: 0, RECIP_FIXED: 1, CONJ_FIXED: 2, CROSS_FIXED: 3, FREE: 4}
-    ordered = sorted(classes, key=lambda c: (rank[c.kind], c.f.coset))
     blocks = []
-    for cls in ordered:
+    for cls in classes:
         r = cls.degree
         if cls.kind == BOTH_FIXED:
             sign = F.one if cls.f.coset == (0,) else F.minus_one
-            if F.p == 2:
-                blocks.append(_c2_block(F, unit_basis, cls.f))
-            else:
-                blocks.append(_field_pair_block(F, unit_basis, cls.f, sign))
+            blocks.append(_unit_block(F, unit_basis, cls.f, sign))
             continue
         alpha = _resolve_root(F, cls.members, root_choices)
         if cls.kind == RECIP_FIXED:
             basis = PowerBasis(F.subfield(q**r), alphabet)
-            slot1, d1 = _selfrec_slot(F, basis, alpha)
-            slot2, d2 = _selfrec_slot(F, basis, F.pow(alpha, q))
+            slot1, d1 = _selfrec_slot(F, basis, alpha, F.one)
+            slot2, d2 = _selfrec_slot(F, basis, F.pow(alpha, q), F.one)
             data = {"t": d1["t"], "t_conj": d2["t"], "z": d1["z"], "r": r}
             blocks.append(Block(RECIP_FIXED, (slot1, slot2), cls.members, data))
         elif cls.kind in (CONJ_FIXED, CROSS_FIXED):
             basis = PowerBasis(F.subfield(q**(2 * r)), alphabet)
-            slot = _pair_slot(F, basis, alpha)
+            slot = _pair_slot(F, basis, alpha, F.one)
             blocks.append(Block(cls.kind, (slot,), cls.members, {"r": r}))
         else:  # FREE
             basis = PowerBasis(F.subfield(q**(2 * r)), alphabet)
-            slot1 = _pair_slot(F, basis, alpha)
-            slot2 = _pair_slot(F, basis, F.pow(alpha, q))
+            slot1 = _pair_slot(F, basis, alpha, F.one)
+            slot2 = _pair_slot(F, basis, F.pow(alpha, q), F.one)
             blocks.append(Block(FREE, (slot1, slot2), cls.members, {"r": r}))
     return blocks
 
@@ -423,7 +414,7 @@ def build_dihedral_decomposition(n: int, Q: int, mode: str = EUCLIDEAN, *,
         if e % 2:
             raise ValueError("hermitian mode needs a square alphabet size")
         q = p**(e // 2)
-    _check_length(2 * n)
+    _check_maps(2 * n, 2 * n, "block")
     order = mult_order(Q, n)
     m = e * order
     if master is not None:

@@ -21,8 +21,9 @@ stacked product.  ``rref`` reduces a matrix or a whole stack (..., m, n)
 of them with one Gauss-Jordan loop over the columns, a matrix being a
 stack of one: at each column every member picks its pivot row, and the
 rows of the whole stack that hold a nonzero entry there are updated at
-once, by one product and one sum of arrays.  A member that is already reduced, found by a constant number of
-whole-stack checks, comes back as a copy without elimination.
+once, by one product and one sum of arrays.  A member that is already
+reduced, found by a constant number of whole-stack checks, comes back as
+a copy without elimination.
 """
 
 from __future__ import annotations

@@ -139,6 +139,35 @@ def factor_x_pow_n_plus_1(F: FieldTable, q: int, n: int) -> list[Factor]:
 
 
 # ---------------------------------------------------------------------------
+# closed factor families
+
+
+@dataclass(frozen=True)
+class FactorClass:
+    """One closed factor family: ``members[0]`` is the representative (the
+    smallest coset in the class), a reciprocal pair's mate is
+    ``members[1]``."""
+
+    kind: str
+    members: tuple[Factor, ...]
+
+    @property
+    def f(self) -> Factor:
+        return self.members[0]
+
+    @property
+    def degree(self) -> int:
+        return self.f.degree
+
+
+def _in_block_order(classes: list[FactorClass],
+                    kinds: tuple[str, ...]) -> list[FactorClass]:
+    """Classes ordered as their blocks are laid out: by the kind's place in
+    ``kinds``, then by the representative's coset."""
+    return sorted(classes, key=lambda c: (kinds.index(c.kind), c.f.coset))
+
+
+# ---------------------------------------------------------------------------
 # euclidean classification (also used for the x^n + 1 side)
 
 ONE = "one"                       # the factor x - 1
@@ -147,18 +176,7 @@ SELF_RECIPROCAL = "self_reciprocal"
 RECIPROCAL_PAIR = "reciprocal_pair"
 
 
-@dataclass(frozen=True)
-class EuclidClass:
-    kind: str
-    f: Factor
-    partner: Factor | None = None  # the reciprocal mate for RECIPROCAL_PAIR
-
-    @property
-    def degree(self) -> int:
-        return self.f.degree
-
-
-def classify_euclidean(factors: list[Factor]) -> list[EuclidClass]:
+def classify_euclidean(factors: list[Factor]) -> list[FactorClass]:
     by_coset = {f.coset: f for f in factors}
     used: set[tuple[int, ...]] = set()
     out = []
@@ -168,18 +186,18 @@ def classify_euclidean(factors: list[Factor]) -> list[EuclidClass]:
         used.add(f.coset)
         m = f.modulus
         if f.coset == (0,):
-            out.append(EuclidClass(ONE, f))
+            out.append(FactorClass(ONE, (f,)))
         elif m % 2 == 0 and f.coset == (m // 2,):
-            out.append(EuclidClass(MINUS_ONE, f))
+            out.append(FactorClass(MINUS_ONE, (f,)))
         elif f.recip_coset() == f.coset:
             if f.degree % 2:
                 raise AssertionError("nontrivial self-reciprocal factor of odd degree")
-            out.append(EuclidClass(SELF_RECIPROCAL, f))
+            out.append(FactorClass(SELF_RECIPROCAL, (f,)))
         else:
             mate = by_coset[f.recip_coset()]
             used.add(mate.coset)
-            out.append(EuclidClass(RECIPROCAL_PAIR, f, partner=mate))
-    return out
+            out.append(FactorClass(RECIPROCAL_PAIR, (f, mate)))
+    return _in_block_order(out, (ONE, MINUS_ONE, SELF_RECIPROCAL, RECIPROCAL_PAIR))
 
 
 # ---------------------------------------------------------------------------
@@ -192,18 +210,7 @@ CROSS_FIXED = "cross_fixed"  # f* = fbar != f         class {f, f*}
 FREE = "free"                # all four distinct      class {f, f*, fbar, (f*)bar}
 
 
-@dataclass(frozen=True)
-class HermitianClass:
-    kind: str
-    f: Factor                    # representative: smallest coset in the class
-    members: tuple[Factor, ...]
-
-    @property
-    def degree(self) -> int:
-        return self.f.degree
-
-
-def classify_hermitian(factors: list[Factor], q: int) -> list[HermitianClass]:
+def classify_hermitian(factors: list[Factor], q: int) -> list[FactorClass]:
     """Group factors of x^n - 1 over GF(q^2) by their duality closure.
 
     ``q`` is the square root of the coefficient-field size; conjugation is
@@ -237,7 +244,6 @@ def classify_hermitian(factors: list[Factor], q: int) -> list[HermitianClass]:
             kind, members = FREE, (f, by_coset[crec], by_coset[cbar], by_coset[ccross])
         for g in members:
             used.add(g.coset)
-        out.append(HermitianClass(kind, f, members))
-    return out
-
-
+        out.append(FactorClass(kind, members))
+    return _in_block_order(
+        out, (BOTH_FIXED, RECIP_FIXED, CONJ_FIXED, CROSS_FIXED, FREE))

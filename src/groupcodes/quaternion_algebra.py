@@ -10,15 +10,17 @@ x^(2n) - 1 = (x^n - 1)(x^n + 1):
 * factors of x^n + 1 see b^2 = a^n = -1, so b must square to minus one.
   The unit factor x + 1 gives a single 1x1 slot over GF(q^2) = GF(q)(i) with
   a -> -1, b -> i.  A self-reciprocal factor of degree 2s gives one 2x2 slot
-  over GF(q^s): when i lies in GF(q^s) a plain change of basis works; when it
-  does not (s odd), the block is first written over GF(q^s)(i) in a twisted
-  form and then rewritten over GF(q^s) using a fixed solution of
-  u^2 + v^2 = -1.  A reciprocal pair of degree-s factors gives one 2x2 slot
-  over GF(q^s) with b -> [[0, -1], [1, 0]].
+  over GF(q^s): when i lies in GF(q^s) (s even) it is the dihedral slot
+  recipe with b's antidiagonal scaled by i; when it does not (s odd), the
+  block is first written over GF(q^s)(i) in a twisted form and then
+  rewritten over GF(q^s) using a fixed solution of u^2 + v^2 = -1.  A
+  reciprocal pair of degree-s factors gives the dihedral pair slot over
+  GF(q^s) with b -> [[0, -1], [1, 0]].
 
-When q = 1 (mod 4) or n is even the algebra is isomorphic to the dihedral
-one of rotation order 2n and the builder refuses with DelegateToDihedral,
-pointing at the decomposition that should be used instead.
+The factor families of both sides arrive from ``classify_euclidean`` in
+block order.  When q = 1 (mod 4) or n is even the algebra is isomorphic to
+the dihedral one of rotation order 2n, and the builder refuses with a
+ValueError naming the decomposition that should be used instead.
 """
 
 from __future__ import annotations
@@ -26,15 +28,13 @@ from __future__ import annotations
 import math
 
 from .dihedral_algebra import (Block, Decomposition, PowerBasis, Slot,
-                               _assemble, _check_length, _euclid_blocks,
-                               m2_antidiag, m2_diag, transport, FIELD_SLOT,
-                               MAT_SLOT, EUCLIDEAN)
-from .fields import (ZERO, FieldTable, Subfield,
-                     build_field, mult_order, solve_sum_of_squares,
-                     split_prime_power, sqrt_minus_one)
-from .polyfactor import (MINUS_ONE, RECIPROCAL_PAIR, SELF_RECIPROCAL,
-                         classify_euclidean, factor_x_pow_n_minus_1,
-                         factor_x_pow_n_plus_1)
+                               _assemble, _check_maps, _euclid_blocks,
+                               _pair_slot, _selfrec_slot, m2_antidiag,
+                               m2_diag, FIELD_SLOT, MAT_SLOT, EUCLIDEAN)
+from .fields import (FieldTable, Subfield, build_field, mult_order,
+                     solve_sum_of_squares, split_prime_power, sqrt_minus_one)
+from .polyfactor import (MINUS_ONE, SELF_RECIPROCAL, classify_euclidean,
+                         factor_x_pow_n_minus_1, factor_x_pow_n_plus_1)
 
 # block kinds of the x^n + 1 side
 B_UNIT = "b_unit"                  # x + 1: one 1x1 slot over GF(q^2)
@@ -43,19 +43,6 @@ B_SELFREC_SKEW = "b_selfrec_skew"    # self-reciprocal, i outside the half field
 B_PAIR = "b_pair"                  # reciprocal pair
 
 B_SIDE_KINDS = (B_UNIT, B_SELFREC_SPLIT, B_SELFREC_SKEW, B_PAIR)
-
-
-class DelegateToDihedral(ValueError):
-    """The quaternion algebra coincides with a dihedral one; build that instead."""
-
-    def __init__(self, n: int, q: int):
-        self.n = n
-        self.q = q
-        self.dihedral_n = 2 * n
-        super().__init__(
-            f"GF({q})[Q_{n}] is isomorphic to GF({q})[D_{2 * n}] "
-            f"(q = 1 mod 4 or even rotation half-order); "
-            f"use the dihedral decomposition with n = {2 * n}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,23 +90,15 @@ def _b_selfrec_block(F: FieldTable, alphabet: Subfield, cls, q: int) -> Block:
     s = cls.degree // 2
     half = F.subfield(q**s)
     basis = PowerBasis(half, alphabet)
+    i = sqrt_minus_one(F.subfield(q * q))
+    if s % 2 == 0:
+        # i lies in the half field: the dihedral recipe with b -> i * swap
+        slot, data = _selfrec_slot(F, basis, beta, i)
+        return Block(B_SELFREC_SPLIT, (slot,), cls.members, {**data, "i": i})
     binv = F.inv(beta)
     t = F.add(beta, binv)
     if not half.contains(t) or half.contains(beta):
         raise AssertionError("self-reciprocal root must be quadratic over the half field")
-    i = sqrt_minus_one(F.subfield(q * q))
-    if s % 2 == 0:
-        # i lies in the half field: direct change of basis
-        z = (i, F.neg(beta), i, F.neg(binv))
-        gen_a = transport(F, z, m2_diag(beta, binv))
-        gen_b = transport(F, z, m2_antidiag(i, i))
-        if gen_a != (ZERO, F.neg(i), F.neg(i), t):
-            raise AssertionError("unexpected rotation image in split block")
-        if gen_b != (i, F.neg(t), ZERO, F.neg(i)):
-            raise AssertionError("unexpected b image in split block")
-        slot = Slot(MAT_SLOT, basis, gen_a, gen_b, root=beta)
-        return Block(B_SELFREC_SPLIT, (slot,), (cls.f,),
-                     {"t": t, "i": i, "z": z})
     u, v = solve_sum_of_squares(half, F.minus_one)
     gen_a = theta_map(F, half, i, u, v, m2_diag(beta, binv))
     gen_b = theta_map(F, half, i, u, v, m2_antidiag(i, i))
@@ -131,18 +110,8 @@ def _b_selfrec_block(F: FieldTable, alphabet: Subfield, cls, q: int) -> Block:
     if gen_a != expect_a or gen_b != (F.neg(v), u, u, v):
         raise AssertionError("unexpected images in skew block")
     slot = Slot(MAT_SLOT, basis, gen_a, gen_b, root=beta)
-    return Block(B_SELFREC_SKEW, (slot,), (cls.f,),
+    return Block(B_SELFREC_SKEW, (slot,), cls.members,
                  {"t": t, "i": i, "u": u, "v": v})
-
-
-def _b_pair_block(F: FieldTable, alphabet: Subfield, cls, q: int) -> Block:
-    family = (cls.f, cls.partner)
-    beta = cls.f.root
-    basis = PowerBasis(F.subfield(q**cls.degree), alphabet)
-    gen_a = m2_diag(beta, F.inv(beta))
-    gen_b = (ZERO, F.minus_one, F.one, ZERO)
-    slot = Slot(MAT_SLOT, basis, gen_a, gen_b, root=beta)
-    return Block(B_PAIR, (slot,), family)
 
 
 def build_quaternion_decomposition(n: int, q: int) -> Decomposition:
@@ -153,10 +122,13 @@ def build_quaternion_decomposition(n: int, q: int) -> Decomposition:
     if p == 2:
         raise ValueError("generalised quaternion group algebras need odd characteristic")
     if q % 4 == 1 or n % 2 == 0:
-        raise DelegateToDihedral(n, q)
+        raise ValueError(
+            f"GF({q})[Q_{n}] is isomorphic to GF({q})[D_{2 * n}] "
+            f"(q = 1 mod 4 or even rotation half-order); "
+            f"use the dihedral decomposition with n = {2 * n}")
     if math.gcd(p, n) != 1:
         raise ValueError(f"alphabet characteristic {p} divides the rotation order {n}")
-    _check_length(4 * n)
+    _check_maps(4 * n, 4 * n, "block")
     F = build_field(p, e * math.lcm(mult_order(q, 2 * n), 2))
     alphabet = F.subfield(q)
 
@@ -165,18 +137,15 @@ def build_quaternion_decomposition(n: int, q: int) -> Decomposition:
                             None)
 
     plus_factors = factor_x_pow_n_plus_1(F, q, n)
-    rank = {MINUS_ONE: 0, SELF_RECIPROCAL: 1, RECIPROCAL_PAIR: 2}
-    plus_classes = sorted(classify_euclidean(plus_factors),
-                          key=lambda c: (rank[c.kind], c.f.coset))
-    for cls in plus_classes:
+    for cls in classify_euclidean(plus_factors):
         if cls.kind == MINUS_ONE:
             blocks.append(_b_unit_block(F, alphabet, cls.f, q))
         elif cls.kind == SELF_RECIPROCAL:
             blocks.append(_b_selfrec_block(F, alphabet, cls, q))
-        elif cls.kind == RECIPROCAL_PAIR:
-            blocks.append(_b_pair_block(F, alphabet, cls, q))
-        else:  # pragma: no cover - x - 1 cannot divide x^n + 1
-            raise AssertionError("unexpected unit factor on the x^n + 1 side")
+        else:  # x - 1 cannot divide x^n + 1: the rest are reciprocal pairs
+            basis = PowerBasis(F.subfield(q**cls.degree), alphabet)
+            slot = _pair_slot(F, basis, cls.f.root, F.minus_one)
+            blocks.append(Block(B_PAIR, (slot,), cls.members))
 
     factors = tuple(minus_factors) + tuple(plus_factors)
     return _assemble("quaternion", n, EUCLIDEAN, q, None, F, alphabet,

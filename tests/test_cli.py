@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface."""
 
 import gzip
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -46,6 +47,49 @@ def test_decompose_dihedral_hermitian_block_census(capsys):
     for block in res["blocks"]:
         assert block["j_class"] in ("J0", "J1", "J2", "J3", "J4")
         assert block["factors"]
+
+
+# sha256 of decompose's stdout for systems that between them have every
+# block kind of both groups and both metrics (D_5 over GF(4) has
+# recip_fixed, D_15 over GF(4) free, Q_15 over GF(23) every kind of Q_n)
+PINNED_DECOMPOSITIONS = [
+    (("--q", "9", "--n", "16", "--metric", "euclidean"),
+     "766a5a330e85555803e24ebab58325ebd8c1a17aa9c1e9e23e09f39340aa2f78"),
+    (("--q", "9", "--n", "16", "--metric", "hermitian"),
+     "d423d886f4918cd7597597625673f2017ce9093b143d7877cda823c4e1963b9a"),
+    (("--q", "4", "--n", "7", "--metric", "euclidean"),
+     "87d30a7fa5c6706b139b3cde86d9768ad64e80a220ee24db28a017edb1290190"),
+    (("--q", "4", "--n", "7", "--metric", "hermitian"),
+     "2f082e86500a5ebe6abd123cc42f7bea482832da392e754b1bb94117546e1d6b"),
+    (("--q", "25", "--n", "3", "--metric", "hermitian"),
+     "01d34d532ab21b84fd1c887754a4c6fdce7cdf1acac7360d4e50adebabe313b3"),
+    (("--q", "9", "--n", "10", "--metric", "hermitian"),
+     "2f0c4b709f20799309f89e8a633732d2894b0930032d39331622d863b9059ba4"),
+    (("--q", "4", "--n", "5", "--metric", "hermitian"),
+     "3e5183d225070892d19f1a310116b75de2d0af5a670440b118b6de45f4c866c4"),
+    (("--q", "4", "--n", "15", "--metric", "hermitian"),
+     "ed4d0211a2ec9c40743e0cea23271fde825cbb645aeaf60d42b1fa97bb27c9ec"),
+    (("--q", "2", "--n", "7", "--metric", "euclidean"),
+     "1659e9842c40c32f5760a96dedf8d22ff12871d367690c362df13c8cf8ae7400"),
+    (("--q", "5", "--n", "12", "--metric", "euclidean"),
+     "5036bc41e83d5b53de43a7f17aef3f4eb2330d2c058e33ca27d5bebf8b891eac"),
+    (("--q", "11", "--n", "7", "--group", "quaternion"),
+     "f6a803b6d7a78043425fdb5deabf1aeff9995ec7cfad574d9e60ef9323ad1026"),
+    (("--q", "11", "--n", "3", "--group", "quaternion"),
+     "ba548834c72d2661ef5b7a469ac6cf07ba54efc769d8f4e777ad79f1a112e50d"),
+    (("--q", "3", "--n", "5", "--group", "quaternion"),
+     "9d02998b98cc726cb3b582c23cadbf21b14c04ead57a5e2641cce9ddfb4f7706"),
+    (("--q", "23", "--n", "15", "--group", "quaternion"),
+     "6653362e8883f9823fa83981e9a0a8690a6b74f9869dfd40233714b1a13772cf"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_DECOMPOSITIONS,
+                         ids=[" ".join(a) for a, _ in PINNED_DECOMPOSITIONS])
+def test_decompose_output_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, "decompose", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_decompose_quaternion_shape_counts(capsys):
@@ -573,6 +617,10 @@ UNREAD_FLAGS = [
     # GF(2)[D_2097151] is under the field budget, but its block maps
     # would take 2^44 cells each
     ("count", "--q", "2", "--n", "2097151"),
+    # block maps within budget, but digit maps of 1,073,217,600 and
+    # 285,012,000 cells: refused before either is built
+    ("count", "--q", "4096", "--n", "1365"),
+    ("count", "--q", "64", "--n", "1365"),
 ])
 def test_error_exits(capsys, argv):
     code, _ = run(capsys, *argv)
@@ -589,6 +637,9 @@ def test_error_exits(capsys, argv):
     # refused before the field tables: GF(7)[Q_1025] is 4,100 long
     (("count", "--q", "7", "--n", "1025", "--group", "quaternion"),
      "the group algebra's 4100 x 4100 block maps exceed the budget of "
+     "16777216 cells"),
+    (("count", "--q", "64", "--n", "1365"),
+     "the group algebra's 16380 x 17400 digit maps exceed the budget of "
      "16777216 cells"),
 ])
 def test_input_error_message(capsys, argv, message):

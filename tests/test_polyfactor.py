@@ -120,9 +120,10 @@ def test_classify_euclidean_pair_partner():
     F = master_for(11, 7)
     classes = pf.classify_euclidean(pf.factor_x_pow_n_minus_1(F, 11, 7))
     pair = [c for c in classes if c.kind == pf.RECIPROCAL_PAIR][0]
-    assert pair.partner is not None
-    assert pair.partner.coset == pair.f.recip_coset()
-    assert min(pair.f.coset) < min(pair.partner.coset)
+    f, mate = pair.members
+    assert f is pair.f
+    assert mate.coset == f.recip_coset()
+    assert min(f.coset) < min(mate.coset)
 
 
 def hermitian_kinds(q, n):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from helpers import slot_pow
 
 _cache: dict = {}
 
-SYSTEMS = [(7, 11), (3, 11), (5, 3)]
+# Q_15 over GF(23) has every block kind of both sides
+SYSTEMS = [(7, 11), (3, 11), (5, 3), (15, 23)]
 
 
 def dec_for(n, q):
@@ -121,10 +124,11 @@ def test_round_trip(n, q):
 
 @pytest.mark.parametrize("n,q", [(7, 5), (4, 11), (7, 9)])
 def test_delegates_when_algebra_untwists(n, q):
-    with pytest.raises(qa.DelegateToDihedral) as info:
+    message = (f"GF({q})[Q_{n}] is isomorphic to GF({q})[D_{2 * n}] "
+               f"(q = 1 mod 4 or even rotation half-order); "
+               f"use the dihedral decomposition with n = {2 * n}")
+    with pytest.raises(ValueError, match=re.escape(message)):
         qa.build_quaternion_decomposition(n, q)
-    assert info.value.dihedral_n == 2 * n
-    assert info.value.q == q
 
 
 def test_char_two_rejected():

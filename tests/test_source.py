@@ -161,6 +161,25 @@ def test_lanes_are_padded_in_one_place():
                      "weights_quantum.py min_distance_exhaustive"], found
 
 
+def test_one_slot_recipe_per_block_shape():
+    """``transport`` is called only in the self-reciprocal slot recipe,
+    which the dihedral and the quaternion builders share, so that each
+    block shape's change of basis is written once."""
+    found = {f"{name} {scope}" for name, tree in _trees().items()
+             for scope in _calls_by_scope(tree, "transport")}
+    assert found == {"dihedral_algebra.py _selfrec_slot"}, found
+
+
+def test_builders_take_block_order_from_classification():
+    """Neither builder sorts: ``classify_euclidean`` and
+    ``classify_hermitian`` return factor families in block order."""
+    trees = _trees()
+    found = [f"{name} {scope}"
+             for name in ("dihedral_algebra.py", "quaternion_algebra.py")
+             for scope in _calls_by_scope(trees[name], "sorted")]
+    assert not found, found
+
+
 # documented API that nothing in the package or the benchmark calls, with
 # the reason each one stays
 _UNCALLED_API = {
