@@ -23,7 +23,6 @@ import io
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -63,20 +62,6 @@ class CliError(ValueError):
     """Bad command-line input; message is shown to the user."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    q: int | None
-    n: int | None
-    group: str
-    metric: str
-    isd_weight: int | None
-    seed: int
-    format: str
-    spec: str | None
-    limit: int | None
-
-
 # ---------------------------------------------------------------------------
 # element / spec formatting helpers
 
@@ -95,7 +80,9 @@ def _fmt_slot_value(slot, value) -> list:
 def _generator_images(dec) -> dict:
     """Slotwise images of the group generators a and b."""
     gens = np.zeros((2, dec.length), dtype=np.int32)
-    gens[[0, 1], [1, dec.a_order]] = 1  # alphabet index of one
+    # a has index 1, except in D_1 where a = 1 has index 0; 1 is the
+    # alphabet index of one
+    gens[[0, 1], [1 % dec.a_order, dec.a_order]] = 1
     return {name: [_fmt_slot_value(s, v) for s, v in zip(dec.slots(), values)]
             for name, values in zip("ab", dec.rho(gens))}
 
@@ -140,7 +127,8 @@ def _factor_str(dec, factor) -> str:
 
 
 # the flags beyond --q, --n, --group, --metric and --format, each with
-# the commands that read it; the others leave its field at the default
+# the commands that read it; the others get its default, so that every
+# parsed namespace, the run configuration, has the same keys
 _FLAGS = {
     "--isd-weight": (("css-search",), dict(
         type=int, default=None,
@@ -187,15 +175,6 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _config(ns: argparse.Namespace) -> RunConfig:
-    """The run configuration, with the defaults of --group and --metric."""
-    return RunConfig(command=ns.command, q=ns.q, n=ns.n,
-                     group=ns.group or DIHEDRAL,
-                     metric=ns.metric or da.EUCLIDEAN,
-                     isd_weight=ns.isd_weight, seed=ns.seed, format=ns.format,
-                     spec=ns.spec, limit=ns.limit)
-
-
 def _validate(ns: argparse.Namespace) -> None:
     """Input errors in the parsed arguments, before defaults fill them in."""
     if ns.command != "verify" and (ns.q is None or ns.n is None):
@@ -233,7 +212,7 @@ def build_system(group: str, n: int, q: int, metric: str):
     return da.build_dihedral_decomposition(n, q, metric)
 
 
-def _load_specs(cfg: RunConfig, dec, warnings: list) -> list:
+def _load_specs(cfg: argparse.Namespace, dec, warnings: list) -> list:
     """The specs of the --spec file, the first --limit of them when the
     file holds more (with a warning)."""
     if cfg.spec is None:
@@ -281,7 +260,7 @@ def _witness_selforth(dec, R) -> None:
 # subcommands
 
 
-def cmd_decompose(cfg: RunConfig, warnings: list) -> list:
+def cmd_decompose(cfg: argparse.Namespace, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     blocks = []
     for i, blk in enumerate(dec.blocks):
@@ -319,7 +298,7 @@ def cmd_decompose(cfg: RunConfig, warnings: list) -> list:
     return [summary]
 
 
-def cmd_count(cfg: RunConfig, warnings: list) -> list:
+def cmd_count(cfg: argparse.Namespace, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     return [{
         "ideals": ic.spec_count(dec),
@@ -361,7 +340,7 @@ def _spec_records(dec, specs):
             yield record, dual
 
 
-def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
+def cmd_enumerate(cfg: argparse.Namespace, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     # with an explicit --limit the stream stops early, so the safety budget
     # on the total ideal count is unnecessary
@@ -371,7 +350,7 @@ def cmd_enumerate(cfg: RunConfig, warnings: list) -> list:
     return [record for record, _ in _spec_records(dec, specs)]
 
 
-def cmd_dual(cfg: RunConfig, warnings: list) -> list:
+def cmd_dual(cfg: argparse.Namespace, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
     specs = _load_specs(cfg, dec, warnings)
@@ -383,7 +362,7 @@ def cmd_dual(cfg: RunConfig, warnings: list) -> list:
     return results
 
 
-def cmd_classify(cfg: RunConfig, warnings: list) -> list:
+def cmd_classify(cfg: argparse.Namespace, warnings: list) -> list:
     dec = build_system(cfg.group, cfg.n, cfg.q, cfg.metric)
     results = []
     specs = _load_specs(cfg, dec, warnings)
@@ -411,7 +390,7 @@ def _selforth_only(dec, specs, warnings: list):
             yield spec
 
 
-def cmd_css_search(cfg: RunConfig, warnings: list) -> list:
+def cmd_css_search(cfg: argparse.Namespace, warnings: list) -> list:
     if cfg.metric != da.HERMITIAN:
         raise CliError("css-search uses the hermitian metric; "
                        "pass --metric hermitian")
@@ -508,7 +487,7 @@ def _verify_system(group, n, Q, metric, rng, count, warnings) -> dict:
     }
 
 
-def cmd_verify(cfg: RunConfig, warnings: list) -> list:
+def cmd_verify(cfg: argparse.Namespace, warnings: list) -> list:
     rng = np.random.default_rng(cfg.seed)
     count = cfg.limit if cfg.limit is not None else DEFAULT_VERIFY_SPECS
     if cfg.q is not None:
@@ -590,8 +569,10 @@ def main(argv=None) -> int:
     warnings: list = []
     try:
         _validate(ns)
-        cfg = _config(ns)
-        results = _COMMANDS[cfg.command](cfg, warnings)
+        # the parsed namespace is the run configuration
+        ns.group = ns.group or DIHEDRAL
+        ns.metric = ns.metric or da.EUCLIDEAN
+        results = _COMMANDS[ns.command](ns, warnings)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -603,18 +584,18 @@ def main(argv=None) -> int:
     # byte-identical-output guarantee for repeated seeded runs
     timings = {"results_emitted": len(results), "warnings": len(warnings)}
     payload = {
-        "config": asdict(cfg),
+        "config": vars(ns),
         "results": results,
         "timings": timings,
         "warnings": warnings,
     }
-    if cfg.format == "json":
+    if ns.format == "json":
         sys.stdout.writelines(_render_json(payload))
-    elif cfg.format == "csv":
+    elif ns.format == "csv":
         sys.stdout.write(_render_csv(results))
     else:
         sys.stdout.write(_render_text(payload))
-    if cfg.command == "verify" and any(not r["ok"] for r in results):
+    if ns.command == "verify" and any(not r["ok"] for r in results):
         return 1
     return 0
 

@@ -44,7 +44,7 @@ from .embeddings import PowerBasis, block_maps, to_coords, to_elements
 from .fields import (MAP_CELL_BUDGET, ZERO, FieldTable, Subfield,
                      build_field, mult_order, split_prime_power)
 from .polyfactor import (BOTH_FIXED, CONJ_FIXED, CROSS_FIXED, FREE,
-                         MINUS_ONE, ONE, RECIP_FIXED, SELF_RECIPROCAL,
+                         MINUS_ONE, ONE, RECIP_FIXED, RECIPROCAL_PAIR,
                          Factor, classify_euclidean, classify_hermitian,
                          factor_x_pow_n_minus_1, poly_eval)
 
@@ -242,7 +242,6 @@ class Decomposition:
     q: int | None
     F: FieldTable
     alphabet: Subfield
-    factors: tuple[Factor, ...]
     blocks: tuple[Block, ...]
     a_order: int
     length: int
@@ -301,8 +300,8 @@ def _check_maps(rows: int, cols: int, what: str) -> None:
             f"the budget of {MAP_CELL_BUDGET} cells")
 
 
-def _assemble(group: str, n: int, mode: str, Q: int, q: int | None,
-              F: FieldTable, alphabet: Subfield, factors, blocks: list[Block],
+def _assemble(group: str, n: int, mode: str, q: int | None,
+              alphabet: Subfield, blocks: list[Block],
               a_order: int) -> Decomposition:
     offset = 0
     for b in blocks:
@@ -315,7 +314,7 @@ def _assemble(group: str, n: int, mode: str, Q: int, q: int | None,
 
     slots = [s for b in blocks for s in b.slots]
     _check_maps(length * alphabet.degree,
-                F.m * sum(s.ncomp for s in slots), "digit")
+                alphabet.master.m * sum(s.ncomp for s in slots), "digit")
     # one change of basis per distinct block field
     shared: dict[Subfield, PowerBasis] = {}
     to_digits, from_digits = block_maps(
@@ -330,8 +329,8 @@ def _assemble(group: str, n: int, mode: str, Q: int, q: int | None,
     rows = to_coords(alphabet, _entries(slots, a_powers + b_images),
                      from_digits).astype(np.int32)
     mat_inv = linalg.inverse(alphabet, rows)
-    return Decomposition(group=group, n=n, mode=mode, Q=Q, q=q, F=F,
-                         alphabet=alphabet, factors=tuple(factors),
+    return Decomposition(group=group, n=n, mode=mode, Q=alphabet.q, q=q,
+                         F=alphabet.master, alphabet=alphabet,
                          blocks=tuple(blocks), a_order=a_order, length=length,
                          mat=rows, mat_inv=mat_inv, to_digits=to_digits,
                          from_digits=from_digits)
@@ -341,55 +340,46 @@ def _assemble(group: str, n: int, mode: str, Q: int, q: int | None,
 # builders
 
 
-def _euclid_blocks(F: FieldTable, alphabet: Subfield, classes,
-                   root_choices: dict | None) -> list[Block]:
-    """Euclidean-mode blocks; also the recipe for rotation-side quaternion blocks."""
+def _blocks(F: FieldTable, alphabet: Subfield, classes, q: int | None,
+            root_choices: dict | None) -> list[Block]:
+    """The blocks of the factor families ``classes``, in their order.
+
+    One rule serves both metrics (Brochero Martinez, FFA 35, 2015), with
+    Q = |alphabet| and r the degree of a family's representative: x -+ 1
+    give unit blocks, a self-reciprocal family gives 2x2 slots over
+    GF(Q^(r/2)) and any other family 2x2 slots over GF(Q^r).  With
+    ``q`` = sqrt(Q) the families are hermitian ones, a recip_fixed or free
+    family takes a second slot at the conjugate root alpha^q, and a block
+    has its family's kind; with ``q`` None they are euclidean ones, and a
+    block is SELFREC or RECIP_PAIR.  The quaternion builder takes its
+    rotation-side blocks from here.
+    """
     Q = alphabet.q
     unit_basis = PowerBasis(alphabet, alphabet)
     blocks = []
     for cls in classes:
-        if cls.kind in (ONE, MINUS_ONE):
-            sign = F.one if cls.kind == ONE else F.minus_one
-            blocks.append(_unit_block(F, unit_basis, cls.f, sign))
-            continue
-        alpha = _resolve_root(F, cls.members, root_choices)
-        if cls.kind == SELF_RECIPROCAL:
-            basis = PowerBasis(F.subfield(Q**(cls.degree // 2)), alphabet)
-            slot, data = _selfrec_slot(F, basis, alpha, F.one)
-            blocks.append(Block(SELFREC, (slot,), cls.members, data))
-        else:
-            basis = PowerBasis(F.subfield(Q**cls.degree), alphabet)
-            slot = _pair_slot(F, basis, alpha, F.one)
-            blocks.append(Block(RECIP_PAIR, (slot,), cls.members))
-    return blocks
-
-
-def _hermitian_blocks(F: FieldTable, alphabet: Subfield, q: int, classes,
-                      root_choices: dict | None) -> list[Block]:
-    unit_basis = PowerBasis(alphabet, alphabet)
-    blocks = []
-    for cls in classes:
-        r = cls.degree
-        if cls.kind == BOTH_FIXED:
+        if cls.kind in (ONE, MINUS_ONE, BOTH_FIXED):
             sign = F.one if cls.f.coset == (0,) else F.minus_one
             blocks.append(_unit_block(F, unit_basis, cls.f, sign))
             continue
         alpha = _resolve_root(F, cls.members, root_choices)
-        if cls.kind == RECIP_FIXED:
-            basis = PowerBasis(F.subfield(q**r), alphabet)
-            slot1, d1 = _selfrec_slot(F, basis, alpha, F.one)
-            slot2, d2 = _selfrec_slot(F, basis, F.pow(alpha, q), F.one)
-            data = {"t": d1["t"], "t_conj": d2["t"], "z": d1["z"], "r": r}
-            blocks.append(Block(RECIP_FIXED, (slot1, slot2), cls.members, data))
-        elif cls.kind in (CONJ_FIXED, CROSS_FIXED):
-            basis = PowerBasis(F.subfield(q**(2 * r)), alphabet)
-            slot = _pair_slot(F, basis, alpha, F.one)
-            blocks.append(Block(cls.kind, (slot,), cls.members, {"r": r}))
-        else:  # FREE
-            basis = PowerBasis(F.subfield(q**(2 * r)), alphabet)
-            slot1 = _pair_slot(F, basis, alpha, F.one)
-            slot2 = _pair_slot(F, basis, F.pow(alpha, q), F.one)
-            blocks.append(Block(FREE, (slot1, slot2), cls.members, {"r": r}))
+        roots = ((alpha, F.pow(alpha, q)) if cls.kind in (RECIP_FIXED, FREE)
+                 else (alpha,))
+        data = {} if q is None else {"r": cls.degree}
+        if cls.kind in (RECIPROCAL_PAIR, CONJ_FIXED, CROSS_FIXED, FREE):
+            basis = PowerBasis(F.subfield(Q**cls.degree), alphabet)
+            slots = tuple(_pair_slot(F, basis, x, F.one) for x in roots)
+            kind = RECIP_PAIR
+        else:  # SELF_RECIPROCAL or RECIP_FIXED
+            basis = PowerBasis(F.subfield(Q**(cls.degree // 2)), alphabet)
+            slots, made = zip(*(_selfrec_slot(F, basis, x, F.one)
+                                for x in roots))
+            data.update(made[0])
+            if len(made) == 2:
+                data["t_conj"] = made[1]["t"]
+            kind = SELFREC
+        blocks.append(Block(kind if q is None else cls.kind, slots,
+                            cls.members, data))
     return blocks
 
 
@@ -425,10 +415,7 @@ def build_dihedral_decomposition(n: int, Q: int, mode: str = EUCLIDEAN, *,
         F = build_field(p, m)
     alphabet = F.subfield(Q)
     factors = factor_x_pow_n_minus_1(F, Q, n)
-    if mode == EUCLIDEAN:
-        blocks = _euclid_blocks(F, alphabet, classify_euclidean(factors),
-                                root_choices)
-    else:
-        blocks = _hermitian_blocks(F, alphabet, q,
-                                   classify_hermitian(factors, q), root_choices)
-    return _assemble("dihedral", n, mode, Q, q, F, alphabet, factors, blocks, n)
+    classes = (classify_euclidean(factors) if q is None
+               else classify_hermitian(factors, q))
+    blocks = _blocks(F, alphabet, classes, q, root_choices)
+    return _assemble("dihedral", n, mode, q, alphabet, blocks, n)

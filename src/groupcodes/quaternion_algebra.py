@@ -5,7 +5,8 @@ Over GF(q) with q = 3 (mod 4) and n odd its group algebra splits along
 x^(2n) - 1 = (x^n - 1)(x^n + 1):
 
 * rotation-side factors of x^n - 1 produce exactly the dihedral euclidean
-  blocks (b acts there as an order-2 reflection, since a^n is trivial);
+  blocks, built by ``dihedral_algebra._blocks`` (b acts there as an
+  order-2 reflection, since a^n is trivial);
 
 * factors of x^n + 1 see b^2 = a^n = -1, so b must square to minus one.
   The unit factor x + 1 gives a single 1x1 slot over GF(q^2) = GF(q)(i) with
@@ -28,9 +29,9 @@ from __future__ import annotations
 import math
 
 from .dihedral_algebra import (Block, Decomposition, PowerBasis, Slot,
-                               _assemble, _check_maps, _euclid_blocks,
-                               _pair_slot, _selfrec_slot, m2_antidiag,
-                               m2_diag, FIELD_SLOT, MAT_SLOT, EUCLIDEAN)
+                               _assemble, _blocks, _check_maps, _pair_slot,
+                               _selfrec_slot, m2_antidiag, m2_diag,
+                               FIELD_SLOT, MAT_SLOT, EUCLIDEAN)
 from .fields import (FieldTable, Subfield, build_field, mult_order,
                      solve_sum_of_squares, split_prime_power, sqrt_minus_one)
 from .polyfactor import (MINUS_ONE, SELF_RECIPROCAL, classify_euclidean,
@@ -132,12 +133,10 @@ def build_quaternion_decomposition(n: int, q: int) -> Decomposition:
     F = build_field(p, e * math.lcm(mult_order(q, 2 * n), 2))
     alphabet = F.subfield(q)
 
-    minus_factors = factor_x_pow_n_minus_1(F, q, n)
-    blocks = _euclid_blocks(F, alphabet, classify_euclidean(minus_factors),
-                            None)
-
-    plus_factors = factor_x_pow_n_plus_1(F, q, n)
-    for cls in classify_euclidean(plus_factors):
+    blocks = _blocks(F, alphabet,
+                     classify_euclidean(factor_x_pow_n_minus_1(F, q, n)),
+                     None, None)
+    for cls in classify_euclidean(factor_x_pow_n_plus_1(F, q, n)):
         if cls.kind == MINUS_ONE:
             blocks.append(_b_unit_block(F, alphabet, cls.f, q))
         elif cls.kind == SELF_RECIPROCAL:
@@ -146,7 +145,4 @@ def build_quaternion_decomposition(n: int, q: int) -> Decomposition:
             basis = PowerBasis(F.subfield(q**cls.degree), alphabet)
             slot = _pair_slot(F, basis, cls.f.root, F.minus_one)
             blocks.append(Block(B_PAIR, (slot,), cls.members))
-
-    factors = tuple(minus_factors) + tuple(plus_factors)
-    return _assemble("quaternion", n, EUCLIDEAN, q, None, F, alphabet,
-                     factors, blocks, 2 * n)
+    return _assemble("quaternion", n, EUCLIDEAN, None, alphabet, blocks, 2 * n)

@@ -70,7 +70,6 @@ witness.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -225,17 +224,7 @@ def code_automorphism(dec: Decomposition) -> np.ndarray:
 
 
 def _is_transitive(perms: np.ndarray) -> bool:
-    """Whether the permutations (rows) move coordinate 0 to every other.
-
-    A census hands every search the same automorphism, so the answer is
-    kept per distinct array of permutations."""
-    perms = np.ascontiguousarray(perms, dtype=np.intp)
-    return _orbit_is_everything(perms.tobytes(), perms.shape[1])
-
-
-@functools.lru_cache(maxsize=64)
-def _orbit_is_everything(rows: bytes, n: int) -> bool:
-    perms = np.frombuffer(rows, dtype=np.intp).reshape(-1, n)
+    """Whether the permutations (rows) move coordinate 0 to every other."""
     orbit, size = {0}, 0
     while len(orbit) > size:
         size = len(orbit)

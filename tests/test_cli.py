@@ -112,6 +112,15 @@ def test_decompose_trivial_rotation_order(capsys):
     assert [b["summands"] for b in res["blocks"]] == [["F_5", "F_5"]]
 
 
+@pytest.mark.parametrize("q, one", [("3", [["g^0"], ["g^0"]]),
+                                    ("2", [["g^0", "0"]])])
+def test_decompose_d1_rotation_image_is_one(capsys, q, one):
+    # in D_1 the rotation a = a^1 is the identity, at index 0
+    doc = run_json(capsys, "decompose", "--q", q, "--n", "1")
+    (res,) = doc["results"]
+    assert res["generator_images"]["a"] == one
+
+
 def test_decompose_generator_images_present(capsys):
     doc = run_json(capsys, "decompose", "--q", "4", "--n", "7",
                    "--metric", "hermitian")

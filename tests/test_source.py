@@ -170,6 +170,26 @@ def test_one_slot_recipe_per_block_shape():
     assert found == {"dihedral_algebra.py _selfrec_slot"}, found
 
 
+def test_one_block_builder_for_both_metrics():
+    """``dihedral_algebra._blocks`` is the one place that turns factor
+    families into blocks for either metric and for the quaternion rotation
+    side: it alone resolves roots and makes unit blocks, and the quaternion
+    x^n + 1 side is the only other caller of the 2x2 slot recipes."""
+    trees = _trees()
+
+    def callers(attr):
+        return sorted(f"{name} {scope}" for name, tree in trees.items()
+                      for scope in _calls_by_scope(tree, attr))
+
+    builder = "dihedral_algebra.py _blocks"
+    assert callers("_unit_block") == [builder]
+    assert callers("_resolve_root") == [builder]
+    assert callers("_selfrec_slot") == [
+        builder, "quaternion_algebra.py _b_selfrec_block"]
+    assert callers("_pair_slot") == [
+        builder, "quaternion_algebra.py build_quaternion_decomposition"]
+
+
 def test_builders_take_block_order_from_classification():
     """Neither builder sorts: ``classify_euclidean`` and
     ``classify_hermitian`` return factor families in block order."""

@@ -281,20 +281,16 @@ def test_rotation_alone_is_refused():
                             automorphism=wq.code_automorphism(dec)[:1])
 
 
-def test_transitivity_is_checked_once_per_automorphism():
-    # a census hands every search a fresh copy of the same automorphism
-    dec = dihedral(7, 4, da.EUCLIDEAN)
-    rng = np.random.default_rng(1)
-    codes = [ic.ideal_to_code(dec, s) for s in small_ideals(dec, rng, 3, 10)]
-    wq._orbit_is_everything.cache_clear()
-    for code in codes:
-        wq.min_distance_isd(dec.alphabet, code,
-                            automorphism=wq.code_automorphism(dec))
-        with pytest.raises(ValueError, match="transitively"):
-            wq.min_distance_isd(dec.alphabet, code,
-                                automorphism=wq.code_automorphism(dec)[:1])
-    info = wq._orbit_is_everything.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+def test_transitivity_is_checked_once_per_stack():
+    # the census batch of GF(4)[D_7] has self-dual and proper specs: one
+    # stacked search each, and one transitivity check for each search
+    dec = dihedral(7, 4, da.HERMITIAN)
+    specs = list(du.enumerate_selforth(dec))
+    assert len(specs) == 20
+    with mock.patch.object(wq, "_is_transitive",
+                           wraps=wq._is_transitive) as check:
+        wq.css_hermitian(dec, ic.SpecBatch(specs))
+    assert [c.args[0].shape for c in check.call_args_list] == [(2, 14)] * 2
 
 
 @pytest.mark.parametrize("system", [("d", 10, 9, da.HERMITIAN),
