@@ -41,8 +41,8 @@ import numpy as np
 
 from . import linalg, oracle
 from .embeddings import PowerBasis, block_maps, to_coords, to_elements
-from .fields import (MAP_CELL_BUDGET, ZERO, FieldTable, Subfield,
-                     build_field, mult_order, split_prime_power)
+from .fields import (MAP_CELL_BUDGET, MAX_TABLE_ORDER, ZERO, FieldTable,
+                     Subfield, build_field, mult_order, split_prime_power)
 from .polyfactor import (BOTH_FIXED, CONJ_FIXED, CROSS_FIXED, FREE,
                          MINUS_ONE, ONE, RECIP_FIXED, RECIPROCAL_PAIR,
                          Factor, classify_euclidean, classify_hermitian,
@@ -300,6 +300,14 @@ def _check_maps(rows: int, cols: int, what: str) -> None:
             f"the budget of {MAP_CELL_BUDGET} cells")
 
 
+def _check_alphabet(Q: int) -> None:
+    """Refuse, before any field is built, an alphabet of more elements than
+    its dense index tables may have."""
+    if Q > MAX_TABLE_ORDER:
+        raise ValueError(f"alphabet GF({Q}) is over the {MAX_TABLE_ORDER}"
+                         f"-element alphabet limit")
+
+
 def _assemble(group: str, n: int, mode: str, q: int | None,
               alphabet: Subfield, blocks: list[Block],
               a_order: int) -> Decomposition:
@@ -404,6 +412,7 @@ def build_dihedral_decomposition(n: int, Q: int, mode: str = EUCLIDEAN, *,
         if e % 2:
             raise ValueError("hermitian mode needs a square alphabet size")
         q = p**(e // 2)
+    _check_alphabet(Q)
     _check_maps(2 * n, 2 * n, "block")
     order = mult_order(Q, n)
     m = e * order

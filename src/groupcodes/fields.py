@@ -17,12 +17,13 @@ master-field logs.
 The modulus is the lexicographically smallest primitive polynomial of
 degree m over GF(p) (coefficients compared from the x^(m-1) coefficient
 down to the constant), so every run of the library reproduces the same
-discrete logs.
+discrete logs.  A monic f is primitive exactly when x has order p^m - 1
+modulo f; the search tests the candidates in that order, a block at a
+time, as powers of a stack of companion matrices.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import weakref
 from functools import lru_cache
@@ -87,70 +88,50 @@ def split_prime_power(q: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# modulus search (dense little-endian coefficient lists over GF(p))
+# modulus search
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    m = len(mod) - 1
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    # reduce by the monic modulus
-    for i in range(len(res) - 1, m - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(m):
-                res[i - m + j] = (res[i - m + j] - c * mod[j]) % p
-    res = res[:m]
-    while len(res) > 1 and res[-1] == 0:
-        res.pop()
-    return res
+_SEARCH_BLOCK = 32
 
 
-def _poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    acc = list(base)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, acc, mod, p)
-        acc = _poly_mulmod(acc, acc, mod, p)
-        e >>= 1
-    return result
-
-
-def _x_is_primitive(mod: list[int], p: int, group_order: int, prime_divs: list[int]) -> bool:
-    """True iff x generates the full unit group of GF(p)[x]/(mod).
-
-    An element of order p^m - 1 forces the quotient ring to be a field, so
-    this single test establishes both irreducibility and primitivity.
-    """
-    if mod[0] == 0:  # x divides mod, x is not a unit
-        return False
-    x = [0, 1]
-    if _poly_powmod(x, group_order, mod, p) != [1]:
-        return False
-    for ell in prime_divs:
-        if _poly_powmod(x, group_order // ell, mod, p) == [1]:
-            return False
-    return True
+def _powers_are_one(P: np.ndarray, e: int, p: int) -> np.ndarray:
+    """Whether P^e = I (e >= 1) for each matrix of a stack over GF(p), by
+    left-to-right square-and-multiply: one product and one reduction of the
+    whole stack per step."""
+    R = P
+    for bit in bin(e)[3:]:
+        R = R @ R % p
+        if bit == "1":
+            R = R @ P % p
+    return (R == np.eye(P.shape[-1], dtype=np.int64)).all(axis=(1, 2))
 
 
 def smallest_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic primitive polynomial of degree m.
 
     Candidates x^m + c_{m-1} x^{m-1} + ... + c_0 are ordered by the tuple
-    (c_{m-1}, ..., c_0).  Returned little-endian including the leading 1.
+    (c_{m-1}, ..., c_0), the base-p digits of their index, and tested
+    _SEARCH_BLOCK indices at a time as one stack of companion matrices P,
+    the maps v -> x v on coefficient vectors.  f is primitive iff x has
+    order N = p^m - 1 modulo f, that is P^N = I and P^(N/l) != I for each
+    prime l | N: an element of that order forces the quotient ring to be a
+    field.  Returned little-endian including the leading 1.
     """
     group_order = p**m - 1
     prime_divs = prime_factors(group_order)
-    for tail in itertools.product(range(p), repeat=m):
-        # tail = (c_{m-1}, ..., c_0)
-        coeffs = [tail[m - 1 - i] for i in range(m)] + [1]  # little-endian
-        if _x_is_primitive(coeffs, p, group_order, prime_divs):
-            return tuple(coeffs)
+    for start in range(0, p**m, _SEARCH_BLOCK):
+        index = np.arange(start, min(start + _SEARCH_BLOCK, p**m))
+        tails = index[:, None] // p ** np.arange(m) % p  # c_0 .. c_{m-1}
+        tails = tails[tails[:, 0] != 0]  # x | f: x is not a unit
+        P = np.broadcast_to(np.eye(m, k=1, dtype=np.int64),
+                            (len(tails), m, m)).copy()
+        P[:, m - 1] = -tails % p
+        keep = _powers_are_one(P, group_order, p)
+        for ell in prime_divs:
+            P, tails = P[keep], tails[keep]
+            keep = ~_powers_are_one(P, group_order // ell, p)
+        if keep.any():
+            return tuple(int(c) for c in tails[keep][0]) + (1,)
     raise RuntimeError(f"no primitive polynomial of degree {m} over GF({p})")
 
 
@@ -316,7 +297,8 @@ def build_field(p: int, m: int) -> FieldTable:
     n, step = order - 1, _BUILD_BLOCK
     log = np.full(order, ZERO, dtype=np.int32)
     for s in range(0, n, step):
-        log[exp[s:s + step]] = np.arange(s, min(s + step, n), dtype=np.int32)
+        np.put(log, exp[s:s + step],
+               np.arange(s, min(s + step, n), dtype=np.int32))
     if sum(np.count_nonzero(log[s:s + step] != ZERO)
            for s in range(0, order, step)) != n:
         raise RuntimeError("exp table is not a full multiplicative orbit")

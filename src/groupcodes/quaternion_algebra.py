@@ -29,9 +29,10 @@ from __future__ import annotations
 import math
 
 from .dihedral_algebra import (Block, Decomposition, PowerBasis, Slot,
-                               _assemble, _blocks, _check_maps, _pair_slot,
-                               _selfrec_slot, m2_antidiag, m2_diag,
-                               FIELD_SLOT, MAT_SLOT, EUCLIDEAN)
+                               _assemble, _blocks, _check_alphabet,
+                               _check_maps, _pair_slot, _selfrec_slot,
+                               m2_antidiag, m2_diag, FIELD_SLOT, MAT_SLOT,
+                               EUCLIDEAN)
 from .fields import (FieldTable, Subfield, build_field, mult_order,
                      solve_sum_of_squares, split_prime_power, sqrt_minus_one)
 from .polyfactor import (MINUS_ONE, SELF_RECIPROCAL, classify_euclidean,
@@ -129,6 +130,7 @@ def build_quaternion_decomposition(n: int, q: int) -> Decomposition:
             f"use the dihedral decomposition with n = {2 * n}")
     if math.gcd(p, n) != 1:
         raise ValueError(f"alphabet characteristic {p} divides the rotation order {n}")
+    _check_alphabet(q)
     _check_maps(4 * n, 4 * n, "block")
     F = build_field(p, e * math.lcm(mult_order(q, 2 * n), 2))
     alphabet = F.subfield(q)

@@ -4,13 +4,14 @@ definitions that several tests use and the package itself does not need."""
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
 from groupcodes import linalg
 from groupcodes.dihedral_algebra import FIELD_SLOT, slot_mul, slot_one
 from groupcodes.embeddings import to_elements
-from groupcodes.fields import ZERO, build_field
+from groupcodes.fields import ZERO, build_field, prime_factors
 from groupcodes.polyfactor import poly_mul
 
 
@@ -89,3 +90,46 @@ def product_of_factors(F, factors) -> tuple[int, ...]:
     for f in factors:
         poly = poly_mul(F, poly, f.coeffs)
     return poly
+
+
+def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    """a b modulo the monic mod over GF(p), little-endian coefficient
+    lists with trailing zeros dropped."""
+    m = len(mod) - 1
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            res[i + j] = (res[i + j] + ai * bj) % p
+    for i in range(len(res) - 1, m - 1, -1):
+        c, res[i] = res[i], 0
+        for j in range(m):
+            res[i - m + j] = (res[i - m + j] - c * mod[j]) % p
+    res = res[:m]
+    while len(res) > 1 and res[-1] == 0:
+        res.pop()
+    return res
+
+
+def _x_power_is_one(mod: list[int], e: int, p: int) -> bool:
+    """Whether x^e = 1 modulo mod, by right-to-left square-and-multiply."""
+    result, acc = [1], [0, 1]
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, acc, mod, p)
+        acc = _poly_mulmod(acc, acc, mod, p)
+        e >>= 1
+    return result == [1]
+
+
+def scalar_primitive_modulus(p: int, m: int) -> tuple[int, ...]:
+    """The smallest primitive modulus by the definition, one candidate at a
+    time in the order (c_{m-1}, ..., c_0): the first f with f(0) != 0 modulo
+    which x has order exactly p^m - 1."""
+    N = p**m - 1
+    exponents = [N // ell for ell in prime_factors(N)]
+    for tail in itertools.product(range(p), repeat=m):
+        mod = list(reversed(tail)) + [1]   # little-endian
+        if (mod[0] and _x_power_is_one(mod, N, p)
+                and not any(_x_power_is_one(mod, e, p) for e in exponents)):
+            return tuple(mod)
+    raise AssertionError(f"no primitive polynomial of degree {m} over GF({p})")

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from groupcodes import cli, linalg
+from groupcodes import dihedral_algebra as da
 from groupcodes import ideals_codes as ic
+from groupcodes import quaternion_algebra as qa
 from groupcodes import weights_quantum as wq
 
 from helpers import full_spec, zero_spec
@@ -658,6 +660,25 @@ def test_input_error_message(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--q", "15625", "--n", "2"),
+    ("count", "--q", "19683", "--n", "5", "--group", "quaternion")])
+def test_alphabet_past_the_tables_is_refused_first(capsys, monkeypatch, argv):
+    # GF(5^6) and GF(3^9) are past the dense index tables' 4096 elements:
+    # both builders refuse them before any field table is built
+    def no_field(p, m):
+        raise AssertionError(f"GF({p}^{m}) built")
+
+    monkeypatch.setattr(da, "build_field", no_field)
+    monkeypatch.setattr(qa, "build_field", no_field)
+    assert cli.main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: alphabet GF({argv[2]}) is over the 4096-element alphabet "
+        f"limit"]
 
 
 def test_internal_error_exit(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from groupcodes.fields import (
     MissingSubfieldError,
     Subfield,
     build_field,
+    is_prime,
     mult_order,
     smallest_primitive_modulus,
     solve_sum_of_squares,
@@ -30,7 +32,7 @@ from groupcodes.fields import (
     sqrt_minus_one,
 )
 
-from helpers import prime_coords, subfield
+from helpers import prime_coords, scalar_primitive_modulus, subfield
 
 # Conway-style "smallest" primitive moduli, frozen from an independent
 # brute-force search (sympy: minimal poly candidates filtered by
@@ -47,12 +49,34 @@ FROZEN_MODULI = {
     (5, 2): (2, 1, 1),
     (11, 1): (3, 1),           # root 8 generates GF(11)*
     (11, 6): (8, 2, 1, 0, 0, 0, 1),
+    # frozen from the one-candidate-at-a-time search (the scalar reference)
+    (13, 6): (2, 2, 1, 0, 0, 0, 1),
+    (5, 10): (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1),
+    (7, 8): (3, 1, 0, 0, 0, 0, 0, 0, 1),
+    (4093, 2): (2, 1, 1),
 }
 
 
 @pytest.mark.parametrize("p,m", sorted(FROZEN_MODULI))
 def test_smallest_primitive_modulus_frozen(p, m):
     assert smallest_primitive_modulus(p, m) == FROZEN_MODULI[(p, m)]
+
+
+_PRIMES = [p for p in range(2, 4096) if is_prime(p)]
+
+
+@pytest.mark.parametrize("cases", [
+    [(p, m) for p in _PRIMES if p < 256 for m in range(2, 17)
+     if p**m <= 2**16],
+    [(p, 1) for p in _PRIMES]], ids=["extensions", "prime_fields"])
+def test_stacked_search_matches_scalar_reference(cases):
+    # the companion-matrix stacks find the modulus the definition does,
+    # one candidate at a time: every p^m <= 2^16 with m >= 2 and p < 256,
+    # and every prime field of fewer than 4096 elements
+    for p, m in cases:
+        assert smallest_primitive_modulus(p, m) == \
+            scalar_primitive_modulus(p, m), (p, m)
 
 
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 4), (3, 1), (3, 2), (3, 4), (5, 2), (7, 2), (11, 1)])
@@ -80,6 +104,20 @@ def test_tables_built_by_blocks_match_whole_array_formulas(p, m):
     c0 = F.exp % p
     assert np.array_equal(F.log, log)
     assert np.array_equal(F.zech, log[F.exp - c0 + (c0 + 1) % p])
+
+
+def test_build_holds_little_beside_its_tables():
+    # built block by block, GF(11^6) peaks at its three tables (20.28 MiB)
+    # plus temporaries of at most 2 MiB
+    tracemalloc.start()
+    try:
+        F = build_field.__wrapped__(11, 6)   # uncached, so built here
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = sum(t.nbytes for t in (F.exp, F.log, F.zech))
+    assert tables > 20 * 2 ** 20
+    assert peak <= tables + 2 * 2 ** 20
 
 
 def int64_exp_table(p, m, modulus):

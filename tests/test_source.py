@@ -190,6 +190,23 @@ def test_one_block_builder_for_both_metrics():
         builder, "quaternion_algebra.py build_quaternion_decomposition"]
 
 
+def test_one_modulus_search():
+    """``fields.smallest_primitive_modulus`` is the package's one search for
+    a primitive modulus, and ``build_field`` its one caller: no module
+    defines a ``_poly_*`` helper or a second function named for
+    primitivity.  The scalar search is the tests' reference only."""
+    trees = _trees()
+    found = sorted(f"{name} {node.name}" for name, tree in trees.items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and (node.name.startswith("_poly_")
+                        or "primitive" in node.name))
+    assert found == ["fields.py smallest_primitive_modulus"], found
+    callers = [f"{name} {scope}" for name, tree in trees.items()
+               for scope in _calls_by_scope(tree, "smallest_primitive_modulus")]
+    assert callers == ["fields.py build_field"], callers
+
+
 def test_builders_take_block_order_from_classification():
     """Neither builder sorts: ``classify_euclidean`` and
     ``classify_hermitian`` return factor families in block order."""
