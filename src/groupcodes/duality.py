@@ -158,23 +158,38 @@ def is_self_orthogonal(dec: Decomposition, spec) -> tuple[bool, int | None]:
     return True, None
 
 
+def _inside(x, label) -> bool:
+    """Whether slot ideal x lies in the slot ideal named by a dual label."""
+    return x == "zero" or label == "full" or label == x
+
+
 def selforth_block_options(dec: Decomposition, block: Block) -> list[tuple]:
     """All self-orthogonal slot-ideal tuples for one block, in the order of
     the product of the slots' options.
 
     A dual label reads the ideal of one slot only, so each option's label
     is computed once: option x of slot j gives the label of the dual's
-    slot j, or of the other slot for a swapped kind.
+    slot j, or of the other slot for a swapped kind.  Without a swap each
+    slot is tested on its own.  With one, an option x of slot 0 whose
+    label is not "full" (every x but "zero") leaves slot 1 two options to
+    pair with, "zero" and that label, instead of all of them.
     """
     k, swap = len(block.slots), block.kind in _SWAPPED
     options = [[(x, _dual_label(dec, block, k - 1 - j if swap else j, x))
                 for x in slot_ideal_options(s)]
                for j, s in enumerate(block.slots)]
+    if not swap:
+        return list(itertools.product(
+            *[[x for x, label in opts if _inside(x, label)] for opts in options]))
+    labels = dict(options[1])
     out = []
-    for combo in itertools.product(*options):
-        ideals, labels = zip(*combo)
-        if spec_contains(labels[::-1] if swap else labels, ideals):
-            out.append(ideals)
+    for x, x_label in options[0]:
+        # the slot-1 options inside x_label, in slot 1's order ("zero" is
+        # its first option), each once though x_label may be "zero"
+        ys = (labels if x_label == "full" else
+              [y for y in dict.fromkeys(("zero", x_label)) if y in labels])
+        out.extend((x, y) for y in ys
+                   if _inside(x, labels[y]) and _inside(y, x_label))
     return out
 
 

@@ -8,9 +8,12 @@ needs.  A field element is a plain int:
 * ``k`` in ``[0, p^m - 2]`` is ``xi**k`` for the fixed primitive element
   ``xi`` (the class of ``x`` modulo the chosen modulus).
 
-Multiplication/inversion are exponent arithmetic; addition goes through a
-Zech-logarithm table (``1 + xi**k = xi**zech[k]``).  Subfields are viewed
-through :class:`Subfield`, which also carries dense numpy lookup tables so
+The field keeps two tables, ``exp`` and ``log``.  Multiplication and
+inversion are exponent arithmetic; addition goes through the Zech logarithm
+``log(1 + xi**k)``, which is computed when it is needed rather than stored:
+adding 1 to the packed vector ``exp[k]`` changes only its constant
+coefficient, so it is one ``log`` lookup.  Subfields are viewed through
+:class:`Subfield`, which also carries dense numpy lookup tables so
 code-level linear algebra can run on small integer indices instead of
 master-field logs.
 
@@ -32,7 +35,7 @@ import numpy as np
 
 ZERO = -1
 
-# Hard ceiling on master-field size: the exp/log/zech tables are O(p^m).
+# Hard ceiling on master-field size: the exp and log tables are O(p^m).
 DEFAULT_FIELD_BUDGET = 2**24
 # Hard ceiling on the cells of a group algebra's dense length x length
 # block maps (``Decomposition.mat`` and ``mat_inv``): length <= 4096.
@@ -150,15 +153,16 @@ class FieldTable:
     modulus : little-endian coefficients of the primitive modulus
     exp : numpy array, exp[k] = base-p packed coefficient vector of xi^k
     log : numpy array indexed by packed value; log[0] = ZERO
-    zech : numpy array, zech[k] = log(1 + xi^k) (ZERO where 1 + xi^k = 0)
 
-    The three tables are int32, since every entry is below the budget
+    The two tables are int32, since every entry is below the budget
     2^24; what they hand out is widened (``int`` here, int64 in
-    ``embeddings``), so products of element values cannot wrap.
+    ``embeddings``), so products of element values cannot wrap.  No Zech
+    table is kept: ``add`` computes the one Zech logarithm it needs from
+    ``exp`` and ``log``.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...],
-                 exp: np.ndarray, log: np.ndarray, zech: np.ndarray):
+                 exp: np.ndarray, log: np.ndarray):
         self.p = p
         self.m = m
         self.order = p**m
@@ -166,7 +170,6 @@ class FieldTable:
         self.modulus = modulus
         self.exp = exp
         self.log = log
-        self.zech = zech
         self.one = 0
         # a Subfield keeps its master alive, not the other way round, so
         # dropping the last reference frees the tables without a GC pass
@@ -187,10 +190,15 @@ class FieldTable:
             return a
         if a > b:
             a, b = b, a
-        z = self.zech[b - a]
+        # xi^a + xi^b = xi^a (1 + xi^(b-a)); adding 1 to the packed vector
+        # of xi^(b-a) steps its constant coefficient, from p - 1 round to 0
+        e = self.exp.item(b - a) + 1
+        if e % self.p == 0:
+            e -= self.p
+        z = self.log.item(e)
         if z == ZERO:
             return ZERO
-        return (a + int(z)) % self.mult_order
+        return (a + z) % self.mult_order
 
     def neg(self, a: int) -> int:
         if a == ZERO or self.p == 2:
@@ -292,8 +300,9 @@ def build_field(p: int, m: int) -> FieldTable:
     modulus = smallest_primitive_modulus(p, m)
     exp = _build_exp_table(p, m, modulus)
 
-    # block by block, so that beside its three tables a large field's
-    # build holds only temporaries of _BUILD_BLOCK entries
+    # block by block, so that beside its two tables a large field's build
+    # holds only temporaries of _BUILD_BLOCK entries; Zech logarithms are
+    # not tabulated, FieldTable.add and Subfield read them off exp and log
     n, step = order - 1, _BUILD_BLOCK
     log = np.full(order, ZERO, dtype=np.int32)
     for s in range(0, n, step):
@@ -302,15 +311,7 @@ def build_field(p: int, m: int) -> FieldTable:
     if sum(np.count_nonzero(log[s:s + step] != ZERO)
            for s in range(0, order, step)) != n:
         raise RuntimeError("exp table is not a full multiplicative orbit")
-
-    # zech[k] = log(1 + xi^k); adding 1 only touches the constant
-    # coefficient
-    zech = np.empty(n, dtype=np.int32)
-    for s in range(0, n, step):
-        packed = exp[s:s + step]
-        c0 = packed % p
-        zech[s:s + step] = log[packed - c0 + (c0 + 1) % p]
-    return FieldTable(p, m, modulus, exp, log, zech)
+    return FieldTable(p, m, modulus, exp, log)
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +450,16 @@ class Subfield:
     def _build_tables(self):
         """Exponent arithmetic on indices: gen^i gen^j = gen^(i+j), and
         gen^i + gen^j = gen^i (1 + gen^(j-i)) through the Zech logarithms."""
-        q = self.q
+        F, p, q = self.master, self.p, self.q
         if q > MAX_TABLE_ORDER:
             raise FieldBudgetError(f"subfield GF({q}) too large for dense index tables")
         m = q - 1
         e = np.arange(m, dtype=np.int16)  # index 1 + i stands for gen^i
-        # zech[d] = log_gen(1 + gen^d); ZERO // step stays -1
-        zech = (self.master.zech[::self.step] // self.step).astype(np.int16)
+        # zech[d] = log_gen(1 + gen^d): adding 1 to the packed vector of
+        # gen^d steps only its constant coefficient; ZERO // step stays -1
+        packed = F.exp[::self.step]
+        c0 = packed % p
+        zech = (F.log[packed - c0 + (c0 + 1) % p] // self.step).astype(np.int16)
         self.mul_t = np.zeros((q, q), dtype=np.int16)
         self.mul_t[1:, 1:] = (e[:, None] + e) % m + 1
         z = zech[(e - e[:, None]) % m]

@@ -102,10 +102,13 @@ def test_dual_block_on_every_label_tuple():
                 assert dual.count("zero") == ideals.count("full")
 
 
-@pytest.mark.parametrize("system", cli.VERIFY_MATRIX)
+@pytest.mark.parametrize("system", cli.VERIFY_MATRIX + (
+    (cli.DIHEDRAL, 21, 4, da.HERMITIAN), (cli.DIHEDRAL, 8, 9, da.HERMITIAN)))
 def test_selforth_block_options_match_dual_block(system):
-    # the walk that labels each slot option once against the route that
-    # dualises every combination of a block's slot options
+    # the walk that labels each slot option once, and pairs an option of a
+    # swapped block's first slot only with the second-slot options its label
+    # allows, against the route that dualises every combination of a
+    # block's slot options
     dec = cli.build_system(*system)
     for block in dec.blocks:
         options = [ic.slot_ideal_options(s) for s in block.slots]

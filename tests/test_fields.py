@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import tracemalloc
 import weakref
 
@@ -87,15 +88,15 @@ def test_tables_consistent(p, m):
     for k in range(N):
         assert F.log[F.exp[k]] == k
     assert F.log[0] == ZERO
-    # zech identity: 1 + xi^k == xi^zech[k]
+    # the Zech logarithms add computes: 1 + xi^k by coefficient arithmetic
     for k in range(N):
-        lhs = F.add(F.one, k)
-        assert lhs == (int(F.zech[k]) if F.zech[k] != ZERO else ZERO)
+        assert F.add(F.one, k) == _prime_poly_add(F, F.one, k)
 
 
 @pytest.mark.parametrize("p,m", [(2, 17), (3, 11), (11, 6)])
 def test_tables_built_by_blocks_match_whole_array_formulas(p, m):
-    # fields past one build block, the last block short or full
+    # fields past one build block, the last block short or full; the Zech
+    # logarithm add computes for every k against the whole-array formula
     F = build_field(p, m)
     n = F.mult_order
     assert n > _BUILD_BLOCK
@@ -103,20 +104,24 @@ def test_tables_built_by_blocks_match_whole_array_formulas(p, m):
     log[F.exp] = np.arange(n)
     c0 = F.exp % p
     assert np.array_equal(F.log, log)
-    assert np.array_equal(F.zech, log[F.exp - c0 + (c0 + 1) % p])
+    zech = np.fromiter(map(F.add, itertools.repeat(F.one), range(n)),
+                       dtype=np.int64, count=n)
+    assert np.array_equal(zech, log[F.exp - c0 + (c0 + 1) % p])
 
 
 def test_build_holds_little_beside_its_tables():
-    # built block by block, GF(11^6) peaks at its three tables (20.28 MiB)
-    # plus temporaries of at most 2 MiB
+    # built block by block, GF(11^6) peaks at its two tables, exp and log
+    # (13.52 MiB), plus temporaries of at most 2 MiB
     tracemalloc.start()
     try:
         F = build_field.__wrapped__(11, 6)   # uncached, so built here
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tables = sum(t.nbytes for t in (F.exp, F.log, F.zech))
-    assert tables > 20 * 2 ** 20
+    arrays = {k: v for k, v in vars(F).items() if isinstance(v, np.ndarray)}
+    assert sorted(arrays) == ["exp", "log"]
+    tables = sum(t.nbytes for t in arrays.values())
+    assert tables > 13.5 * 2 ** 20
     assert peak <= tables + 2 * 2 ** 20
 
 
@@ -154,7 +159,7 @@ def test_master_tables_are_int32_and_values_are_not():
     # element values read from them are int64, so exponent products like
     # F.pow's a * e (about 2^41 here) do not wrap
     F = build_field(11, 6)
-    assert [t.dtype for t in (F.exp, F.log, F.zech)] == [np.int32] * 3
+    assert [t.dtype for t in (F.exp, F.log)] == [np.int32] * 2
     basis = PowerBasis(F.subfield(11 ** 6), F.subfield(11))
     C = np.random.default_rng(6).integers(0, 11, (20, 6))
     x = to_elements(basis.alphabet, C, basis.to_digits).ravel()
@@ -178,6 +183,16 @@ def test_add_matches_coefficient_arithmetic(p, m):
     for a in elems:
         for b in elems:
             assert F.add(a, b) == _prime_poly_add(F, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(11, 6), (2, 17)]), st.data())
+def test_add_matches_coefficient_arithmetic_in_large_fields(pm, data):
+    # random pairs, zero and the ends of the exponent range included
+    F = build_field(*pm)
+    a, b = (data.draw(st.integers(ZERO, F.mult_order - 1)) for _ in range(2))
+    assert F.add(a, b) == _prime_poly_add(F, a, b)
+    assert F.add(a, F.neg(a)) == ZERO
 
 
 def test_field_axioms_gf9():
