@@ -6,7 +6,9 @@ blocks over extension fields, one block per closed family of irreducible
 factors of x^n - 1.  This module materialises that splitting: every block
 records the generator images, and the whole isomorphism is realised as an
 invertible (2n x 2n) matrix over the alphabet so elements can be pushed into
-block coordinates and pulled back.
+block coordinates and pulled back.  The matrix is inverted in closed form,
+by Fourier inversion, not by elimination; the build checks that the product
+of the two is the identity.
 
 Two modes:
 
@@ -230,9 +232,10 @@ class Decomposition:
 
     ``mat`` is the (length x length) alphabet matrix whose row g is the
     flattened block image of the group element with index g; ``mat_inv`` is
-    its inverse.  For a matrix U of element rows the flattened images are
-    the rows of U @ mat.  ``to_digits`` / ``from_digits`` map those images
-    to the digits of every slot entry and back (``embeddings.block_maps``).
+    its inverse, by Fourier inversion (``_fourier_inverse``).  For a matrix
+    U of element rows the flattened images are the rows of U @ mat.
+    ``to_digits`` / ``from_digits`` map those images to the digits of every
+    slot entry and back (``embeddings.block_maps``).
     """
 
     group: str
@@ -334,14 +337,76 @@ def _assemble(group: str, n: int, mode: str, q: int | None,
         a_powers.append([slot_mul(s, p, s.gen_a) for s, p in zip(slots, prev)])
     b_images = [[slot_mul(s, v, s.gen_b) for s, v in zip(slots, vals)]
                 for vals in a_powers]
-    rows = to_coords(alphabet, _entries(slots, a_powers + b_images),
-                     from_digits).astype(np.int32)
-    mat_inv = linalg.inverse(alphabet, rows)
+    mat = to_coords(alphabet, _entries(slots, a_powers + b_images),
+                    from_digits).astype(np.int32)
+    mat_inv = _fourier_inverse(alphabet, slots, shared,
+                               mat[_inverses(a_order, group)])
+    ident = np.eye(length, dtype=np.int32)  # index 1 is the element one
+    if not np.array_equal(linalg.matmul(alphabet, mat, mat_inv), ident):
+        raise AssertionError("the block map is not invertible: mat times "
+                             "its Fourier inverse is not the identity")
     return Decomposition(group=group, n=n, mode=mode, Q=alphabet.q, q=q,
                          F=alphabet.master, alphabet=alphabet,
                          blocks=tuple(blocks), a_order=a_order, length=length,
-                         mat=rows, mat_inv=mat_inv, to_digits=to_digits,
+                         mat=mat, mat_inv=mat_inv, to_digits=to_digits,
                          from_digits=from_digits)
+
+
+def _inverses(a_order: int, group: str) -> np.ndarray:
+    """The index of g^(-1) for each group index g: a^i -> a^(-i), and
+    a^i b -> a^i b in D_n, a^(i + n) b in Q_n, where (a^i b)^2 = a^n."""
+    i = np.arange(a_order)
+    twist = a_order // 2 if group == "quaternion" else 0
+    return np.concatenate([-i % a_order, a_order + (i + twist) % a_order])
+
+
+# the entry of y that each entry of x meets in theta(xy), for two values
+# x, y of a slot: theta(xy) is xy / 2 in a 1x1 slot, x0 y0 + x1 y1 in a c2
+# slot and the matrix trace x0 y0 + x1 y2 + x2 y1 + x3 y3 in a 2x2 slot
+_TRACE_PARTNER = {FIELD_SLOT: (0,), C2_SLOT: (0, 1), MAT_SLOT: (0, 2, 1, 3)}
+
+
+def _fourier_inverse(alphabet: Subfield, slots: list[Slot],
+                     bases: dict[Subfield, PowerBasis],
+                     mat_of_inverses: np.ndarray) -> np.ndarray:
+    """mat's inverse in closed form, by Fourier inversion, from the rows
+    of mat at the inverse group elements.
+
+    The identity coefficient of an element x is a linear form on its
+    block images: the sum over slots of Tr(theta(X)) / a_order, where X
+    is the slot's image, Tr the trace from its entry field to the
+    alphabet, and theta the matrix trace of a 2x2 slot, x0 of a c2 slot
+    and x / 2 of a 1x1 slot (Serre, Linear Representations of Finite
+    Groups, 6.2).  The coefficient of h in x is that of h^(-1) x, and
+    images multiply slot by slot, so mat_inv = B @ mat[inv].T with B
+    block diagonal: entry u of a slot takes its trace partner's rows of
+    mat[inv].T, times the trace form of its field's power basis and the
+    slot's scale.  One stacked product per distinct block field.
+    """
+    F, length = alphabet.master, len(mat_of_inverses)
+    a_order = length // 2
+    columns = mat_of_inverses.T
+    scale = {kind: alphabet.index(F.inv(F.from_prime_scalar(
+        a_order * (2 if kind == FIELD_SLOT else 1))))
+        for kind in {s.kind for s in slots}}
+    # per block field: the first rows of each entry's and of its
+    # partner's coordinates, and the entry's scale
+    plan: dict[Subfield, tuple[list, list, list]] = {}
+    for s in slots:
+        dst, src, w = plan.setdefault(s.field, ([], [], []))
+        d = s.basis.d
+        for u, v in enumerate(_TRACE_PARTNER[s.kind]):
+            dst.append(s.offset + u * d)
+            src.append(s.offset + v * d)
+            w.append(scale[s.kind])
+    mat_inv = np.empty_like(mat_of_inverses)
+    for field, (dst, src, w) in plan.items():
+        G = bases[field].trace_form
+        span = np.arange(len(G))
+        G = alphabet.mul(G, np.array(w)[:, None, None])
+        mat_inv[np.add.outer(dst, span)] = linalg.matmul(
+            alphabet, G, columns[np.add.outer(src, span)])
+    return mat_inv
 
 
 # ---------------------------------------------------------------------------

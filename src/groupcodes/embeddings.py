@@ -6,7 +6,9 @@ of K's generator tau by one GF(p)-linear change of basis, with no table
 over K: the packed coefficient vectors of beta_k tau^j (beta_k the
 alphabet's basis over GF(p), ``Subfield.coord_t``) are the rows of
 ``to_digits``, and one elimination inverts them on their pivot columns
-(``from_digits``), proving that the basis spans K.  ``block_maps`` joins
+(``from_digits``), proving that the basis spans K.  ``trace_form`` is the
+Gram matrix of the trace from K to the alphabet on that basis, which
+inverts a group algebra's block map in closed form.  ``block_maps`` joins
 the maps of many entries into one; ``to_elements`` and ``to_coords``
 apply it to many rows at once.
 """
@@ -57,6 +59,22 @@ class PowerBasis:
         out = np.zeros((m, n))
         out[list(pivots)] = A.coord_t.take(R[:, m:], axis=0)[..., 0]
         return out
+
+    @cached_property
+    def trace_form(self) -> np.ndarray:
+        """(d, d) alphabet indices: entry [i, j] is Tr(tau^(i + j)), the
+        trace from the block field to the alphabet.  A Hankel matrix, so
+        2d - 1 traces fill it, each a sum of d Frobenius images."""
+        F, Q, d = self.block.master, self.alphabet.q, self.d
+        traces = []
+        for k in range(2 * d - 1):
+            y, t = k * self.block.gen % F.mult_order, ZERO
+            for _ in range(d):
+                t = F.add(t, y)
+                y = y * Q % F.mult_order
+            traces.append(self.alphabet.index(t))
+        i = np.arange(d)
+        return np.array(traces, dtype=np.int16)[i[:, None] + i]
 
     def flatten(self, x) -> np.ndarray:
         """Alphabet indices, shape (..., d), of block-field elements x."""

@@ -252,19 +252,6 @@ def row_space_equal(sub: Subfield, A: np.ndarray, B: np.ndarray) -> bool:
     return Ra.shape == Rb.shape and bool((Ra == Rb).all())
 
 
-def inverse(sub: Subfield, A: np.ndarray) -> np.ndarray:
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("inverse of non-square matrix")
-    aug = np.zeros((n, 2 * n), dtype=A.dtype)
-    aug[:, :n] = A
-    aug[np.arange(n), n + np.arange(n)] = 1
-    R, pivots = rref(sub, aug)
-    if pivots[:n] != tuple(range(n)):
-        raise ValueError("matrix is singular")
-    return R[:, n:]
-
-
 def entrywise_pow(sub: Subfield, A: np.ndarray, e: int) -> np.ndarray:
     """Apply x -> x^e to every entry (e >= 1): gen^i -> gen^(i e)."""
     m = sub.q - 1

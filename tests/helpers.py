@@ -53,6 +53,21 @@ def rank(sub, A: np.ndarray) -> int:
     return len(linalg.rref(sub, A)[1])
 
 
+def reference_inverse(sub, A: np.ndarray) -> np.ndarray:
+    """A^(-1) by Gauss-Jordan elimination of [A | I], the reference for
+    the closed-form inverse of a decomposition's block map."""
+    n = A.shape[0]
+    if A.shape != (n, n):
+        raise ValueError("inverse of non-square matrix")
+    aug = np.zeros((n, 2 * n), dtype=A.dtype)
+    aug[:, :n] = A
+    aug[np.arange(n), n + np.arange(n)] = 1
+    R, pivots = linalg.rref(sub, aug)
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return R[:, n:]
+
+
 def prime_coords(F, a: int) -> tuple[int, ...]:
     """Coefficients of a over the prime-field power basis (length m)."""
     v = 0 if a == ZERO else int(F.exp[a])

@@ -267,18 +267,19 @@ def test_css_search_builds_each_code_once(capsys, monkeypatch):
 @pytest.mark.parametrize("command,records,rrefs", [
     # one stacked RREF for the codes of the 20 specs and of their duals
     # (one batch of 40), none in the searches, which take those RREFs,
-    # and three for the decomposition (the change of basis of each of its
-    # two block fields, GF(4) and GF(64), and the inverse of its matrix)
-    ("css-search", 20, 4),
+    # and two for the decomposition: the change of basis of each of its
+    # two block fields, GF(4) and GF(64).  Its matrix is inverted in
+    # closed form, so [mat | I] is no longer eliminated
+    ("css-search", 20, 3),
     # one stacked RREF per batch of codes (201 specs, 167 to a batch of
     # 2^15 // 14^2), two per batch holding a nonzero self-orthogonal record
     # (the witness of all 19 of them, in the first batch: the hermitian
-    # oracle's one and the nullspace's), three for the decomposition,
-    # 2 + 2 + 3
-    ("enumerate", 201, 7),
+    # oracle's one and the nullspace's), two for the decomposition,
+    # 2 + 2 + 2
+    ("enumerate", 201, 6),
     # the same over a file of the 201 specs; the hulls come from the
     # specs, so no dual code is built and no rank taken
-    ("classify", 201, 7),
+    ("classify", 201, 6),
 ])
 def test_rref_calls_per_run(capsys, monkeypatch, tmp_path, command, records,
                             rrefs):
@@ -303,6 +304,10 @@ def test_rref_calls_per_run(capsys, monkeypatch, tmp_path, command, records,
 
 
 def test_matmul_calls_per_run(capsys, monkeypatch):
+    # the decomposition's closed-form inverse: one stacked product per
+    # block field, GF(4) (the C2 slot's 2 entries, d = 1) and GF(64) (the
+    # 2x2 slot's 4 entries, d = 3), and the check that mat times it is
+    # the identity;
     # one rho_inv for the 10 codes (5 specs, each with its dual): the 51
     # basis rows of their distinct slot ideals (C2 slot: "full" 2 and "mid"
     # 1; the 2x2 slot over GF(64), d = 3: "e01" and seven row(lam), 6
@@ -320,7 +325,7 @@ def test_matmul_calls_per_run(capsys, monkeypatch):
     doc = run_json(capsys, "verify", "--q", "4", "--n", "7",
                    "--metric", "hermitian", "--limit", "5")
     assert doc["results"][0]["ok"]
-    assert calls == [(51, 14)] + [(5, 14)] * 3
+    assert calls == [(2, 1, 1), (4, 3, 3), (14, 14), (51, 14)] + [(5, 14)] * 3
 
 
 @pytest.mark.parametrize("command,records,tests", [
@@ -481,8 +486,9 @@ def test_verify_counts_wrong_duals(capsys, monkeypatch):
 def test_verify_rref_calls_per_system(capsys, monkeypatch, limit):
     # one stacked RREF for the codes of the specs and of their duals (one
     # batch), one in the oracle's nullspace of the codes (already reduced,
-    # so without elimination), one of the oracle's dual bases, and three
-    # for the decomposition: none per spec
+    # so without elimination), one of the oracle's dual bases, and two
+    # for the decomposition, one per block field (its matrix is inverted
+    # in closed form, without eliminating [mat | I]): none per spec
     calls = []
     original = linalg.rref
 
@@ -494,7 +500,7 @@ def test_verify_rref_calls_per_system(capsys, monkeypatch, limit):
     doc = run_json(capsys, "verify", "--q", "4", "--n", "7",
                    "--metric", "hermitian", "--limit", limit)
     assert doc["results"][0]["ok"]
-    assert len(calls) == 6
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("metric", ["euclidean", "hermitian"])
@@ -711,6 +717,31 @@ def test_bad_witness_exit(capsys, monkeypatch):
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "internal error: distance witness has the wrong weight"]
+
+
+def test_corrupted_block_map_exit(capsys, monkeypatch):
+    # b -> 1 in the 2x2 slot shrinks the slot's image to the polynomials
+    # in its rotation image, so mat is singular.  The closed-form inverse
+    # trusts the blocks; the check that mat times it is the identity
+    # fails, a broken invariant rather than a wrong inverse
+    original = da._assemble
+
+    def corrupted(group, n, mode, q, alphabet, blocks, a_order):
+        slot = blocks[-1].slots[0]
+        assert slot.kind == da.MAT_SLOT
+        slot.gen_b = da.slot_one(slot)
+        return original(group, n, mode, q, alphabet, blocks, a_order)
+
+    monkeypatch.setattr(da, "_assemble", corrupted)
+    with pytest.raises(AssertionError, match="not the identity"):
+        da.build_dihedral_decomposition(7, 4, da.HERMITIAN)
+    code = cli.main(["count", "--q", "4", "--n", "7", "--metric", "hermitian"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: the block map is not invertible: mat times its "
+        "Fourier inverse is not the identity"]
 
 
 @pytest.mark.parametrize("status,exit_code", [(wq.EXACT, 3),

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupcodes import dihedral_algebra as da
 from groupcodes import linalg, oracle
-from groupcodes.fields import ZERO
+from groupcodes import quaternion_algebra as qa
+from groupcodes.fields import ZERO, mult_order, split_prime_power
 
-from helpers import slot_pow, slot_zero
+from helpers import reference_inverse, slot_pow, slot_zero
 
 SYSTEMS = [(16, 9), (7, 4), (3, 25), (10, 9), (5, 9)]
 
@@ -220,5 +225,92 @@ def test_one_elimination_per_block_field(monkeypatch):
     dec = da.build_dihedral_decomposition(16, 9, da.HERMITIAN)
     fields = {s.field.q for s in dec.slots()}
     assert len(fields) < len(dec.blocks)  # blocks share their fields
-    # one change of basis per field, and the inverse of mat
-    assert len(calls) == len(fields) + 1
+    # one change of basis per field; mat_inv is Fourier inversion, so the
+    # elimination of [mat | I] that inverted mat is gone
+    assert len(calls) == len(fields)
+
+
+def test_long_algebra_has_no_length_wide_elimination(monkeypatch):
+    # GF(2)[D_255], length 510: only the changes of basis of its block
+    # fields are eliminated, each a few columns wide
+    calls = []
+    original = linalg.rref
+    monkeypatch.setattr(linalg, "rref",
+                        lambda sub, A: calls.append(A.shape) or original(sub, A))
+    dec = da.build_dihedral_decomposition(255, 2)
+    assert len(calls) == len({s.field.q for s in dec.slots()})
+    assert max(cols for *_, cols in calls) < dec.length
+
+
+# ---------------------------------------------------------------------------
+# the inverse block map
+
+
+def _master_order(group, n, Q):
+    p, e = split_prime_power(Q)
+    if group == "quaternion":
+        return p ** (e * math.lcm(mult_order(Q, 2 * n), 2))
+    return p ** (e * mult_order(Q, n))
+
+
+def _buildable(group, n, Q, mode):
+    p, e = split_prime_power(Q)
+    if math.gcd(p, n) != 1 or (mode == da.HERMITIAN and e % 2):
+        return False
+    if group == "quaternion" and (n < 2 or n % 2 == 0 or Q % 4 != 3):
+        return False
+    return _master_order(group, n, Q) <= 2 ** 16
+
+
+def _build(group, n, Q, mode):
+    if group == "quaternion":
+        return qa.build_quaternion_decomposition(n, Q)
+    return da.build_dihedral_decomposition(n, Q, mode)
+
+
+# ROADMAP item 12's systems: hermitian, euclidean, and Q_n, whose mode is
+# euclidean
+_NAMED = ([("dihedral", n, Q, da.HERMITIAN)
+           for n, Q in [(7, 4), (10, 9), (16, 9), (21, 4), (11, 25)]]
+          + [("dihedral", n, Q, da.EUCLIDEAN)
+             for n, Q in [(1, 3), (7, 2), (12, 5), (40, 7), (255, 2)]]
+          + [("quaternion", n, Q, da.EUCLIDEAN)
+             for n, Q in [(5, 3), (7, 11), (15, 23)]])
+
+
+def _with_named(test):
+    for system in reversed(_NAMED):
+        test = example(system=system)(test)
+    return test
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=st.tuples(st.sampled_from(["dihedral", "quaternion"]),
+                        st.integers(1, 24),
+                        st.sampled_from([2, 3, 4, 5, 7, 8, 9, 11, 16, 19,
+                                         23, 25, 27]),
+                        st.sampled_from([da.EUCLIDEAN, da.HERMITIAN]))
+       .filter(lambda system: _buildable(*system)))
+@_with_named
+def test_mat_inv_equals_the_elimination(system):
+    # the closed form against Gauss-Jordan on [mat | I], entry for entry:
+    # random draws of both groups and metrics, odd and even n, the c2
+    # blocks of characteristic 2 and Q_n over q = 3 (mod 4), with master
+    # fields of at most 2^16 elements; and the named systems, whatever
+    # their master fields
+    dec = _build(*system)
+    assert np.array_equal(dec.mat_inv, reference_inverse(dec.alphabet,
+                                                         dec.mat))
+
+
+@pytest.mark.parametrize("group,table", [
+    ("dihedral", oracle.dihedral_mul_table),
+    ("quaternion", oracle.quaternion_mul_table)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9])
+def test_inverses_by_index_arithmetic(group, table, n):
+    a_order = 2 * n if group == "quaternion" else n
+    mul = table(n)
+    inv = da._inverses(a_order, group)
+    g = np.arange(2 * a_order)
+    assert (mul[g, inv] == 0).all() and (mul[inv, g] == 0).all()
+
