@@ -36,13 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice
 
 import numpy as np
 
 from . import linalg, oracle
-from .embeddings import PowerBasis, block_maps, to_coords, to_elements
+from .embeddings import PowerBasis
 from .fields import (MAP_CELL_BUDGET, MAX_TABLE_ORDER, ZERO, FieldTable,
                      Subfield, build_field, mult_order, split_prime_power)
 from .polyfactor import (BOTH_FIXED, CONJ_FIXED, CROSS_FIXED, FREE,
@@ -234,8 +234,9 @@ class Decomposition:
     flattened block image of the group element with index g; ``mat_inv`` is
     its inverse, by Fourier inversion (``_fourier_inverse``).  For a matrix
     U of element rows the flattened images are the rows of U @ mat.
-    ``to_digits`` / ``from_digits`` map those images to the digits of every
-    slot entry and back (``embeddings.block_maps``).
+    ``by_field`` groups the slot entries by block field: each field's one
+    ``PowerBasis`` maps the flattened images of its entries to the entries
+    and back, one ``unflatten`` or ``flatten`` per field.
     """
 
     group: str
@@ -250,8 +251,7 @@ class Decomposition:
     length: int
     mat: np.ndarray
     mat_inv: np.ndarray
-    to_digits: np.ndarray
-    from_digits: np.ndarray
+    by_field: tuple[tuple, ...]
 
     def slots(self) -> list[Slot]:
         return [s for b in self.blocks for s in b.slots]
@@ -272,10 +272,13 @@ class Decomposition:
         is a row of U."""
         coords = linalg.matmul(self.alphabet, np.asarray(U, dtype=np.int32),
                                self.mat)
-        entries = to_elements(self.alphabet, coords, self.to_digits).tolist()
         slots = self.slots()
+        entries = np.empty((len(coords), sum(s.ncomp for s in slots)),
+                           dtype=np.int64)
+        for basis, _, pos, cols in self.by_field:
+            entries[:, pos] = basis.unflatten(coords[:, cols])
         return [[next(it) if s.kind == FIELD_SLOT else tuple(islice(it, s.ncomp))
-                 for s in slots] for it in map(iter, entries)]
+                 for s in slots] for it in map(iter, entries.tolist())]
 
     def rho_inv(self, values) -> np.ndarray:
         """Coefficient vectors, one row per element, of the elements with
@@ -283,23 +286,45 @@ class Decomposition:
         images: the rows of an alphabet-index array (r, length), in the
         coordinates of ``mat``'s rows."""
         if not isinstance(values, np.ndarray):
-            values = to_coords(self.alphabet, _entries(self.slots(), values),
-                               self.from_digits)
+            values = _flatten(self.by_field, self.slots(), values, self.length)
         return linalg.matmul(self.alphabet, values, self.mat_inv)
 
 
-def _entries(slots: list[Slot], values) -> list[list]:
-    """The block-field entries of per-slot values, one list per element."""
-    return [[c for s, v in zip(slots, vals)
-             for c in ((v,) if s.kind == FIELD_SLOT else v)] for vals in values]
+def _by_field(slots: list[Slot]) -> tuple[tuple, ...]:
+    """Per block field, in order of first appearance: its one power basis,
+    its entries (slot, component), their positions in an element's entry
+    list and their flattened coordinates, d a row."""
+    groups: dict[PowerBasis, list] = {}
+    entries = [(s, u) for s in slots for u in range(s.ncomp)]
+    for k, (s, _) in enumerate(entries):
+        groups.setdefault(s.basis, []).append(k)
+    return tuple((basis, [entries[k] for k in pos], np.array(pos),
+                  np.add.outer([entries[k][0].offset + entries[k][1] * basis.d
+                                for k in pos], np.arange(basis.d)))
+                 for basis, pos in groups.items())
 
 
-def _check_maps(rows: int, cols: int, what: str) -> None:
-    """Refuse, before they are built, a group algebra's dense rows x cols
-    ``what`` maps when they would exceed ``MAP_CELL_BUDGET`` cells."""
-    if rows * cols > MAP_CELL_BUDGET:
+def _flatten(by_field, slots: list[Slot], values, length: int) -> np.ndarray:
+    """The flattened images (r, length) of per-slot block values, one
+    ``flatten`` per block field."""
+    entries = np.array([[c for s, v in zip(slots, vals)
+                         for c in ((v,) if s.kind == FIELD_SLOT else v)]
+                        for vals in values], dtype=np.int64
+                       ).reshape(len(values), sum(s.ncomp for s in slots))
+    out = np.empty((len(values), length), dtype=np.int32)
+    for basis, _, pos, cols in by_field:
+        out[:, cols] = basis.flatten(entries[:, pos])
+    return out
+
+
+def _check_maps(length: int, e: int) -> None:
+    """Refuse, before any field is built, a group algebra whose block maps
+    ``linalg.matmul`` would expand to over ``MAP_CELL_BUDGET`` float64
+    cells, (length e)^2 for an alphabet of degree e."""
+    size = length * e
+    if size * size > MAP_CELL_BUDGET:
         raise ValueError(
-            f"the group algebra's {rows} x {cols} {what} maps exceed "
+            f"the group algebra's {size} x {size} block maps exceed "
             f"the budget of {MAP_CELL_BUDGET} cells")
 
 
@@ -324,22 +349,15 @@ def _assemble(group: str, n: int, mode: str, q: int | None,
         raise AssertionError(f"block widths sum to {offset}, expected {length}")
 
     slots = [s for b in blocks for s in b.slots]
-    _check_maps(length * alphabet.degree,
-                alphabet.master.m * sum(s.ncomp for s in slots), "digit")
-    # one change of basis per distinct block field
-    shared: dict[Subfield, PowerBasis] = {}
-    to_digits, from_digits = block_maps(
-        [shared.setdefault(s.field, s.basis) for s in slots
-         for _ in range(s.ncomp)])
+    by_field = _by_field(slots)
     a_powers: list[list] = [[slot_one(s) for s in slots]]
     for _ in range(1, a_order):
         prev = a_powers[-1]
         a_powers.append([slot_mul(s, p, s.gen_a) for s, p in zip(slots, prev)])
     b_images = [[slot_mul(s, v, s.gen_b) for s, v in zip(slots, vals)]
                 for vals in a_powers]
-    mat = to_coords(alphabet, _entries(slots, a_powers + b_images),
-                    from_digits).astype(np.int32)
-    mat_inv = _fourier_inverse(alphabet, slots, shared,
+    mat = _flatten(by_field, slots, a_powers + b_images, length)
+    mat_inv = _fourier_inverse(alphabet, by_field,
                                mat[_inverses(a_order, group)])
     ident = np.eye(length, dtype=np.int32)  # index 1 is the element one
     if not np.array_equal(linalg.matmul(alphabet, mat, mat_inv), ident):
@@ -348,8 +366,7 @@ def _assemble(group: str, n: int, mode: str, q: int | None,
     return Decomposition(group=group, n=n, mode=mode, Q=alphabet.q, q=q,
                          F=alphabet.master, alphabet=alphabet,
                          blocks=tuple(blocks), a_order=a_order, length=length,
-                         mat=mat, mat_inv=mat_inv, to_digits=to_digits,
-                         from_digits=from_digits)
+                         mat=mat, mat_inv=mat_inv, by_field=by_field)
 
 
 def _inverses(a_order: int, group: str) -> np.ndarray:
@@ -366,8 +383,7 @@ def _inverses(a_order: int, group: str) -> np.ndarray:
 _TRACE_PARTNER = {FIELD_SLOT: (0,), C2_SLOT: (0, 1), MAT_SLOT: (0, 2, 1, 3)}
 
 
-def _fourier_inverse(alphabet: Subfield, slots: list[Slot],
-                     bases: dict[Subfield, PowerBasis],
+def _fourier_inverse(alphabet: Subfield, by_field: tuple[tuple, ...],
                      mat_of_inverses: np.ndarray) -> np.ndarray:
     """mat's inverse in closed form, by Fourier inversion, from the rows
     of mat at the inverse group elements.
@@ -386,26 +402,16 @@ def _fourier_inverse(alphabet: Subfield, slots: list[Slot],
     F, length = alphabet.master, len(mat_of_inverses)
     a_order = length // 2
     columns = mat_of_inverses.T
-    scale = {kind: alphabet.index(F.inv(F.from_prime_scalar(
-        a_order * (2 if kind == FIELD_SLOT else 1))))
-        for kind in {s.kind for s in slots}}
-    # per block field: the first rows of each entry's and of its
-    # partner's coordinates, and the entry's scale
-    plan: dict[Subfield, tuple[list, list, list]] = {}
-    for s in slots:
-        dst, src, w = plan.setdefault(s.field, ([], [], []))
-        d = s.basis.d
-        for u, v in enumerate(_TRACE_PARTNER[s.kind]):
-            dst.append(s.offset + u * d)
-            src.append(s.offset + v * d)
-            w.append(scale[s.kind])
+    scale = cache(lambda kind: alphabet.index(F.inv(F.from_prime_scalar(
+        a_order * (2 if kind == FIELD_SLOT else 1)))))
     mat_inv = np.empty_like(mat_of_inverses)
-    for field, (dst, src, w) in plan.items():
-        G = bases[field].trace_form
-        span = np.arange(len(G))
-        G = alphabet.mul(G, np.array(w)[:, None, None])
-        mat_inv[np.add.outer(dst, span)] = linalg.matmul(
-            alphabet, G, columns[np.add.outer(src, span)])
+    for basis, entries, _, cols in by_field:
+        # each entry's scale, and how far its partner's coordinates lie
+        w = [scale(s.kind) for s, _ in entries]
+        shift = [(_TRACE_PARTNER[s.kind][u] - u) * basis.d for s, u in entries]
+        G = alphabet.mul(basis.trace_form, np.array(w)[:, None, None])
+        mat_inv[cols] = linalg.matmul(
+            alphabet, G, columns[cols + np.array(shift)[:, None]])
     return mat_inv
 
 
@@ -413,9 +419,17 @@ def _fourier_inverse(alphabet: Subfield, slots: list[Slot],
 # builders
 
 
-def _blocks(F: FieldTable, alphabet: Subfield, classes, q: int | None,
+def _power_bases(alphabet: Subfield):
+    """d -> the power basis of GF(Q^d) over the alphabet GF(Q), one object
+    per d, so that all slots over one block field share it."""
+    return cache(lambda d: PowerBasis(
+        alphabet.master.subfield(alphabet.q**d), alphabet))
+
+
+def _blocks(F: FieldTable, basis, classes, q: int | None,
             root_choices: dict | None) -> list[Block]:
-    """The blocks of the factor families ``classes``, in their order.
+    """The blocks of the factor families ``classes``, in their order,
+    with their slots' power bases from ``basis`` (``_power_bases``).
 
     One rule serves both metrics (Brochero Martinez, FFA 35, 2015), with
     Q = |alphabet| and r the degree of a family's representative: x -+ 1
@@ -427,25 +441,23 @@ def _blocks(F: FieldTable, alphabet: Subfield, classes, q: int | None,
     block is SELFREC or RECIP_PAIR.  The quaternion builder takes its
     rotation-side blocks from here.
     """
-    Q = alphabet.q
-    unit_basis = PowerBasis(alphabet, alphabet)
     blocks = []
     for cls in classes:
         if cls.kind in (ONE, MINUS_ONE, BOTH_FIXED):
             sign = F.one if cls.f.coset == (0,) else F.minus_one
-            blocks.append(_unit_block(F, unit_basis, cls.f, sign))
+            blocks.append(_unit_block(F, basis(1), cls.f, sign))
             continue
         alpha = _resolve_root(F, cls.members, root_choices)
         roots = ((alpha, F.pow(alpha, q)) if cls.kind in (RECIP_FIXED, FREE)
                  else (alpha,))
         data = {} if q is None else {"r": cls.degree}
         if cls.kind in (RECIPROCAL_PAIR, CONJ_FIXED, CROSS_FIXED, FREE):
-            basis = PowerBasis(F.subfield(Q**cls.degree), alphabet)
-            slots = tuple(_pair_slot(F, basis, x, F.one) for x in roots)
+            slots = tuple(_pair_slot(F, basis(cls.degree), x, F.one)
+                          for x in roots)
             kind = RECIP_PAIR
         else:  # SELF_RECIPROCAL or RECIP_FIXED
-            basis = PowerBasis(F.subfield(Q**(cls.degree // 2)), alphabet)
-            slots, made = zip(*(_selfrec_slot(F, basis, x, F.one)
+            half = basis(cls.degree // 2)
+            slots, made = zip(*(_selfrec_slot(F, half, x, F.one)
                                 for x in roots))
             data.update(made[0])
             if len(made) == 2:
@@ -478,7 +490,7 @@ def build_dihedral_decomposition(n: int, Q: int, mode: str = EUCLIDEAN, *,
             raise ValueError("hermitian mode needs a square alphabet size")
         q = p**(e // 2)
     _check_alphabet(Q)
-    _check_maps(2 * n, 2 * n, "block")
+    _check_maps(2 * n, e)
     order = mult_order(Q, n)
     m = e * order
     if master is not None:
@@ -491,5 +503,5 @@ def build_dihedral_decomposition(n: int, Q: int, mode: str = EUCLIDEAN, *,
     factors = factor_x_pow_n_minus_1(F, Q, n)
     classes = (classify_euclidean(factors) if q is None
                else classify_hermitian(factors, q))
-    blocks = _blocks(F, alphabet, classes, q, root_choices)
+    blocks = _blocks(F, _power_bases(alphabet), classes, q, root_choices)
     return _assemble("dihedral", n, mode, q, alphabet, blocks, n)

@@ -8,14 +8,13 @@ alphabet's basis over GF(p), ``Subfield.coord_t``) are the rows of
 ``to_digits``, and one elimination inverts them on their pivot columns
 (``from_digits``), proving that the basis spans K.  ``trace_form`` is the
 Gram matrix of the trace from K to the alphabet on that basis, which
-inverts a group algebra's block map in closed form.  ``block_maps`` joins
-the maps of many entries into one; ``to_elements`` and ``to_coords``
-apply it to many rows at once.
+inverts a group algebra's block map in closed form.  ``flatten`` and
+``unflatten`` apply the two maps to any number of entries at once, through
+``to_coords`` and ``to_elements``.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -45,7 +44,7 @@ class PowerBasis:
         beta = A.pack_t.take(_powers(A.p, A.degree).astype(np.intp))
         beta = beta.astype(np.int64)
         logs = (beta - 1) * A.step + np.arange(self.d)[:, None] * self.block.gen
-        return _quotients(F, logs.reshape(-1, 1) % F.mult_order)[..., 0] % F.p
+        return _quotients(F, logs.ravel() % F.mult_order) % F.p
 
     @cached_property
     def from_digits(self) -> np.ndarray:
@@ -78,24 +77,16 @@ class PowerBasis:
 
     def flatten(self, x) -> np.ndarray:
         """Alphabet indices, shape (..., d), of block-field elements x."""
-        x = np.asarray(x)
-        flat = to_coords(self.alphabet, x.reshape(-1, 1), self.from_digits)
+        x = np.asarray(x, dtype=np.int64)
+        flat = to_coords(self.alphabet, x.ravel(), self.from_digits)
         return flat.reshape(*x.shape, self.d)
 
-
-def block_maps(bases: list[PowerBasis]) -> tuple[np.ndarray, np.ndarray]:
-    """``to_digits`` and ``from_digits`` of k entries side by side: entry j
-    takes the next d_j coordinates, in ``bases[j]``, and the digit columns
-    j, j + k, ..., j + (m - 1) k."""
-    k, m = len(bases), bases[0].block.master.m
-    widths = [len(b.to_digits) for b in bases]
-    to_digits = np.zeros((sum(widths), m * k))
-    from_digits = to_digits.T.copy()
-    for j, (b, end) in enumerate(zip(bases, itertools.accumulate(widths))):
-        rows = slice(end - widths[j], end)
-        to_digits[rows, j::k] = b.to_digits
-        from_digits[j::k, rows] = b.from_digits
-    return to_digits, from_digits
+    def unflatten(self, coords) -> np.ndarray:
+        """Block-field elements, int64, with alphabet-index coordinates
+        coords (..., d): the inverse of ``flatten``."""
+        C = np.asarray(coords)
+        x = to_elements(self.alphabet, C.reshape(-1, self.d), self.to_digits)
+        return x.reshape(C.shape[:-1])
 
 
 @lru_cache(maxsize=None)
@@ -106,8 +97,8 @@ def _powers(p: int, k: int) -> np.ndarray:
 
 
 def _quotients(F, x: np.ndarray) -> np.ndarray:
-    """floor(v / p^i) for the packed vectors v of master elements x (r, k),
-    as float64 (r, m, k): digit i of v modulo p, so a linear map of the
+    """floor(v / p^i) for the packed vectors v of master elements x (r,),
+    as float64 (r, m): digit i of v modulo p, so a linear map of the
     digits mod p may take the quotients instead.
 
     The floor is exact: for v < 2^24 the correctly rounded quotient misses
@@ -115,25 +106,23 @@ def _quotients(F, x: np.ndarray) -> np.ndarray:
     integer-valued floats below 2^50 mod p rests on the same argument.
     """
     packed = np.where(x == ZERO, 0.0, F.exp[x])
-    return np.floor(packed[:, None, :] / _powers(F.p, F.m)[:, None])
+    return np.floor(packed[:, None] / _powers(F.p, F.m))
 
 
 def to_elements(alphabet: Subfield, C: np.ndarray, to_digits: np.ndarray) -> np.ndarray:
-    """Master elements (r, k), int64, with digits coords(C) @ to_digits
-    mod p, for alphabet indices C (r, n)."""
-    F, p, (n, mk) = alphabet.master, alphabet.p, to_digits.shape
+    """Master elements (r,), int64, with digits coords(C) @ to_digits
+    mod p, for alphabet indices C (r, d)."""
+    F, p, n = alphabet.master, alphabet.p, len(to_digits)
     digits = alphabet.coord_t.take(C, axis=0).reshape(len(C), n) @ to_digits
     digits -= p * np.floor(digits / p)
-    packed = _powers(p, F.m) @ digits.reshape(len(C), F.m, mk // F.m)
-    return F.log[packed.astype(np.intp)].astype(np.int64)
+    return F.log[(digits @ _powers(p, F.m)).astype(np.intp)].astype(np.int64)
 
 
-def to_coords(alphabet: Subfield, x, from_digits: np.ndarray) -> np.ndarray:
-    """Alphabet indices (r, n) with coordinates digits(x) @ from_digits mod
-    p, for master elements x (r, k)."""
-    F, p, e, (mk, n) = alphabet.master, alphabet.p, alphabet.degree, from_digits.shape
-    x = np.reshape(np.asarray(x, dtype=np.int64), (len(x), mk // F.m))
-    coords = _quotients(F, x).reshape(len(x), mk) @ from_digits
+def to_coords(alphabet: Subfield, x: np.ndarray, from_digits: np.ndarray) -> np.ndarray:
+    """Alphabet indices (r, d) with coordinates digits(x) @ from_digits mod
+    p, for master elements x (r,), int64."""
+    p, e, n = alphabet.p, alphabet.degree, from_digits.shape[1]
+    coords = _quotients(alphabet.master, x) @ from_digits
     coords -= p * np.floor(coords / p)
-    codes = coords.reshape(len(x), n // e, e) @ _powers(p, e)
+    codes = coords.reshape(len(coords), n // e, e) @ _powers(p, e)
     return alphabet.pack_t.take(codes.astype(np.intp))

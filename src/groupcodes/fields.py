@@ -37,8 +37,8 @@ ZERO = -1
 
 # Hard ceiling on master-field size: the exp and log tables are O(p^m).
 DEFAULT_FIELD_BUDGET = 2**24
-# Hard ceiling on the cells of a group algebra's dense length x length
-# block maps (``Decomposition.mat`` and ``mat_inv``): length <= 4096.
+# Hard ceiling on the (length e)^2 float64 cells that ``linalg.matmul`` makes
+# of the block maps ``mat`` and ``mat_inv`` over an alphabet of degree e.
 MAP_CELL_BUDGET = 2**24
 
 

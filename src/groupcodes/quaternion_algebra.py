@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 
-from .dihedral_algebra import (Block, Decomposition, PowerBasis, Slot,
-                               _assemble, _blocks, _check_alphabet,
-                               _check_maps, _pair_slot, _selfrec_slot,
+from .dihedral_algebra import (Block, Decomposition, Slot, _assemble,
+                               _blocks, _check_alphabet, _check_maps,
+                               _pair_slot, _power_bases, _selfrec_slot,
                                m2_antidiag, m2_diag, FIELD_SLOT, MAT_SLOT,
                                EUCLIDEAN)
 from .fields import (FieldTable, Subfield, build_field, mult_order,
@@ -79,23 +79,20 @@ def theta_map(F: FieldTable, half: Subfield, i: int, u: int, v: int, x):
             F.sub(x1, F.sub(F.mul(x2, u), F.mul(x4, v))))
 
 
-def _b_unit_block(F: FieldTable, alphabet: Subfield, factor, q: int) -> Block:
-    ext = F.subfield(q * q)
-    i = sqrt_minus_one(ext)
-    slot = Slot(FIELD_SLOT, PowerBasis(ext, alphabet), F.minus_one, i,
-                root=F.minus_one)
+def _b_unit_block(F: FieldTable, basis, factor) -> Block:
+    i = sqrt_minus_one(basis(2).block)
+    slot = Slot(FIELD_SLOT, basis(2), F.minus_one, i, root=F.minus_one)
     return Block(B_UNIT, (slot,), (factor,), {"i": i})
 
 
-def _b_selfrec_block(F: FieldTable, alphabet: Subfield, cls, q: int) -> Block:
+def _b_selfrec_block(F: FieldTable, basis, cls) -> Block:
     beta = cls.f.root
     s = cls.degree // 2
-    half = F.subfield(q**s)
-    basis = PowerBasis(half, alphabet)
-    i = sqrt_minus_one(F.subfield(q * q))
+    half = basis(s).block
+    i = sqrt_minus_one(basis(2).block)
     if s % 2 == 0:
         # i lies in the half field: the dihedral recipe with b -> i * swap
-        slot, data = _selfrec_slot(F, basis, beta, i)
+        slot, data = _selfrec_slot(F, basis(s), beta, i)
         return Block(B_SELFREC_SPLIT, (slot,), cls.members, {**data, "i": i})
     binv = F.inv(beta)
     t = F.add(beta, binv)
@@ -111,7 +108,7 @@ def _b_selfrec_block(F: FieldTable, alphabet: Subfield, cls, q: int) -> Block:
                 F.mul(c_half, v), F.sub(s_half, F.mul(c_half, u)))
     if gen_a != expect_a or gen_b != (F.neg(v), u, u, v):
         raise AssertionError("unexpected images in skew block")
-    slot = Slot(MAT_SLOT, basis, gen_a, gen_b, root=beta)
+    slot = Slot(MAT_SLOT, basis(s), gen_a, gen_b, root=beta)
     return Block(B_SELFREC_SKEW, (slot,), cls.members,
                  {"t": t, "i": i, "u": u, "v": v})
 
@@ -131,20 +128,20 @@ def build_quaternion_decomposition(n: int, q: int) -> Decomposition:
     if math.gcd(p, n) != 1:
         raise ValueError(f"alphabet characteristic {p} divides the rotation order {n}")
     _check_alphabet(q)
-    _check_maps(4 * n, 4 * n, "block")
+    _check_maps(4 * n, e)
     F = build_field(p, e * math.lcm(mult_order(q, 2 * n), 2))
     alphabet = F.subfield(q)
+    basis = _power_bases(alphabet)
 
-    blocks = _blocks(F, alphabet,
+    blocks = _blocks(F, basis,
                      classify_euclidean(factor_x_pow_n_minus_1(F, q, n)),
                      None, None)
     for cls in classify_euclidean(factor_x_pow_n_plus_1(F, q, n)):
         if cls.kind == MINUS_ONE:
-            blocks.append(_b_unit_block(F, alphabet, cls.f, q))
+            blocks.append(_b_unit_block(F, basis, cls.f))
         elif cls.kind == SELF_RECIPROCAL:
-            blocks.append(_b_selfrec_block(F, alphabet, cls, q))
+            blocks.append(_b_selfrec_block(F, basis, cls))
         else:  # x - 1 cannot divide x^n + 1: the rest are reciprocal pairs
-            basis = PowerBasis(F.subfield(q**cls.degree), alphabet)
-            slot = _pair_slot(F, basis, cls.f.root, F.minus_one)
+            slot = _pair_slot(F, basis(cls.degree), cls.f.root, F.minus_one)
             blocks.append(Block(B_PAIR, (slot,), cls.members))
     return _assemble("quaternion", n, EUCLIDEAN, None, alphabet, blocks, 2 * n)

@@ -10,7 +10,6 @@ import numpy as np
 
 from groupcodes import linalg
 from groupcodes.dihedral_algebra import FIELD_SLOT, slot_mul, slot_one
-from groupcodes.embeddings import to_elements
 from groupcodes.fields import ZERO, build_field, prime_factors
 from groupcodes.polyfactor import poly_mul
 
@@ -33,6 +32,13 @@ def full_spec(dec) -> tuple:
 
 def slot_zero(slot):
     return ZERO if slot.kind == FIELD_SLOT else (ZERO,) * slot.ncomp
+
+
+def random_slot_value(slot, rng):
+    """A random value of a slot: each entry uniform in its block field."""
+    entries = tuple(slot.field.element(int(i))
+                    for i in rng.integers(0, slot.field.q, slot.ncomp))
+    return entries[0] if slot.kind == FIELD_SLOT else entries
 
 
 def slot_pow(slot, x, e: int):
@@ -76,13 +82,6 @@ def prime_coords(F, a: int) -> tuple[int, ...]:
         out.append(v % F.p)
         v //= F.p
     return tuple(out)
-
-
-def unflatten(basis, coords) -> np.ndarray:
-    """Block-field elements with the given alphabet-index coordinates."""
-    C = np.asarray(coords)
-    return to_elements(basis.alphabet, C.reshape(-1, basis.d),
-                       basis.to_digits).reshape(C.shape[:-1])
 
 
 def reciprocal_poly(F, f: tuple[int, ...]) -> tuple[int, ...]:

@@ -634,8 +634,8 @@ UNREAD_FLAGS = [
     # GF(2)[D_2097151] is under the field budget, but its block maps
     # would take 2^44 cells each
     ("count", "--q", "2", "--n", "2097151"),
-    # block maps within budget, but digit maps of 1,073,217,600 and
-    # 285,012,000 cells: refused before either is built
+    # linalg.matmul would expand their length 2,730 block maps to
+    # 32,760^2 and 16,380^2 float64 cells: refused before any field
     ("count", "--q", "4096", "--n", "1365"),
     ("count", "--q", "64", "--n", "1365"),
 ])
@@ -656,7 +656,7 @@ def test_error_exits(capsys, argv):
      "the group algebra's 4100 x 4100 block maps exceed the budget of "
      "16777216 cells"),
     (("count", "--q", "64", "--n", "1365"),
-     "the group algebra's 16380 x 17400 digit maps exceed the budget of "
+     "the group algebra's 16380 x 16380 block maps exceed the budget of "
      "16777216 cells"),
 ])
 def test_input_error_message(capsys, argv, message):
@@ -668,12 +668,27 @@ def test_input_error_message(capsys, argv, message):
     assert captured.err.splitlines() == [f"error: {message}"]
 
 
-@pytest.mark.parametrize("argv", [
-    ("count", "--q", "15625", "--n", "2"),
-    ("count", "--q", "19683", "--n", "5", "--group", "quaternion")])
+_REFUSED_FIRST = {
+    # GF(5^6) and GF(3^9) are past the dense index tables' 4096 elements
+    ("count", "--q", "15625", "--n", "2"):
+        "alphabet GF(15625) is over the 4096-element alphabet limit",
+    ("count", "--q", "19683", "--n", "5", "--group", "quaternion"):
+        "alphabet GF(19683) is over the 4096-element alphabet limit",
+    # the length 2,730 block maps of D_1365 over GF(2^12) and GF(2^6),
+    # expanded by linalg.matmul, are over the cell budget
+    ("count", "--q", "4096", "--n", "1365"):
+        "the group algebra's 32760 x 32760 block maps exceed the budget of "
+        "16777216 cells",
+    ("count", "--q", "64", "--n", "1365"):
+        "the group algebra's 16380 x 16380 block maps exceed the budget of "
+        "16777216 cells",
+}
+
+
+@pytest.mark.parametrize("argv", list(_REFUSED_FIRST))
 def test_alphabet_past_the_tables_is_refused_first(capsys, monkeypatch, argv):
-    # GF(5^6) and GF(3^9) are past the dense index tables' 4096 elements:
-    # both builders refuse them before any field table is built
+    # both builders refuse these systems before any field table is built,
+    # each with its one message
     def no_field(p, m):
         raise AssertionError(f"GF({p}^{m}) built")
 
@@ -682,9 +697,7 @@ def test_alphabet_past_the_tables_is_refused_first(capsys, monkeypatch, argv):
     assert cli.main(list(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [
-        f"error: alphabet GF({argv[2]}) is over the 4096-element alphabet "
-        f"limit"]
+    assert captured.err.splitlines() == [f"error: {_REFUSED_FIRST[argv]}"]
 
 
 def test_internal_error_exit(capsys, monkeypatch):

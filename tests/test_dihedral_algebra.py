@@ -14,7 +14,8 @@ from groupcodes import linalg, oracle
 from groupcodes import quaternion_algebra as qa
 from groupcodes.fields import ZERO, mult_order, split_prime_power
 
-from helpers import reference_inverse, slot_pow, slot_zero
+from helpers import (random_slot_value, reference_inverse, slot_pow,
+                     slot_zero)
 
 SYSTEMS = [(16, 9), (7, 4), (3, 25), (10, 9), (5, 9)]
 
@@ -182,12 +183,6 @@ def test_selfrec_block_data():
         assert not b.slots[0].field.contains(alpha)
 
 
-def _random_slot_value(s, rng):
-    entries = tuple(s.field.element(int(i))
-                    for i in rng.integers(0, s.field.q, s.ncomp))
-    return entries[0] if s.kind == da.FIELD_SLOT else entries
-
-
 def test_slot_flatten_round_trip():
     # rho o rho_inv on random values of every slot, and rho_inv o rho on
     # the elements they give; the systems hold field, c2 and 2x2 slots
@@ -197,7 +192,7 @@ def test_slot_flatten_round_trip():
                        (10, 9, da.EUCLIDEAN), (3, 25, da.HERMITIAN)]:
         dec = dec_for(n, Q, mode)
         kinds |= {s.kind for s in dec.slots()}
-        values = [[_random_slot_value(s, rng) for s in dec.slots()]
+        values = [[random_slot_value(s, rng) for s in dec.slots()]
                   for _ in range(6)]
         U = dec.rho_inv(values)
         assert dec.rho(U) == values
@@ -228,6 +223,35 @@ def test_one_elimination_per_block_field(monkeypatch):
     # one change of basis per field; mat_inv is Fourier inversion, so the
     # elimination of [mat | I] that inverted mat is gone
     assert len(calls) == len(fields)
+
+
+@pytest.mark.parametrize("build,fields", [
+    (lambda: dec_for(16, 9, da.HERMITIAN), [9, 81]),
+    (lambda: qa.build_quaternion_decomposition(7, 11), [11, 1331, 121])])
+def test_one_power_basis_per_block_field(build, fields):
+    # every slot over a block field holds that field's one PowerBasis, on
+    # both sides of Q_7, and the per-field grouping reads exactly those
+    dec = build()
+    bases = {s.field: s.basis for s in dec.slots()}
+    assert [K.q for K in bases] == fields
+    assert all(s.basis is bases[s.field] for s in dec.slots())
+    assert [basis for basis, *_ in dec.by_field] == list(bases.values())
+
+
+@pytest.mark.parametrize("length,e,refused", [
+    (4094, 1, False),   # GF(2)[D_2047]: 16,760,836 cells
+    (510, 8, False),    # GF(256)[D_255]: 4080^2 = 16,646,400 cells
+    (2048, 2, False),   # 4096^2, the budget itself
+    (4100, 1, True),    # GF(7)[Q_1025]
+    (2730, 6, True),    # GF(64)[D_1365]
+    (2730, 12, True)])  # GF(4096)[D_1365]
+def test_check_maps_at_the_budget_edge(length, e, refused):
+    if refused:
+        with pytest.raises(ValueError, match=f"{length * e} x {length * e} "
+                           f"block maps exceed the budget of 16777216"):
+            da._check_maps(length, e)
+    else:
+        da._check_maps(length, e)
 
 
 def test_long_algebra_has_no_length_wide_elimination(monkeypatch):
@@ -297,10 +321,17 @@ def test_mat_inv_equals_the_elimination(system):
     # random draws of both groups and metrics, odd and even n, the c2
     # blocks of characteristic 2 and Q_n over q = 3 (mod 4), with master
     # fields of at most 2^16 elements; and the named systems, whatever
-    # their master fields
+    # their master fields.  mat itself against its layout: row i (and
+    # a_order + i) holds, slot by slot, the slot's own flatten of a^i (and
+    # of a^i b) in its ring
     dec = _build(*system)
     assert np.array_equal(dec.mat_inv, reference_inverse(dec.alphabet,
                                                          dec.mat))
+    for s in dec.slots():
+        a_pow = [slot_pow(s, s.gen_a, i) for i in range(dec.a_order)]
+        images = a_pow + [da.slot_mul(s, x, s.gen_b) for x in a_pow]
+        flat = s.basis.flatten(images).reshape(dec.length, s.width)
+        assert np.array_equal(dec.mat[:, s.offset:s.offset + s.width], flat)
 
 
 @pytest.mark.parametrize("group,table", [

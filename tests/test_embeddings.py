@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from groupcodes.embeddings import PowerBasis
 from groupcodes.fields import ZERO, Subfield, build_field
 
-from helpers import unflatten
-
 
 @pytest.mark.parametrize("p,m,blk,alpha", [
     (3, 4, 81, 9),    # GF(81) over GF(9)
@@ -27,7 +25,7 @@ def test_round_trip_and_linearity(p, m, blk, alpha):
     xs = np.array(list(basis.block.elements()))
     coords = basis.flatten(xs)
     assert coords.shape == (blk, basis.d)
-    assert np.array_equal(unflatten(basis, coords), xs)
+    assert np.array_equal(basis.unflatten(coords), xs)
     assert len({tuple(c) for c in coords.tolist()}) == blk
     # flatten is additive
     a, b = int(xs[1 % len(xs)]), int(xs[len(xs) // 2])
@@ -50,7 +48,7 @@ def test_zero_flattens_to_zero():
     F = build_field(2, 6)
     basis = PowerBasis(F.subfield(64), F.subfield(4))
     assert basis.flatten(ZERO).tolist() == [0, 0, 0]
-    assert unflatten(basis, [0, 0, 0]) == ZERO
+    assert basis.unflatten([0, 0, 0]) == ZERO
 
 
 def test_mismatched_pair_rejected():
@@ -94,7 +92,7 @@ def test_flatten_matches_scalar_definition(pair, seed):
     coords[0] = 0
     xs = [_scalar_unflatten(basis, c) for c in coords]
     assert xs[0] == ZERO
-    assert unflatten(basis, coords).tolist() == xs
+    assert basis.unflatten(coords).tolist() == xs
     assert np.array_equal(basis.flatten(xs), coords)
     # random block elements go round the scalar definition
     ys = [K.element(int(i)) for i in rng.integers(0, K.q, 4)]

@@ -12,7 +12,7 @@ from groupcodes import quaternion_algebra as qa
 from groupcodes import oracle
 from groupcodes.fields import ZERO, sqrt_minus_one
 
-from helpers import slot_pow
+from helpers import random_slot_value, slot_pow
 
 _cache: dict = {}
 
@@ -116,6 +116,9 @@ def test_round_trip(n, q):
     rng = np.random.default_rng(3 * n + q)
     U = rng.integers(0, q, (5, dec.length)).astype(np.int32)
     assert np.array_equal(dec.rho_inv(dec.rho(U)), U)
+    values = [[random_slot_value(s, rng) for s in dec.slots()]
+              for _ in range(5)]
+    assert dec.rho(dec.rho_inv(values)) == values
 
 
 # ---------------------------------------------------------------------------

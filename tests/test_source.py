@@ -190,6 +190,30 @@ def test_one_block_builder_for_both_metrics():
         builder, "quaternion_algebra.py build_quaternion_decomposition"]
 
 
+def test_entries_meet_coordinates_in_one_place():
+    """Block entries and alphabet coordinates meet only in ``PowerBasis``:
+    ``embeddings.to_coords`` and ``to_elements`` are called in its
+    ``flatten`` and ``unflatten`` alone, one block field at a time, and its
+    digit maps are read in ``embeddings`` only.  No map of many entries at
+    once (``block_maps``) is defined or read."""
+    trees = _trees()
+    found = sorted(f"{name} {scope}" for name, tree in trees.items()
+                   for attr in ("to_coords", "to_elements")
+                   for scope in _calls_by_scope(tree, attr))
+    assert found == ["embeddings.py PowerBasis.flatten",
+                     "embeddings.py PowerBasis.unflatten"], found
+    digits = sorted({name for name, tree in trees.items()
+                     for _, read in _reads(tree)
+                     if read in ("to_digits", "from_digits")})
+    assert digits == ["embeddings.py"], digits
+    dense = [f"{name}:{getattr(node, 'lineno', 0)}"
+             for name, tree in trees.items() for node in ast.walk(tree)
+             if "block_maps" in (getattr(node, "name", None),
+                                 getattr(node, "id", None),
+                                 getattr(node, "attr", None))]
+    assert not dense, dense
+
+
 def test_one_modulus_search():
     """``fields.smallest_primitive_modulus`` is the package's one search for
     a primitive modulus, and ``build_field`` its one caller: no module
