@@ -250,15 +250,24 @@ class FieldTable:
         return sf
 
 
+def _single_exact(p: int, m: int) -> bool:
+    """Whether ``_build_exp_table``'s block values all lie below 2^24."""
+    return m * (p - 1) ** 2 < 2 ** 24 and p**m <= 2 ** 24
+
+
 def _build_exp_table(p: int, m: int, modulus: tuple[int, ...]) -> np.ndarray:
     """Packed coefficient vectors of xi^k for k = 0..p^m-2.
 
     Multiplication by x is a linear map A on coefficient vectors.  The orbit
     of 1 is doubled up to 4096 states, each doubling one product by
-    A^(states so far); then whole blocks follow, one product by A^4096 each.
-    The blocks, which are the work for a large field, take float64 products,
-    so they go to BLAS; they are exact, since every sum is below
-    m (p - 1)^2 and every packed value below p^m.
+    A^(states so far); then whole blocks follow, one product by A^4096 each,
+    on BLAS in float32 where ``_single_exact`` holds and in float64
+    otherwise.  Either is exact: every product sum, partial sum and packed
+    value is a non-negative integer of at most m (p - 1)^2 or p^m - 1, so
+    below 2^24 (resp. 2^53 under the field budget), whatever the order of
+    summation; and the quotient by p, correctly rounded, lies at least 1/p
+    below the next integer, over half the float spacing there, so ``floor``
+    gives the exact quotient.
     """
     n = p**m - 1
     # A[j, i]: contribution of old coeff j to new coeff i under v -> x*v
@@ -268,14 +277,15 @@ def _build_exp_table(p: int, m: int, modulus: tuple[int, ...]) -> np.ndarray:
     while len(states) < min(n, 4096):
         states = np.vstack([states, states @ A % p])
         A = A @ A % p
-    states, A = states.astype(np.float64), A.astype(np.float64)
-    weights = float(p) ** np.arange(m)
+    dtype = np.float32 if _single_exact(p, m) else np.float64
+    states, A = states.astype(dtype), A.astype(dtype)
+    weights = (p ** np.arange(m)).astype(dtype)
     exp = np.empty(n, dtype=np.int32)
     for pos in range(0, n, len(states)):
         take = min(len(states), n - pos)
         exp[pos:pos + take] = states[:take] @ weights
         states = states @ A
-        # states mod p; float64 % takes about three times as long
+        # states mod p, by the exact floor of the quotient
         states -= p * np.floor(states / p)
     return exp
 

@@ -21,6 +21,7 @@ from groupcodes.fields import (
     _COORD_TABLES,
     _TABLES,
     _build_exp_table,
+    _single_exact,
     FieldBudgetError,
     MissingSubfieldError,
     Subfield,
@@ -127,7 +128,8 @@ def test_build_holds_little_beside_its_tables():
 
 def int64_exp_table(p, m, modulus):
     """The exp table by the same doubling and blocks in int64 products,
-    which numpy computes without BLAS: the reference for the float64 ones."""
+    which numpy computes without BLAS: the reference for the blocks in
+    either precision, float32 or float64."""
     n = p**m - 1
     A = np.eye(m, k=1, dtype=np.int64)
     A[m - 1] = [(-c) % p for c in modulus[:m]]
@@ -144,10 +146,16 @@ def int64_exp_table(p, m, modulus):
     return exp
 
 
+# besides small fields: the verify matrix's master GF(11^6); GF(2897^2),
+# the largest p with m = 2 in float32, whose product sums reach
+# 2 * 2896^2 = 16,773,632 < 2^24; and GF(2903^2), the next prime, whose
+# sums reach 2 * 2902^2 = 16,843,208 and so stay in float64
 @pytest.mark.parametrize("p,m", [(2, k) for k in range(1, 17)]
                          + [(3, k) for k in range(1, 12)]
-                         + [(5, 7), (7, 5), (11, 4), (13, 3)])
+                         + [(5, 7), (7, 5), (11, 4), (13, 3)]
+                         + [(11, 6), (2897, 2), (2903, 2)])
 def test_exp_table_matches_int64_products(p, m):
+    assert _single_exact(p, m) == ((p, m) != (2903, 2))
     modulus = smallest_primitive_modulus(p, m)
     exp = _build_exp_table(p, m, modulus)
     assert exp.dtype == np.int32

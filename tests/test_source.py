@@ -231,6 +231,25 @@ def test_one_modulus_search():
     assert callers == ["fields.py build_field"], callers
 
 
+def test_single_precision_only_where_it_is_exact():
+    """``float32`` appears only in ``fields._build_exp_table``, whose
+    docstring bounds every value its blocks make below 2^24: single
+    precision goes only where a stated bound makes it exact."""
+    found = []
+    for path in SOURCES:
+        text = path.read_text()
+        spared = set()
+        if path.name == "fields.py":
+            fn, = [node for node in ast.parse(text).body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_build_exp_table"]
+            spared = set(range(fn.lineno, fn.end_lineno + 1))
+        found += [f"{path.name}:{i}"
+                  for i, line in enumerate(text.splitlines(), 1)
+                  if "float32" in line and i not in spared]
+    assert not found, found
+
+
 def test_builders_take_block_order_from_classification():
     """Neither builder sorts: ``classify_euclidean`` and
     ``classify_hermitian`` return factor families in block order."""
