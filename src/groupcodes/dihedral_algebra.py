@@ -7,8 +7,15 @@ factors of x^n - 1.  This module materialises that splitting: every block
 records the generator images, and the whole isomorphism is realised as an
 invertible (2n x 2n) matrix over the alphabet so elements can be pushed into
 block coordinates and pulled back.  The matrix is inverted in closed form,
-by Fourier inversion, not by elimination; the build checks that the product
-of the two is the identity.
+by Fourier inversion, not by elimination.
+
+Every build, of either group, checks per slot that its generator images
+have their entries in the slot's field, satisfy the group's relations and
+have the slot's root as an eigenvalue of the a-image, and then that the
+matrix times its inverse is the identity.  Images that satisfy the
+relations extend to an algebra map into the slots; the identity makes it
+a bijection, so the map is an algebra isomorphism with each slot on its
+own root.
 
 Two modes:
 
@@ -77,7 +84,7 @@ class Slot:
     basis: PowerBasis        # entry field over the alphabet
     gen_a: object            # image of the rotation a
     gen_b: object            # image of the reflection b
-    root: int | None = None  # eigenvalue of a attached to this slot
+    root: int                # eigenvalue of a attached to this slot
     offset: int = 0          # first flattened coordinate
 
     @cached_property
@@ -100,6 +107,11 @@ def slot_one(slot: Slot):
     return (one, ZERO) if slot.kind == C2_SLOT else (one, ZERO, ZERO, one)
 
 
+def slot_entries(slot: Slot, x) -> tuple:
+    """The block-field entries of a slot value."""
+    return (x,) if slot.kind == FIELD_SLOT else x
+
+
 def slot_mul(slot: Slot, x, y):
     F = slot.basis.block.master
     if slot.kind == FIELD_SLOT:
@@ -120,32 +132,6 @@ def m2_mul(F: FieldTable, x, y):
             F.add(F.mul(x[0], y[1]), F.mul(x[1], y[3])),
             F.add(F.mul(x[2], y[0]), F.mul(x[3], y[2])),
             F.add(F.mul(x[2], y[1]), F.mul(x[3], y[3])))
-
-
-def m2_det(F: FieldTable, x) -> int:
-    return F.sub(F.mul(x[0], x[3]), F.mul(x[1], x[2]))
-
-
-def m2_inv(F: FieldTable, x):
-    d = m2_det(F, x)
-    if d == ZERO:
-        raise ZeroDivisionError("singular 2x2 matrix")
-    di = F.inv(d)
-    return (F.mul(di, x[3]), F.mul(di, F.neg(x[1])),
-            F.mul(di, F.neg(x[2])), F.mul(di, x[0]))
-
-
-def m2_diag(a: int, d: int):
-    return (a, ZERO, ZERO, d)
-
-
-def m2_antidiag(b: int, c: int):
-    return (ZERO, b, c, ZERO)
-
-
-def transport(F: FieldTable, z, x):
-    """Conjugation z^(-1) x z (the change of basis used by 2x2 slots)."""
-    return m2_mul(F, m2_inv(F, z), m2_mul(F, x, z))
 
 
 # ---------------------------------------------------------------------------
@@ -179,34 +165,23 @@ def _unit_block(F: FieldTable, unit_basis: PowerBasis, factor: Factor,
 
 
 def _selfrec_slot(F: FieldTable, basis: PowerBasis, alpha: int,
-                  c: int) -> tuple[Slot, dict]:
-    """2x2 slot for a self-reciprocal factor: basis change pushes diag(alpha,
-    alpha^-1) and the antidiagonal [[0, c], [c, 0]] into matrices over the
-    half field.  c is 1 for a reflection, i where b^2 = -1."""
-    K = basis.block
-    ainv = F.inv(alpha)
-    t = F.add(alpha, ainv)
-    if not K.contains(t) or K.contains(alpha):
-        raise AssertionError("self-reciprocal root must be quadratic over the slot field")
-    z = (c, F.neg(alpha), c, F.neg(ainv))
-    gen_a = transport(F, z, m2_diag(alpha, ainv))
-    gen_b = transport(F, z, m2_antidiag(c, c))
-    if gen_a != (ZERO, F.inv(c), F.neg(c), t):
-        raise AssertionError("unexpected transported rotation image")
-    if gen_b != (c, F.neg(t), ZERO, F.neg(c)):
-        raise AssertionError("unexpected transported reflection image")
-    slot = Slot(MAT_SLOT, basis, gen_a, gen_b, root=alpha)
-    return slot, {"t": t, "z": z}
+                  c: int) -> Slot:
+    """2x2 slot for a self-reciprocal factor: diag(alpha, alpha^-1) and the
+    antidiagonal [[0, c], [c, 0]] conjugated by z = [[c, -alpha],
+    [c, -alpha^-1]] into matrices over the half field, written in closed
+    form with t = alpha + alpha^-1.  c is 1 for a reflection, i where
+    b^2 = -1."""
+    t = F.add(alpha, F.inv(alpha))
+    gen_a = (ZERO, F.inv(c), F.neg(c), t)
+    gen_b = (c, F.neg(t), ZERO, F.neg(c))
+    return Slot(MAT_SLOT, basis, gen_a, gen_b, root=alpha)
 
 
 def _pair_slot(F: FieldTable, basis: PowerBasis, alpha: int, top: int) -> Slot:
     """2x2 slot for a reciprocal pair: rotation acts as diag(alpha, alpha^-1)
     and b as [[0, top], [1, 0]], top being 1, or -1 where b^2 = -1."""
-    if not basis.block.contains(alpha):
-        raise AssertionError("pair root must lie in the slot field")
-    gen_a = m2_diag(alpha, F.inv(alpha))
-    gen_b = m2_antidiag(top, F.one)
-    return Slot(MAT_SLOT, basis, gen_a, gen_b, root=alpha)
+    return Slot(MAT_SLOT, basis, (alpha, ZERO, ZERO, F.inv(alpha)),
+                (ZERO, top, F.one, ZERO), root=alpha)
 
 
 def _resolve_root(F: FieldTable, factors: tuple[Factor, ...],
@@ -308,7 +283,7 @@ def _flatten(by_field, slots: list[Slot], values, length: int) -> np.ndarray:
     """The flattened images (r, length) of per-slot block values, one
     ``flatten`` per block field."""
     entries = np.array([[c for s, v in zip(slots, vals)
-                         for c in ((v,) if s.kind == FIELD_SLOT else v)]
+                         for c in slot_entries(s, v)]
                         for vals in values], dtype=np.int64
                        ).reshape(len(values), sum(s.ncomp for s in slots))
     out = np.empty((len(values), length), dtype=np.int32)
@@ -349,16 +324,18 @@ def _assemble(group: str, n: int, mode: str, q: int | None,
         raise AssertionError(f"block widths sum to {offset}, expected {length}")
 
     slots = [s for b in blocks for s in b.slots]
-    by_field = _by_field(slots)
+    twist = a_order // 2 if group == "quaternion" else 0
     a_powers: list[list] = [[slot_one(s) for s in slots]]
     for _ in range(1, a_order):
         prev = a_powers[-1]
         a_powers.append([slot_mul(s, p, s.gen_a) for s, p in zip(slots, prev)])
     b_images = [[slot_mul(s, v, s.gen_b) for s, v in zip(slots, vals)]
                 for vals in a_powers]
+    _check_relations(slots, a_powers, b_images, twist)
+    by_field = _by_field(slots)
     mat = _flatten(by_field, slots, a_powers + b_images, length)
     mat_inv = _fourier_inverse(alphabet, by_field,
-                               mat[_inverses(a_order, group)])
+                               mat[_inverses(a_order, twist)])
     ident = np.eye(length, dtype=np.int32)  # index 1 is the element one
     if not np.array_equal(linalg.matmul(alphabet, mat, mat_inv), ident):
         raise AssertionError("the block map is not invertible: mat times "
@@ -369,11 +346,42 @@ def _assemble(group: str, n: int, mode: str, q: int | None,
                          mat=mat, mat_inv=mat_inv, by_field=by_field)
 
 
-def _inverses(a_order: int, group: str) -> np.ndarray:
+def _check_relations(slots: list[Slot], a_powers: list[list],
+                     b_images: list[list], twist: int) -> None:
+    """Refuse generator images that do not define an algebra map onto
+    their slots, each on its own root.  Per slot: every entry of the a-
+    and b-image lies in the slot's field; a^order = 1, b^2 = a^twist and
+    b a = a^(-1) b, read against the powers a^i (``a_powers``) and a^i b
+    (``b_images``) that the block map is made of; and the slot's root is
+    an eigenvalue of its a-image."""
+    for k, s in enumerate(slots):
+        F, x, r = s.field.master, s.gen_a, s.root
+        if not all(map(s.field.contains,
+                       slot_entries(s, x) + slot_entries(s, s.gen_b))):
+            raise AssertionError(f"slot {k}'s generator images leave its "
+                                 f"field GF({s.field.q})")
+        if (slot_mul(s, a_powers[-1][k], x) != slot_one(s)
+                or slot_mul(s, s.gen_b, s.gen_b) != a_powers[twist][k]
+                or slot_mul(s, s.gen_b, x) != b_images[-1][k]):
+            raise AssertionError(f"slot {k}'s generator images break the "
+                                 f"group relations")
+        if s.kind == FIELD_SLOT:
+            residue = F.sub(x, r)
+        elif s.kind == C2_SLOT:  # x0 + x1 b has the one eigenvalue x0 + x1
+            residue = F.sub(F.add(*x), r)
+        else:  # det(x - r)
+            residue = F.sub(F.mul(F.sub(x[0], r), F.sub(x[3], r)),
+                            F.mul(x[1], x[2]))
+        if residue != ZERO:
+            raise AssertionError(f"slot {k}'s root is not an eigenvalue of "
+                                 f"its rotation image")
+
+
+def _inverses(a_order: int, twist: int) -> np.ndarray:
     """The index of g^(-1) for each group index g: a^i -> a^(-i), and
-    a^i b -> a^i b in D_n, a^(i + n) b in Q_n, where (a^i b)^2 = a^n."""
+    a^i b -> a^(i + twist) b, where (a^i b)^2 = a^twist: twist is 0 in
+    D_n and n in Q_n."""
     i = np.arange(a_order)
-    twist = a_order // 2 if group == "quaternion" else 0
     return np.concatenate([-i % a_order, a_order + (i + twist) % a_order])
 
 
@@ -456,12 +464,10 @@ def _blocks(F: FieldTable, basis, classes, q: int | None,
                           for x in roots)
             kind = RECIP_PAIR
         else:  # SELF_RECIPROCAL or RECIP_FIXED
-            half = basis(cls.degree // 2)
-            slots, made = zip(*(_selfrec_slot(F, half, x, F.one)
-                                for x in roots))
-            data.update(made[0])
-            if len(made) == 2:
-                data["t_conj"] = made[1]["t"]
+            slots = tuple(_selfrec_slot(F, basis(cls.degree // 2), x, F.one)
+                          for x in roots)
+            # t and t_conj: the traces of the slots' a-images
+            data.update(zip(("t", "t_conj"), (s.gen_a[3] for s in slots)))
             kind = SELFREC
         blocks.append(Block(kind if q is None else cls.kind, slots,
                             cls.members, data))

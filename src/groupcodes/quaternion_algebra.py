@@ -13,9 +13,13 @@ x^(2n) - 1 = (x^n - 1)(x^n + 1):
   a -> -1, b -> i.  A self-reciprocal factor of degree 2s gives one 2x2 slot
   over GF(q^s): when i lies in GF(q^s) (s even) it is the dihedral slot
   recipe with b's antidiagonal scaled by i; when it does not (s odd), the
-  block is first written over GF(q^s)(i) in a twisted form and then
-  rewritten over GF(q^s) using a fixed solution of u^2 + v^2 = -1.  A
-  reciprocal pair of degree-s factors gives the dihedral pair slot over
+  block is the twisted form over GF(q^s)(i), a -> diag(beta, beta^-1) and
+  b -> [[0, i], [i, 0]], rewritten over GF(q^s) with a fixed solution of
+  u^2 + v^2 = -1.  The builder writes the rewritten images in closed form,
+  a -> (s_h + c_h u, c_h v, c_h v, s_h - c_h u) and b -> (-v, u, u, v)
+  row-major, with s_h = (beta + beta^-1) / 2 and c_h = (beta - beta^-1) /
+  (2i); the rewriting itself is the tests' reference (``tests/helpers.py``).
+  A reciprocal pair of degree-s factors gives the dihedral pair slot over
   GF(q^s) with b -> [[0, -1], [1, 0]].
 
 The factor families of both sides arrive from ``classify_euclidean`` in
@@ -31,9 +35,8 @@ import math
 from .dihedral_algebra import (Block, Decomposition, Slot, _assemble,
                                _blocks, _check_alphabet, _check_maps,
                                _pair_slot, _power_bases, _selfrec_slot,
-                               m2_antidiag, m2_diag, FIELD_SLOT, MAT_SLOT,
-                               EUCLIDEAN)
-from .fields import (FieldTable, Subfield, build_field, mult_order,
+                               FIELD_SLOT, MAT_SLOT, EUCLIDEAN)
+from .fields import (FieldTable, build_field, mult_order,
                      solve_sum_of_squares, split_prime_power, sqrt_minus_one)
 from .polyfactor import (MINUS_ONE, SELF_RECIPROCAL, classify_euclidean,
                          factor_x_pow_n_minus_1, factor_x_pow_n_plus_1)
@@ -47,70 +50,31 @@ B_PAIR = "b_pair"                  # reciprocal pair
 B_SIDE_KINDS = (B_UNIT, B_SELFREC_SPLIT, B_SELFREC_SKEW, B_PAIR)
 
 
-# ---------------------------------------------------------------------------
-# the twisted rewriting for self-reciprocal blocks without i
-
-
-def theta_map(F: FieldTable, half: Subfield, i: int, u: int, v: int, x):
-    """Rewrite a matrix [[w, z], [-z^Q, w^Q]] over half(i) as a matrix over half.
-
-    Q = |half|; (u, v) must satisfy u^2 + v^2 = -1 in the half field.  The map
-    is an algebra isomorphism onto M_2(half): it sends the canonical basis
-    1, [[0,1],[-1,0]], [[i,0],[0,-i]], [[0,i],[i,0]] of the twisted form to
-    1, [[0,1],[-1,0]], [[u,v],[v,-u]], [[-v,u],[u,v]] coordinate-for-coordinate.
-    """
-    Qh = half.q
-    w, z, z2, w2 = x
-    if w2 != F.pow(w, Qh) or z2 != F.neg(F.pow(z, Qh)):
-        raise ValueError("matrix is not in the twisted form [[w, z], [-z^Q, w^Q]]")
-    two = F.from_prime_scalar(2)
-    two_i = F.mul(two, i)
-    wq, zq = F.pow(w, Qh), F.pow(z, Qh)
-    x1 = F.div(F.add(w, wq), two)
-    x2 = F.div(F.sub(w, wq), two_i)
-    x3 = F.div(F.add(z, zq), two)
-    x4 = F.div(F.sub(z, zq), two_i)
-    for c in (x1, x2, x3, x4):
-        if not half.contains(c):
-            raise AssertionError("twisted coordinates fell outside the half field")
-    return (F.add(x1, F.sub(F.mul(x2, u), F.mul(x4, v))),
-            F.add(x3, F.add(F.mul(x2, v), F.mul(x4, u))),
-            F.add(F.neg(x3), F.add(F.mul(x2, v), F.mul(x4, u))),
-            F.sub(x1, F.sub(F.mul(x2, u), F.mul(x4, v))))
-
-
 def _b_unit_block(F: FieldTable, basis, factor) -> Block:
     i = sqrt_minus_one(basis(2).block)
     slot = Slot(FIELD_SLOT, basis(2), F.minus_one, i, root=F.minus_one)
-    return Block(B_UNIT, (slot,), (factor,), {"i": i})
+    return Block(B_UNIT, (slot,), (factor,))
 
 
 def _b_selfrec_block(F: FieldTable, basis, cls) -> Block:
     beta = cls.f.root
     s = cls.degree // 2
-    half = basis(s).block
     i = sqrt_minus_one(basis(2).block)
     if s % 2 == 0:
         # i lies in the half field: the dihedral recipe with b -> i * swap
-        slot, data = _selfrec_slot(F, basis(s), beta, i)
-        return Block(B_SELFREC_SPLIT, (slot,), cls.members, {**data, "i": i})
+        slot = _selfrec_slot(F, basis(s), beta, i)
+        return Block(B_SELFREC_SPLIT, (slot,), cls.members)
+    # the twisted form rewritten over the half field (module docstring)
     binv = F.inv(beta)
     t = F.add(beta, binv)
-    if not half.contains(t) or half.contains(beta):
-        raise AssertionError("self-reciprocal root must be quadratic over the half field")
-    u, v = solve_sum_of_squares(half, F.minus_one)
-    gen_a = theta_map(F, half, i, u, v, m2_diag(beta, binv))
-    gen_b = theta_map(F, half, i, u, v, m2_antidiag(i, i))
+    u, v = solve_sum_of_squares(basis(s).block, F.minus_one)
     two = F.from_prime_scalar(2)
-    s_half = F.div(t, two)
-    c_half = F.div(F.sub(beta, binv), F.mul(two, i))
-    expect_a = (F.add(s_half, F.mul(c_half, u)), F.mul(c_half, v),
-                F.mul(c_half, v), F.sub(s_half, F.mul(c_half, u)))
-    if gen_a != expect_a or gen_b != (F.neg(v), u, u, v):
-        raise AssertionError("unexpected images in skew block")
-    slot = Slot(MAT_SLOT, basis(s), gen_a, gen_b, root=beta)
-    return Block(B_SELFREC_SKEW, (slot,), cls.members,
-                 {"t": t, "i": i, "u": u, "v": v})
+    s_h = F.div(t, two)
+    c_h = F.div(F.sub(beta, binv), F.mul(two, i))
+    gen_a = (F.add(s_h, F.mul(c_h, u)), F.mul(c_h, v),
+             F.mul(c_h, v), F.sub(s_h, F.mul(c_h, u)))
+    slot = Slot(MAT_SLOT, basis(s), gen_a, (F.neg(v), u, u, v), root=beta)
+    return Block(B_SELFREC_SKEW, (slot,), cls.members)
 
 
 def build_quaternion_decomposition(n: int, q: int) -> Decomposition:

@@ -9,7 +9,7 @@ import itertools
 import numpy as np
 
 from groupcodes import linalg
-from groupcodes.dihedral_algebra import FIELD_SLOT, slot_mul, slot_one
+from groupcodes.dihedral_algebra import FIELD_SLOT, m2_mul, slot_mul, slot_one
 from groupcodes.fields import ZERO, build_field, prime_factors
 from groupcodes.polyfactor import poly_mul
 
@@ -51,6 +51,61 @@ def slot_pow(slot, x, e: int):
         base = slot_mul(slot, base, base)
         e >>= 1
     return out
+
+
+def m2_det(F, x) -> int:
+    return F.sub(F.mul(x[0], x[3]), F.mul(x[1], x[2]))
+
+
+def m2_inv(F, x):
+    d = m2_det(F, x)
+    if d == ZERO:
+        raise ZeroDivisionError("singular 2x2 matrix")
+    di = F.inv(d)
+    return (F.mul(di, x[3]), F.mul(di, F.neg(x[1])),
+            F.mul(di, F.neg(x[2])), F.mul(di, x[0]))
+
+
+def selfrec_basis_change(F, alpha: int, c: int):
+    """z = [[c, -alpha], [c, -alpha^-1]], the change of basis of a
+    self-reciprocal slot with root alpha whose b scales the swap by c."""
+    return (c, F.neg(alpha), c, F.neg(F.inv(alpha)))
+
+
+def reference_transport(F, z, x):
+    """Conjugation z^(-1) x z: the derivation of a self-reciprocal slot's
+    images, which the package writes in closed form."""
+    return m2_mul(F, m2_inv(F, z), m2_mul(F, x, z))
+
+
+def reference_theta_map(F, half, i: int, u: int, v: int, x):
+    """Rewrite a matrix [[w, z], [-z^Q, w^Q]] over half(i) as a matrix over
+    half: the derivation of a skew quaternion slot's images, which the
+    package writes in closed form.
+
+    Q = |half|; (u, v) must satisfy u^2 + v^2 = -1 in the half field.  The map
+    is an algebra isomorphism onto M_2(half): it sends the canonical basis
+    1, [[0,1],[-1,0]], [[i,0],[0,-i]], [[0,i],[i,0]] of the twisted form to
+    1, [[0,1],[-1,0]], [[u,v],[v,-u]], [[-v,u],[u,v]] coordinate-for-coordinate.
+    """
+    Qh = half.q
+    w, z, z2, w2 = x
+    if w2 != F.pow(w, Qh) or z2 != F.neg(F.pow(z, Qh)):
+        raise ValueError("matrix is not in the twisted form [[w, z], [-z^Q, w^Q]]")
+    two = F.from_prime_scalar(2)
+    two_i = F.mul(two, i)
+    wq, zq = F.pow(w, Qh), F.pow(z, Qh)
+    x1 = F.div(F.add(w, wq), two)
+    x2 = F.div(F.sub(w, wq), two_i)
+    x3 = F.div(F.add(z, zq), two)
+    x4 = F.div(F.sub(z, zq), two_i)
+    for c in (x1, x2, x3, x4):
+        if not half.contains(c):
+            raise AssertionError("twisted coordinates fell outside the half field")
+    return (F.add(x1, F.sub(F.mul(x2, u), F.mul(x4, v))),
+            F.add(x3, F.add(F.mul(x2, v), F.mul(x4, u))),
+            F.add(F.neg(x3), F.add(F.mul(x2, v), F.mul(x4, u))),
+            F.sub(x1, F.sub(F.mul(x2, u), F.mul(x4, v))))
 
 
 def rank(sub, A: np.ndarray) -> int:

@@ -14,6 +14,7 @@ from groupcodes import dihedral_algebra as da
 from groupcodes import ideals_codes as ic
 from groupcodes import quaternion_algebra as qa
 from groupcodes import weights_quantum as wq
+from groupcodes.fields import ZERO
 
 from helpers import full_spec, zero_spec
 
@@ -732,29 +733,71 @@ def test_bad_witness_exit(capsys, monkeypatch):
         "internal error: distance witness has the wrong weight"]
 
 
-def test_corrupted_block_map_exit(capsys, monkeypatch):
-    # b -> 1 in the 2x2 slot shrinks the slot's image to the polynomials
-    # in its rotation image, so mat is singular.  The closed-form inverse
-    # trusts the blocks; the check that mat times it is the identity
-    # fails, a broken invariant rather than a wrong inverse
+def _corrupt_last_block(monkeypatch, corrupt):
+    """Make every dihedral build hand its last block's slots, and the master
+    field, to ``corrupt`` before assembly."""
     original = da._assemble
 
     def corrupted(group, n, mode, q, alphabet, blocks, a_order):
-        slot = blocks[-1].slots[0]
-        assert slot.kind == da.MAT_SLOT
-        slot.gen_b = da.slot_one(slot)
+        corrupt(alphabet.master, blocks[-1].slots)
         return original(group, n, mode, q, alphabet, blocks, a_order)
 
     monkeypatch.setattr(da, "_assemble", corrupted)
+
+
+def _copy_slot(F, slots):
+    # slot 1 of a free block takes slot 0's images and root
+    assert len(slots) == 2 and slots[0].basis is slots[1].basis
+    for attr in ("gen_a", "gen_b", "root"):
+        setattr(slots[1], attr, getattr(slots[0], attr))
+
+
+def test_corrupted_block_map_exit(capsys, monkeypatch):
+    # both slots of a free block on one root: each slot passes the
+    # relations guard, but the two slots' images coincide, so mat is
+    # singular.  The closed-form inverse trusts the blocks; the check that
+    # mat times it is the identity fails, a broken invariant rather than
+    # a wrong inverse
+    _corrupt_last_block(monkeypatch, _copy_slot)
     with pytest.raises(AssertionError, match="not the identity"):
-        da.build_dihedral_decomposition(7, 4, da.HERMITIAN)
-    code = cli.main(["count", "--q", "4", "--n", "7", "--metric", "hermitian"])
+        da.build_dihedral_decomposition(16, 9, da.HERMITIAN)
+    code = cli.main(["count", "--q", "9", "--n", "16", "--metric", "hermitian"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines() == [
         "internal error: the block map is not invertible: mat times its "
         "Fourier inverse is not the identity"]
+
+
+def _b_to_one(F, slots):
+    slots[0].gen_b = da.slot_one(slots[0])
+
+
+def _root_to_one(F, slots):
+    slots[0].root = F.one
+
+
+def _entry_off_field(F, slots):
+    # b -> [[0, 1], [g, 0]], g generating GF(81), in a GF(9) slot
+    assert slots[0].field.q == 9
+    slots[0].gen_b = (ZERO, F.one, F.subfield(81).gen, ZERO)
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_b_to_one, "slot 7's generator images break the group relations"),
+    (_root_to_one, "slot 7's root is not an eigenvalue of its rotation image"),
+    (_entry_off_field, "slot 7's generator images leave its field GF(9)")])
+def test_relations_guard_exit(capsys, monkeypatch, corrupt, message):
+    # one corruption of slot 7, the first slot of GF(9)[D_16]'s last
+    # (free, GF(9)) block, at a time: each is refused by the guard it
+    # breaks, before the block map is made
+    _corrupt_last_block(monkeypatch, corrupt)
+    code = cli.main(["count", "--q", "9", "--n", "16", "--metric", "hermitian"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"internal error: {message}"]
 
 
 @pytest.mark.parametrize("status,exit_code", [(wq.EXACT, 3),

@@ -6,16 +6,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from groupcodes import dihedral_algebra as da
 from groupcodes import linalg, oracle
 from groupcodes import quaternion_algebra as qa
-from groupcodes.fields import ZERO, mult_order, split_prime_power
+from groupcodes.fields import (ZERO, mult_order, solve_sum_of_squares,
+                               split_prime_power, sqrt_minus_one)
 
-from helpers import (random_slot_value, reference_inverse, slot_pow,
-                     slot_zero)
+from helpers import (m2_det, random_slot_value, reference_inverse,
+                     reference_theta_map, reference_transport,
+                     selfrec_basis_change, slot_pow, slot_zero)
 
 SYSTEMS = [(16, 9), (7, 4), (3, 25), (10, 9), (5, 9)]
 
@@ -175,12 +177,65 @@ def test_selfrec_block_data():
     dec = dec_for(10, 9, da.HERMITIAN)
     F = dec.F
     for b in dec.blocks[2:]:
-        z = b.data["z"]
         alpha = b.slots[0].root
-        assert da.m2_det(F, z) == F.sub(alpha, F.inv(alpha))
+        z = selfrec_basis_change(F, alpha, F.one)
+        assert m2_det(F, z) == F.sub(alpha, F.inv(alpha))
         assert b.data["t"] == F.add(alpha, F.inv(alpha))
         assert b.slots[0].field.contains(b.data["t"])
         assert not b.slots[0].field.contains(alpha)
+        # the a-image has trace t and determinant 1
+        gen_a = b.slots[0].gen_a
+        assert F.add(gen_a[0], gen_a[3]) == b.data["t"]
+        assert m2_det(F, gen_a) == F.one
+
+
+def _check_closed_forms(dec) -> int:
+    """Compare each self-reciprocal slot's closed-form images with their
+    derivations: z^(-1) diag(alpha, alpha^-1) z and z^(-1) [[0, c], [c, 0]] z
+    for the selfrec, recip_fixed and b_selfrec_split kinds (c = i in the
+    last), the twisted rewriting of diag(beta, beta^-1) and [[0, i], [i, 0]]
+    for b_selfrec_skew.  Returns the number of slots compared."""
+    F, compared = dec.F, 0
+    for b in dec.blocks:
+        for s in b.slots:
+            r, rinv = s.root, F.inv(s.root)
+            if b.kind in (da.SELFREC, "recip_fixed", qa.B_SELFREC_SPLIT):
+                c = (sqrt_minus_one(F.subfield(dec.Q ** 2))
+                     if b.kind == qa.B_SELFREC_SPLIT else F.one)
+                z = selfrec_basis_change(F, r, c)
+                assert s.gen_a == reference_transport(F, z, (r, ZERO, ZERO, rinv))
+                assert s.gen_b == reference_transport(F, z, (ZERO, c, c, ZERO))
+            elif b.kind == qa.B_SELFREC_SKEW:
+                i = sqrt_minus_one(F.subfield(dec.Q ** 2))
+                u, v = solve_sum_of_squares(s.field, F.minus_one)
+                theta = lambda x: reference_theta_map(F, s.field, i, u, v, x)
+                assert s.gen_a == theta((r, ZERO, ZERO, rinv))
+                assert s.gen_b == theta((ZERO, i, i, ZERO))
+            else:
+                continue
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("system", [
+    ("dihedral", 5, 9, da.EUCLIDEAN), ("dihedral", 5, 9, da.HERMITIAN),
+    ("dihedral", 10, 9, da.EUCLIDEAN), ("dihedral", 10, 9, da.HERMITIAN),
+    ("quaternion", 3, 11, da.EUCLIDEAN), ("quaternion", 5, 3, da.EUCLIDEAN),
+    ("quaternion", 15, 23, da.EUCLIDEAN)])
+def test_closed_form_images_match_their_derivations(system):
+    # every system of the tier-1 suite with a self-reciprocal block
+    assert _check_closed_forms(_build(*system)) > 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(system=st.tuples(st.sampled_from(["dihedral", "quaternion"]),
+                        st.integers(1, 16),
+                        st.sampled_from([3, 4, 5, 7, 9, 11, 19, 23, 25]),
+                        st.sampled_from([da.EUCLIDEAN, da.HERMITIAN])))
+def test_closed_form_images_match_their_derivations_drawn(system):
+    # random dihedral and quaternion systems; the refused ones are skipped
+    assume(_buildable(*system))
+    _check_closed_forms(_build(*system))
 
 
 def test_slot_flatten_round_trip():
@@ -341,7 +396,7 @@ def test_mat_inv_equals_the_elimination(system):
 def test_inverses_by_index_arithmetic(group, table, n):
     a_order = 2 * n if group == "quaternion" else n
     mul = table(n)
-    inv = da._inverses(a_order, group)
+    inv = da._inverses(a_order, a_order // 2 if group == "quaternion" else 0)
     g = np.arange(2 * a_order)
     assert (mul[g, inv] == 0).all() and (mul[inv, g] == 0).all()
 

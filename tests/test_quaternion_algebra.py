@@ -10,9 +10,9 @@ import pytest
 from groupcodes import dihedral_algebra as da
 from groupcodes import quaternion_algebra as qa
 from groupcodes import oracle
-from groupcodes.fields import ZERO, sqrt_minus_one
+from groupcodes.fields import ZERO
 
-from helpers import random_slot_value, slot_pow
+from helpers import random_slot_value, reference_theta_map, slot_pow
 
 _cache: dict = {}
 
@@ -51,7 +51,8 @@ def test_structure_q3_f11_skew():
     assert dec.length == 12
     blk = dec.blocks[3]
     F = dec.F
-    u, v = blk.data["u"], blk.data["v"]
+    # b -> (-v, u, u, v)
+    _, u, _, v = blk.slots[0].gen_b
     assert F.add(F.mul(u, u), F.mul(v, v)) == F.minus_one
     assert dec.alphabet.contains(u) and dec.alphabet.contains(v)
 
@@ -62,7 +63,7 @@ def test_structure_q5_f3_split():
     assert kinds == [da.FIELD_PAIR, da.SELFREC, qa.B_UNIT, qa.B_SELFREC_SPLIT]
     assert dec.length == 20
     assert dec.blocks[3].slots[0].field.q == 9
-    i = dec.blocks[3].data["i"]
+    i = dec.blocks[2].slots[0].gen_b   # the b_unit slot's b -> i
     assert dec.F.mul(i, i) == dec.F.minus_one
 
 
@@ -148,20 +149,29 @@ def test_char_dividing_order_rejected():
 # the quaternion-to-matrix change of coordinates
 
 
+def _twist_constants(dec):
+    """i off the b_unit slot's b-image, and u, v off the skew slot's
+    b-image (-v, u, u, v)."""
+    unit, skew = dec.blocks[2], dec.blocks[3]
+    assert (unit.kind, skew.kind) == (qa.B_UNIT, qa.B_SELFREC_SKEW)
+    _, u, _, v = skew.slots[0].gen_b
+    return unit.slots[0].gen_b, u, v
+
+
 def test_theta_map_domain_check():
     dec = dec_for(3, 11)
     blk = dec.blocks[3]
     F = dec.F
     half = blk.slots[0].field
-    i, u, v = blk.data["i"], blk.data["u"], blk.data["v"]
+    i, u, v = _twist_constants(dec)
     ext = F.subfield(half.q ** 2)
     w, z = ext.gen, ext.element(3)
     good = (w, z, F.neg(F.pow(z, half.q)), F.pow(w, half.q))
-    out = qa.theta_map(F, half, i, u, v, good)
+    out = reference_theta_map(F, half, i, u, v, good)
     assert all(c == ZERO or half.contains(c) for c in out)
     bad = (w, z, z, w)
     with pytest.raises(ValueError, match="twisted"):
-        qa.theta_map(F, half, i, u, v, bad)
+        reference_theta_map(F, half, i, u, v, bad)
 
 
 def test_theta_map_is_multiplicative():
@@ -169,7 +179,7 @@ def test_theta_map_is_multiplicative():
     blk = dec.blocks[3]
     F = dec.F
     half = blk.slots[0].field
-    i, u, v = blk.data["i"], blk.data["u"], blk.data["v"]
+    i, u, v = _twist_constants(dec)
     ext = F.subfield(half.q ** 2)
     rng = np.random.default_rng(5)
 
@@ -181,7 +191,7 @@ def test_theta_map_is_multiplicative():
     for _ in range(10):
         x, y = rand_point(), rand_point()
         prod = da.m2_mul(F, x, y)
-        lhs = qa.theta_map(F, half, i, u, v, prod)
-        rhs = da.m2_mul(F, qa.theta_map(F, half, i, u, v, x),
-                        qa.theta_map(F, half, i, u, v, y))
+        lhs = reference_theta_map(F, half, i, u, v, prod)
+        rhs = da.m2_mul(F, reference_theta_map(F, half, i, u, v, x),
+                        reference_theta_map(F, half, i, u, v, y))
         assert lhs == rhs

@@ -162,12 +162,22 @@ def test_lanes_are_padded_in_one_place():
 
 
 def test_one_slot_recipe_per_block_shape():
-    """``transport`` is called only in the self-reciprocal slot recipe,
-    which the dihedral and the quaternion builders share, so that each
-    block shape's change of basis is written once."""
-    found = {f"{name} {scope}" for name, tree in _trees().items()
-             for scope in _calls_by_scope(tree, "transport")}
-    assert found == {"dihedral_algebra.py _selfrec_slot"}, found
+    """Each block shape's generator images are written once, in closed
+    form: no module defines the derivations (``transport`` with its 2x2
+    inverse and determinant, the twisted rewriting ``theta_map``), which
+    are the tests' references, and the one relations guard that checks the
+    images of every slot kind is called from ``_assemble`` alone, which
+    every build of either group runs."""
+    trees = _trees()
+    derived = sorted(f"{name} {node.name}" for name, tree in trees.items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)
+                     and node.name in ("transport", "m2_inv", "m2_det",
+                                       "theta_map"))
+    assert not derived, derived
+    guard = [f"{name} {scope}" for name, tree in trees.items()
+             for scope in _calls_by_scope(tree, "_check_relations")]
+    assert guard == ["dihedral_algebra.py _assemble"], guard
 
 
 def test_one_block_builder_for_both_metrics():
