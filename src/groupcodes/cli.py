@@ -401,8 +401,8 @@ def cmd_css_search(cfg: argparse.Namespace, warnings: list) -> list:
         specs = _first(du.enumerate_selforth(dec), cfg.limit, warnings,
                        "css search")
     results = []
-    # one css_hermitian call per batch builds the codes of its specs and of
-    # their duals, CODE_BATCH_CELLS cells in all, and searches them
+    # one css_hermitian call per batch builds the codes of its specs and
+    # transposes them to their duals, |G|^2 cells a spec, and searches them
     size = max(1, CODE_BATCH_CELLS // (2 * dec.length ** 2))
     for batch in _batches(specs, size):
         records = wq.css_hermitian(dec, ic.SpecBatch(batch),

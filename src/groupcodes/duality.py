@@ -13,11 +13,15 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
+
+from . import linalg
 from .fields import ZERO, build_field, split_prime_power
 from .polyfactor import CONJ_FIXED, CROSS_FIXED, FREE, RECIP_FIXED
 from .dihedral_algebra import (
     C2_BLOCK,
     FIELD_PAIR,
+    HERMITIAN,
     RECIP_PAIR,
     SELFREC,
     Block,
@@ -146,14 +150,45 @@ def codes_with_duals(dec: Decomposition, specs):
     return (R[0::2], pivots[0::2]), (R[1::2], pivots[1::2])
 
 
+def dual_codes(dec: Decomposition, R: np.ndarray, pivots) -> tuple:
+    """The duals (H, reds) of the codes of a stacked RREF (R, pivots)
+    under the algebra's pairing, by transposition: the euclidean dual of
+    [I | P] is [-P^T | I] (MacWilliams & Sloane, ch. 1 section 2), the
+    rows of ``linalg.nullspace``, and the hermitian dual its entrywise
+    conjugate x -> x^q.  reds[i] are the columns off code i's pivots,
+    ascending, and H[i, :len(reds[i])] is the identity there; zero rows
+    fill H to the stack's largest dual dimension.
+    """
+    sub, (B, m, n) = dec.alphabet, R.shape
+    # S[b, c] is row i of code b where c is its i-th pivot, else zero (the
+    # zero rows below each basis go to an extra row n)
+    at = np.array([p + (n,) * (m - len(p)) for p in pivots], dtype=np.intp)
+    b = np.arange(B)[:, None]
+    S = np.zeros((B, n + 1, n), dtype=R.dtype)
+    S[b, at] = R
+    pivot = S[:, :n].any(axis=2)
+    r = n - pivot.sum(axis=1)
+    red = np.argsort(pivot, axis=1, kind="stable")[:, :r.max(initial=0)]
+    # row j of dual b is -S[b, :, red[b, j]], with 1 at red[b, j] while
+    # j < r[b], and zero past it, where -S has its only nonzero entry
+    H = sub.neg(S[b, :n, red])
+    j = np.arange(red.shape[1])
+    H[b, j, red] = j < r[:, None]
+    if dec.mode == HERMITIAN:
+        H = linalg.entrywise_pow(sub, H, dec.q)
+    return H, [tuple(x[:k]) for x, k in zip(red.tolist(), r.tolist())]
+
+
 # ---------------------------------------------------------------------------
 # self-orthogonality
 
 
 def is_self_orthogonal(dec: Decomposition, spec) -> tuple[bool, int | None]:
     """Whether the ideal sits inside its own dual; on failure, which block."""
-    for i, (block, ideals) in enumerate(_block_ideals(dec, spec)):
-        if not spec_contains(dual_block(dec, block, ideals), ideals):
+    blocks = _block_ideals(dec, spec)
+    duals = _block_ideals(dec, dual_spec(dec, spec))
+    for i, ((_, ideals), (_, dual)) in enumerate(zip(blocks, duals)):
+        if not spec_contains(dual, ideals):
             return False, i
     return True, None
 

@@ -210,20 +210,21 @@ def nullspace(sub: Subfield, A: np.ndarray) -> np.ndarray:
 
 def in_row_space(sub: Subfield, R: np.ndarray, pivots, V: np.ndarray
                  ) -> np.ndarray:
-    """Which rows of V lie in the row space of the RREF (R, pivots).
+    """Which rows of V lie in the row space of (R, pivots).
 
-    The pivot entries of a row of the row space are its coefficients, so v
-    is in it exactly when v == v[pivots] @ R.
+    R's rows are the identity on the ascending columns pivots (an RREF's
+    are), so v is in the row space exactly when v == v[pivots] @ R.
 
-    R (B, m, n) may be a stack of RREFs with a list of pivots, as ``rref``
-    returns it, and V (B, r, n) a stack of as many blocks of rows; then
-    the answer is (B, r), from one stacked product.  Each member's columns
-    are put in the order pivots first, so the coefficients are the first
-    columns of every row, up to the largest rank; a member of lower rank
-    takes some of its other entries as coefficients, which meet only its
-    zero rows.  The columns before the smallest rank are pivots of every
-    member, where a row always equals its coefficients, so only the
-    columns from there on are multiplied out and compared.
+    R (B, m, n) may be a stack of such bases with a list of pivots, as
+    ``rref`` or ``duality.dual_codes`` returns it, and V (B, r, n) a stack
+    of as many blocks of rows; then the answer is (B, r), from one stacked
+    product.  Each member's columns are put in the order pivots first, so
+    the coefficients are the first columns of every row, up to the largest
+    rank; a member of lower rank takes some of its other entries as
+    coefficients, which meet only its zero rows.  The columns before the
+    smallest rank are pivots of every member, where a row always equals
+    its coefficients, so only the columns from there on are multiplied out
+    and compared.
     """
     if R.ndim == 2:
         back = matmul(sub, V[:, list(pivots)], R[:len(pivots)])

@@ -13,11 +13,12 @@ yet, in the code or off a subcode that G also fixes, has
 for any information set.  Only transitivity is used, and the search checks
 it.  It stops once the bound meets the best word found: then d is exact.
 
-The searches take one code or a stack of them, the stacked RREF that
-``ideal_to_code`` returns for a ``SpecBatch``, and guard a stack once: the
-automorphism's transitivity and the invariance of every code and excluded
-subcode before the searches, the weight, membership and exclusion of every
-witness after them, each membership check one stacked test per dimension.
+The searches take one code or a stack of them, bases that are the
+identity on given columns (RREFs, or the duals of ``dual_codes``), and
+guard a stack once: the automorphism's transitivity and the invariance of
+every code and excluded subcode before the searches, the weight,
+membership and exclusion of every witness after them, each membership
+check one stacked test per dimension.
 
 Both scans weigh words by comparison: coordinate j of H + L vanishes
 exactly when L[j] = -H[j], so the weights of all sums H[a] + L[b] of two
@@ -78,13 +79,9 @@ import numpy as np
 
 from . import linalg
 from .dihedral_algebra import HERMITIAN, Decomposition
-from .duality import (
-    NotSelfOrthogonalError,
-    codes_with_duals,
-    is_self_orthogonal,
-)
+from .duality import NotSelfOrthogonalError, dual_codes, is_self_orthogonal
 from .fields import Subfield
-from .ideals_codes import SpecBatch
+from .ideals_codes import SpecBatch, ideal_to_code
 
 DEFAULT_WORK = 2 * 10 ** 8  # codewords one search may enumerate
 BATCH = 16384              # words weighed per step of either scan
@@ -285,7 +282,7 @@ def _check_witnesses(sub: Subfield, codes: list, excluded: list | None,
 
 def _reduced(sub: Subfield, G) -> tuple[np.ndarray, tuple[int, ...]]:
     """The RREF (R, pivots) of a generator matrix G, or G itself when it
-    is given as such a pair."""
+    is given as a pair, R the identity on the given columns."""
     return G if isinstance(G, tuple) else linalg.rref(sub, np.asarray(G))
 
 
@@ -299,9 +296,9 @@ def _stack(sub: Subfield, G) -> tuple[list, bool]:
 
 class _Search:
     """Shared state of one enumeration run.  The code and the excluded
-    subcode are generator matrices or RREFs given as (R, pivots) pairs.
-    The orbit bound trusts the automorphism: ``_searches`` checks it, and
-    the witnesses, for a whole stack of searches."""
+    subcode are generator matrices or (R, pivots) pairs, R the identity
+    on the given columns.  The orbit bound trusts the automorphism:
+    ``_searches`` checks it, and the witnesses, for a stack of searches."""
 
     def __init__(self, sub, G, exclude, automorphism, max_weight=None):
         R, piv = _reduced(sub, G)
@@ -545,16 +542,23 @@ def css_hermitian(dec: Decomposition, spec, *, max_weight: int | None = None):
     """Quantum parameters of a hermitian self-orthogonal ideal spec, or
     the list of one record per spec of a ``SpecBatch``.
 
-    ``codes_with_duals`` builds the codes of the specs and of their duals.
-    The self-dual specs share one stacked search and the others another,
-    each guarded once.
+    One ``ideal_to_code`` builds the codes of the specs, and ``dual_codes``
+    transposes them to their hermitian duals, the big codes searched, which
+    one Gram product proves.  The self-dual specs share one stacked search
+    and the others another, each guarded once.
     """
     if dec.mode != HERMITIAN:
         raise ValueError("stabilizer construction needs a hermitian-mode algebra")
     batch = spec if isinstance(spec, SpecBatch) else SpecBatch((spec,))
     for s in batch:
         check_self_orthogonal(dec, s)
-    (Rs, small), (Rb, big) = codes_with_duals(dec, batch)
+    Rs, small = ideal_to_code(dec, batch)
+    Rb, big = dual_codes(dec, Rs, small)
+    # each dual's n - k rows, the identity on its code's other columns, span
+    # the whole hermitian dual when the Gram product conj(Rb) Rs^T is zero
+    conj = linalg.entrywise_pow(dec.alphabet, Rb, dec.q)
+    if linalg.matmul(dec.alphabet, conj, Rs.swapaxes(1, 2)).any():
+        raise AssertionError("dual code fails the Gram check against its code")
     n, auto = dec.length, code_automorphism(dec)
     self_dual = [i for i, p in enumerate(small) if n == 2 * len(p)]
     proper = [i for i, p in enumerate(small) if n != 2 * len(p)]

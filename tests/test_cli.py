@@ -247,9 +247,9 @@ def test_css_search_small_system(capsys):
 
 
 def test_css_search_builds_each_code_once(capsys, monkeypatch):
-    # the code of each record's spec and of its dual, built in one batch
-    # (the 20 specs of GF(4)[D_7] fit one); the witness re-check reuses the
-    # dual code built for the distance search
+    # the code of each record's spec, built in one batch (the 20 specs of
+    # GF(4)[D_7] fit one); its dual is transposed from it, not built, and
+    # the witness re-check reuses the dual searched
     calls = []
     original = ic.ideal_to_code
 
@@ -259,18 +259,20 @@ def test_css_search_builds_each_code_once(capsys, monkeypatch):
 
     monkeypatch.setattr(ic, "ideal_to_code", counting)
     monkeypatch.setattr(cli.du, "ideal_to_code", counting)
+    monkeypatch.setattr(wq, "ideal_to_code", counting)
     doc = run_json(capsys, "css-search", "--q", "4", "--n", "7",
                    "--metric", "hermitian")
     assert len(doc["results"]) == 20
-    assert len(calls) == 2 * len(doc["results"])
+    assert len(calls) == len(doc["results"])
 
 
 @pytest.mark.parametrize("command,records,rrefs", [
-    # one stacked RREF for the codes of the 20 specs and of their duals
-    # (one batch of 40), none in the searches, which take those RREFs,
-    # and two for the decomposition: the change of basis of each of its
-    # two block fields, GF(4) and GF(64).  Its matrix is inverted in
-    # closed form, so [mat | I] is no longer eliminated
+    # one stacked RREF for the codes of the 20 specs (one batch of 20),
+    # none for their duals, which are transposed from it, none in the
+    # searches, which take those bases, and two for the decomposition:
+    # the change of basis of each of its two block fields, GF(4) and
+    # GF(64).  Its matrix is inverted in closed form, so [mat | I] is no
+    # longer eliminated
     ("css-search", 20, 3),
     # one stacked RREF per batch of codes (201 specs, 167 to a batch of
     # 2^15 // 14^2), two per batch holding a nonzero self-orthogonal record
@@ -410,6 +412,49 @@ def test_css_search_census_matches_the_benchmark_golden(capsys):
                    "--metric", "hermitian")
     assert doc["warnings"] == []
     assert doc["results"] == want
+
+
+# sha256 of css-search's stdout: a record depends on the dual code, not on
+# how its basis was built, and the --isd-weight 1 run also pins the upper
+# bounds, which depend on the information set the basis gives the search
+PINNED_CSS_SEARCHES = [
+    (("--q", "4", "--n", "7"),
+     "dc597bc525c9dfc7ce924a73540b7645739984eed038f3c0d28969463f8eafa7"),
+    (("--q", "9", "--n", "10"),
+     "4c22ec9b29769e1664797d6f952f1a18280c9679ca89678d075b803f954262e2"),
+    (("--q", "9", "--n", "10", "--isd-weight", "1"),
+     "2f31fa68ffada5ac282f62bfda327d0785c3079548f1e0225504ebf2cd5800db"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_CSS_SEARCHES,
+                         ids=[" ".join(a) for a, _ in PINNED_CSS_SEARCHES])
+def test_css_search_output_is_pinned(capsys, argv, digest):
+    code, out = run(capsys, "css-search", *argv, "--metric", "hermitian")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dual_gram_guard_exit(capsys, monkeypatch):
+    # one entry of one member's transposed dual corrupted, at the first
+    # pivot of its code, where the code's row is 1: the batch's one Gram
+    # product meets it before any search
+    transpose = wq.dual_codes
+
+    def corrupted(dec, R, pivots):
+        H, reds = transpose(dec, R, pivots)
+        b = next(i for i, p in enumerate(pivots) if p)
+        H[b, 0, pivots[b][0]] = dec.alphabet.add(H[b, 0, pivots[b][0]], 1)
+        return H, reds
+
+    monkeypatch.setattr(wq, "dual_codes", corrupted)
+    code = cli.main(["css-search", "--q", "4", "--n", "7",
+                     "--metric", "hermitian"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "internal error: dual code fails the Gram check against its code"]
 
 
 SIX_SPECS = ["b0:mid; b1:e01", "b0:full; b1:zero", "b0:zero; b1:zero",

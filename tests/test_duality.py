@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupcodes import cli
 from groupcodes import dihedral_algebra as da
@@ -193,6 +195,80 @@ def test_codes_with_duals_matches_each_code():
             assert len(p) == ic.ideal_dimension(dec, spec)
             assert np.array_equal(Ri[:len(p)], want[:len(p)])
             assert not Ri[len(p):].any()
+
+
+# the transposed duals on three hermitian and three euclidean systems
+_TRANSPOSED = [(cli.DIHEDRAL, 7, 4, da.HERMITIAN),
+               (cli.DIHEDRAL, 10, 9, da.HERMITIAN),
+               (cli.DIHEDRAL, 5, 16, da.HERMITIAN),
+               (cli.DIHEDRAL, 7, 2, da.EUCLIDEAN),
+               (cli.DIHEDRAL, 8, 9, da.EUCLIDEAN),
+               (cli.QUATERNION, 3, 7, da.EUCLIDEAN)]
+# those whose self-orthogonal census holds a self-dual spec
+_WITH_SELF_DUAL = [_TRANSPOSED[i] for i in (0, 2, 3)]
+
+
+def check_transposed_duals(dec, specs):
+    """dual_codes on the stacked code of specs: each dual is the identity
+    on the code's other columns, above zero rows; it is the nullspace's
+    basis there (conjugated in hermitian mode); RREF'd it is the oracle's
+    dual, and it spans the code of the dual spec."""
+    sub, n = dec.alphabet, dec.length
+    R, pivots = ic.ideal_to_code(dec, ic.SpecBatch(specs))
+    H, reds = du.dual_codes(dec, R, pivots)
+    ref, ref_pivots = (oracle.hermitian_dual_basis(sub, R, dec.q)
+                       if dec.mode == da.HERMITIAN
+                       else oracle.euclid_dual_basis(sub, R))
+    assert len(H) == len(reds) == len(specs)
+    for spec, Hb, Rb, piv, red, rp, refb in zip(specs, H, R, pivots, reds,
+                                                ref_pivots, ref):
+        assert red == tuple(c for c in range(n) if c not in piv)
+        basis = Hb[:len(red)]
+        assert np.array_equal(basis[:, list(red)],
+                              np.eye(len(red), dtype=H.dtype))
+        assert not Hb[len(red):].any()
+        euclid = (linalg.entrywise_pow(sub, basis, dec.q)
+                  if dec.mode == da.HERMITIAN else basis)
+        assert np.array_equal(euclid, linalg.nullspace(sub, Rb[:len(piv)]))
+        D, dp = linalg.rref(sub, basis)
+        assert dp == rp
+        assert np.array_equal(D[:len(dp)], refb[:len(dp)])
+        assert linalg.row_space_equal(
+            sub, basis, ic.ideal_to_code(dec, du.dual_spec(dec, spec)))
+    return H, reds
+
+
+@pytest.mark.parametrize("system", _TRANSPOSED,
+                         ids=[f"{g}-{n}-{q}-{m}" for g, n, q, m in _TRANSPOSED])
+def test_transposed_duals_on_the_edge_specs(system):
+    # the zero spec, whose dual is everything: H = I on all columns; a
+    # self-dual spec where there is one; and in euclidean mode the full
+    # spec, whose dual is empty
+    dec = cli.build_system(*system)
+    n = dec.length
+    self_dual = [s for s in du.enumerate_selforth(dec)
+                 if 2 * ic.ideal_dimension(dec, s) == n][:1]
+    assert bool(self_dual) == (system in _WITH_SELF_DUAL)
+    specs = [zero_spec(dec)] + self_dual
+    if dec.mode == da.EUCLIDEAN:
+        specs.append(full_spec(dec))
+    H, reds = check_transposed_duals(dec, specs)
+    assert reds[0] == tuple(range(n))
+    assert np.array_equal(H[0], np.eye(n, dtype=H.dtype))
+    if self_dual:
+        assert len(reds[1]) == n // 2
+    if dec.mode == da.EUCLIDEAN:
+        assert reds[-1] == () and not H[-1].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(system=st.sampled_from(_TRANSPOSED), members=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_transposed_duals_match_the_oracle(system, members, seed):
+    dec = cli.build_system(*system)
+    rng = np.random.default_rng(seed)
+    check_transposed_duals(dec, [ic.random_spec(dec, rng)
+                                 for _ in range(members)])
 
 
 # ---------------------------------------------------------------------------
